@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     IntegrabilityError,
@@ -232,6 +231,10 @@ class ExpSeedField(MatrixField):
             )
 
     def __call__(self, x, t):
+        # scipy is imported here, not at module scope, so that importing
+        # btkit and every non-chiral command run on numpy alone
+        from scipy.linalg import expm
+
         X, T = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
         arg = X[..., None, None] * self.A + T[..., None, None] * self.B
         return expm(arg)

@@ -24,21 +24,21 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import classic_bts, chiral_recursion, maxwell_conductor, maxwell_vacuum
+from .chiral_recursion import _matrix_pair
 from .errors import BtkitError, InvalidParameterError
 from .media import EPSILON0, MU0, MediumParams, VACUUM
-from .verify import Grid2D, Grid4D
+from .verify import DEFAULT_STEP, Grid2D, Grid4D, report_from_values
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
-
-DEFAULT_STEP = 1e-4
 
 # documented per-subcommand scan tolerances (normalized residuals)
 TOLERANCES = {
@@ -59,7 +59,15 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with the usage code instead of 2."""
+    """ArgumentParser that exits with the usage code instead of 2.
+
+    Negative numbers in exponent form (``-5.3e-05``) are read as values, not
+    as unknown options.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -99,14 +107,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return _format_float(float(value)) if math.isfinite(float(value)) else "nan"
-
-
-def _matrix_json(arr) -> dict:
-    arr = np.asarray(arr)
-    return {
-        "re": [[float(v) for v in row] for row in arr.real],
-        "im": [[float(v) for v in row] for row in arr.imag],
-    }
 
 
 def _vector_json(arr) -> dict:
@@ -371,12 +371,12 @@ def _run_chiral(args):
     A = _complex_matrix(args.a_re, args.a_im, "A")
     B = _complex_matrix(args.b_re, args.b_im, "B")
     g = chiral_recursion.ExpSeedField(A, B)
-    params = {"A": _matrix_json(A), "B": _matrix_json(B)}
+    params = {"A": _matrix_pair(A), "B": _matrix_pair(B)}
     X, T = grid.mesh()
 
     if args.sub == "residual":
         values = chiral_recursion.chiral_defect_samples(g, grid)
-        report = chiral_recursion.chiral_residual(g, grid)
+        report = report_from_values(values, (X, T))
         result = {"seed": g.to_dict(), "report": report.to_dict()}
         scans = {"chiral": report} if args.verify else {}
         columns = ["x", "t", "residual"]
@@ -392,7 +392,7 @@ def _run_chiral(args):
         base = None
         if args.base_re is not None:
             base = _complex_matrix(args.base_re, args.base_im, "base")
-            params["base"] = _matrix_json(base)
+            params["base"] = _matrix_pair(base)
         else:
             params["base"] = None
         pot = chiral_recursion.potential(g, grid, base=base)
@@ -413,7 +413,7 @@ def _run_chiral(args):
         return params, grid.to_dict(), result, scans, (columns, rows)
 
     M = _complex_matrix(args.m_re, args.m_im, "M")
-    params["M"] = _matrix_json(M)
+    params["M"] = _matrix_pair(M)
     params["levels"] = args.levels
     levels = chiral_recursion.hierarchy(g, M, args.levels, grid)
     reports = {

@@ -332,9 +332,15 @@ def report_from_values(values: np.ndarray, meshes) -> ResidualReport:
     idx = int(np.argmax(flat))
     worst = tuple(float(m.ravel()[idx]) for m in meshes)
     kept = vals[finite]
+    peak = float(flat[idx])
+    # RMS scaled by a power of two near the peak: squaring cannot overflow,
+    # and wherever v*v neither overflows nor underflows the result is
+    # bit-identical to sqrt(mean(v*v))
+    scale = math.ldexp(1.0, math.frexp(peak)[1])
+    scaled = kept / scale
     return ResidualReport(
-        max_abs=float(flat[idx]),
-        rms=float(np.sqrt(np.mean(kept * kept))),
+        max_abs=peak,
+        rms=scale * float(np.sqrt(np.mean(scaled * scaled))),
         n_points=int(kept.size),
         worst_point=worst,
         n_singular=n_singular,

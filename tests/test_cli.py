@@ -5,11 +5,19 @@ stdout, or written files.  Determinism checks compare raw bytes.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import btkit
+from btkit.chiral_recursion import ExpSeedField, chiral_residual
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
+from btkit.verify import Grid2D
 
 A_RE = '[[0.1, 0.2], [0.0, -0.1]]'
 B_RE = '[[0.3, 0.1], [0.0, 0.2]]'
@@ -20,6 +28,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(source: str):
+    """Run ``source`` in a fresh interpreter that imports this btkit."""
+    env = dict(os.environ)
+    src = str(Path(btkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestExitCodes:
@@ -69,6 +86,41 @@ class TestExitCodes:
         assert code == EXIT_VERIFY
         payload = json.loads(out)
         assert payload["verify"]["passed"] is False
+
+    def test_huge_residual_is_a_verify_failure_not_a_traceback(self):
+        # residuals near 1e188 overflowed sqrt(mean(v*v)) to inf
+        proc = run_python("""
+            import sys
+            from btkit.cli import main
+            sys.exit(main(["classic", "laplace", "--alpha", "1e200", "--verify"]))
+        """)
+        assert proc.returncode == EXIT_VERIFY
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert list(payload) == ["command", "params", "grid", "result", "verify"]
+        assert payload["verify"]["passed"] is False
+        for scan in payload["verify"]["scans"].values():
+            assert 0.0 < scan["rms"] <= scan["max_abs"] < float("inf")
+
+
+class TestNegativeNumbers:
+    def test_exponent_form_is_a_value_not_an_option(self, capsys):
+        code, out, _ = run(capsys, "em", "vacuum", "--omega", "1e9",
+                           "--e0-im", "-5.3e-05", "0.2", "0", "--alpha", "-1.5E+00")
+        assert code == EXIT_OK
+        params = json.loads(out)["params"]
+        assert params["E0_im"] == [-5.3e-05, 0.2, 0.0]
+        assert params["alpha"] == -1.5
+
+    @pytest.mark.parametrize("value", ["-2e0", "-2.e0", "-.5e1", "-1e-300"])
+    def test_grid_bounds_in_exponent_form(self, capsys, value):
+        code, out, _ = run(capsys, "classic", "liouville", "--x-min", value)
+        assert code == EXIT_OK
+        assert json.loads(out)["grid"]["x_min"] == float(value)
+
+    def test_unknown_dash_token_is_still_a_usage_error(self, capsys):
+        code, _, _ = run(capsys, "classic", "liouville", "--x-min", "-e5")
+        assert code == EXIT_USAGE
 
 
 class TestDeterminism:
@@ -129,6 +181,50 @@ class TestCsv:
         assert header[:3] == ["level", "x", "t"]
         assert "phi_0_0_re" in header and "q_1_1_im" in header
         assert len(lines) == 1 + 2 * 64
+
+
+class TestChiralResidual:
+    def test_report_matches_library_scan(self, capsys):
+        grid = Grid2D(nx=12, nt=12)
+        _, out, _ = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
+                        "--nx", "12", "--nt", "12", "--verify")
+        payload = json.loads(out)
+        g = ExpSeedField(json.loads(A_RE), json.loads(B_RE))
+        expected = chiral_residual(g, grid).to_dict()
+        expected["worst_point"] = list(expected["worst_point"])
+        assert payload["result"]["report"] == expected
+        assert payload["verify"]["scans"]["chiral"] == expected
+
+
+class TestImportBoundary:
+    def test_scipy_loads_only_for_chiral_seeds(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": ["classic", "liouville"],
+                                    "params": {"C": 2.0}}))
+        proc = run_python(f"""
+            import contextlib, io, json, sys
+            import btkit
+            from btkit.cli import main
+            seen = [["import btkit", 0, "scipy" in sys.modules]]
+            for argv in (["classic", "laplace", "--nx", "8", "--nt", "8", "--verify"],
+                         ["em", "vacuum", "--omega", "1e9", "--samples", "3", "--verify"],
+                         ["verify", {str(spec)!r}],
+                         ["chiral", "residual", "--a-re", {A_RE!r}, "--b-re", {B_RE!r},
+                          "--nx", "8", "--nt", "8"]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                seen.append([" ".join(argv[:2]), code, "scipy" in sys.modules])
+            print(json.dumps(seen))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen[:-1] == [
+            ["import btkit", 0, False],
+            ["classic laplace", EXIT_OK, False],
+            ["em vacuum", EXIT_OK, False],
+            ["verify " + str(spec), EXIT_OK, False],
+        ]
+        assert seen[-1] == ["chiral residual", EXIT_OK, True]
 
 
 class TestStepOverrides:

@@ -12,6 +12,7 @@ from btkit.verify import (
     ResidualReport,
     mixed_derivative,
     partial_derivative,
+    report_from_values,
     residual_scan,
     second_derivative,
     vector_ops,
@@ -175,6 +176,19 @@ class TestResidualScan:
         residual = lambda x, t: math.log(-1.0 - x * x)
         with pytest.raises(EmptyDomainError):
             residual_scan(residual, grid)
+
+    def test_rms_of_huge_residuals_is_finite(self):
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
+        report = report_from_values(np.full((2, 2), 1e200), grid.mesh())
+        assert report.max_abs == report.rms == 1e200
+
+    def test_scaled_rms_is_bit_identical_where_unscaled_is_finite(self):
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 7, h=1e-3)
+        rng = np.random.default_rng(7)
+        for scale in (1e-150, 1e-12, 1.0, 3.7e5, 1e150):
+            values = scale * rng.random((9, 7))
+            report = report_from_values(values, grid.mesh())
+            assert report.rms == float(np.sqrt(np.mean(values * values)))
 
     def test_scan_over_4d_grid(self):
         grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1, 5, 5, 5, 5, h=1e-3)
