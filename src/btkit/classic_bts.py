@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError
-from .verify import Grid2D, ResidualReport, magnitude, report_from_values
+from .verify import Grid2D, ResidualReport, Stencil, magnitude, report_from_values
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -215,56 +215,29 @@ def sine_gordon_from_vacuum(a: float, C: float) -> ScalarField2D:
 # step; domain violations at any stencil point surface as NaN and are
 # excluded by the scan.
 
-def _d_x(f: Callable, x, t, h: float):
-    return (f(x + h, t) - f(x - h, t)) / (2.0 * h)
+def _scan(grid: Grid2D, residuals: Callable, *fields) -> ResidualReport:
+    """Report the pointwise max over the residual arrays ``residuals`` returns.
 
-
-def _d_t(f: Callable, x, t, h: float):
-    return (f(x, t + h) - f(x, t - h)) / (2.0 * h)
-
-
-def _d_xx(f: Callable, x, t, h: float):
-    return (f(x + h, t) - 2.0 * f(x, t) + f(x - h, t)) / (h * h)
-
-
-def _d_tt(f: Callable, x, t, h: float):
-    return (f(x, t + h) - 2.0 * f(x, t) + f(x, t - h)) / (h * h)
-
-
-def _d_xt(f: Callable, x, t, h: float):
-    return (
-        f(x + h, t + h) - f(x + h, t - h) - f(x - h, t + h) + f(x - h, t - h)
-    ) / (4.0 * h * h)
-
-
-def _pair_scan(residual_a, residual_b, grid: Grid2D) -> ResidualReport:
+    ``residuals`` receives one Stencil per field, all on the grid's mesh.
+    """
     X, T = grid.mesh()
     with np.errstate(all="ignore"):
-        ra = magnitude(residual_a(X, T), X.ndim)
-        rb = magnitude(residual_b(X, T), X.ndim)
-    return report_from_values(np.maximum(ra, rb), (X, T))
+        values = [magnitude(r, X.ndim)
+                  for r in residuals(*(Stencil(f, (X, T), grid.h) for f in fields))]
+    return report_from_values(np.max(values, axis=0), (X, T))
 
 
 def bt_residual_cr(u: Callable, v: Callable, grid: Grid2D) -> ResidualReport:
     """Max residual of the Cauchy-Riemann pair u_x = v_t, u_t = -v_x."""
-    h = grid.h
-    return _pair_scan(
-        lambda x, t: _d_x(u, x, t, h) - _d_t(v, x, t, h),
-        lambda x, t: _d_t(u, x, t, h) + _d_x(v, x, t, h),
-        grid,
-    )
+    return _scan(grid, lambda u, v: (u.d(0) - v.d(1), u.d(1) + v.d(0)), u, v)
 
 
 def bt_residual_liouville(u: Callable, v: Callable, grid: Grid2D) -> ResidualReport:
     """Max residual of the Liouville system over both coupled equations."""
-    h = grid.h
-    return _pair_scan(
-        lambda x, t: _d_x(u, x, t, h) + _d_x(v, x, t, h)
-        - _SQRT2 * np.exp((np.asarray(u(x, t)) - np.asarray(v(x, t))) / 2.0),
-        lambda x, t: _d_t(u, x, t, h) - _d_t(v, x, t, h)
-        - _SQRT2 * np.exp((np.asarray(u(x, t)) + np.asarray(v(x, t))) / 2.0),
-        grid,
-    )
+    return _scan(grid, lambda u, v: (
+        u.d(0) + v.d(0) - _SQRT2 * np.exp((u.center - v.center) / 2.0),
+        u.d(1) - v.d(1) - _SQRT2 * np.exp((u.center + v.center) / 2.0),
+    ), u, v)
 
 
 def bt_residual_sine_gordon(u: Callable, v: Callable, a: float,
@@ -272,38 +245,22 @@ def bt_residual_sine_gordon(u: Callable, v: Callable, a: float,
     """Max residual of the parametric sine-Gordon system over both equations."""
     if a == 0.0:
         raise InvalidParameterError("sine-Gordon parameter a must be nonzero")
-    h = grid.h
-    return _pair_scan(
-        lambda x, t: 0.5 * (_d_x(u, x, t, h) + _d_x(v, x, t, h))
-        - a * np.sin((np.asarray(u(x, t)) - np.asarray(v(x, t))) / 2.0),
-        lambda x, t: 0.5 * (_d_t(u, x, t, h) - _d_t(v, x, t, h))
-        - (1.0 / a) * np.sin((np.asarray(u(x, t)) + np.asarray(v(x, t))) / 2.0),
-        grid,
-    )
+    return _scan(grid, lambda u, v: (
+        0.5 * (u.d(0) + v.d(0)) - a * np.sin((u.center - v.center) / 2.0),
+        0.5 * (u.d(1) - v.d(1)) - (1.0 / a) * np.sin((u.center + v.center) / 2.0),
+    ), u, v)
 
 
 def laplace_residual(u: Callable, grid: Grid2D) -> ResidualReport:
     """Residual of u_xx + u_tt = 0."""
-    h = grid.h
-    X, T = grid.mesh()
-    with np.errstate(all="ignore"):
-        vals = _d_xx(u, X, T, h) + _d_tt(u, X, T, h)
-    return report_from_values(vals, (X, T))
+    return _scan(grid, lambda u: (u.diffs(0)[1] + u.diffs(1)[1],), u)
 
 
 def liouville_residual(u: Callable, grid: Grid2D) -> ResidualReport:
     """Residual of u_xt = exp(u)."""
-    h = grid.h
-    X, T = grid.mesh()
-    with np.errstate(all="ignore"):
-        vals = _d_xt(u, X, T, h) - np.exp(np.asarray(u(X, T)))
-    return report_from_values(vals, (X, T))
+    return _scan(grid, lambda u: (u.dxy(0, 1) - np.exp(u.center),), u)
 
 
 def sine_gordon_residual(u: Callable, grid: Grid2D) -> ResidualReport:
     """Residual of u_xt = sin(u)."""
-    h = grid.h
-    X, T = grid.mesh()
-    with np.errstate(all="ignore"):
-        vals = _d_xt(u, X, T, h) - np.sin(np.asarray(u(X, T)))
-    return report_from_values(vals, (X, T))
+    return _scan(grid, lambda u: (u.dxy(0, 1) - np.sin(u.center),), u)

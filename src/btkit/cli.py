@@ -109,14 +109,6 @@ def _csv_cell(value) -> str:
     return _format_float(float(value)) if math.isfinite(float(value)) else "nan"
 
 
-def _vector_json(arr) -> dict:
-    arr = np.asarray(arr)
-    return {
-        "re": [float(v) for v in arr.real],
-        "im": [float(v) for v in arr.imag],
-    }
-
-
 # --- shared argument plumbing ----------------------------------------------
 
 def _add_output_flags(parser) -> None:
@@ -303,13 +295,6 @@ def _run_em(args):
     else:
         medium = _resolve_medium(args, omega, conducting)
     E0 = np.asarray(args.e0_re, dtype=float) + 1j * np.asarray(args.e0_im, dtype=float)
-    params = {
-        "E0_re": [float(v) for v in E0.real],
-        "E0_im": [float(v) for v in E0.imag],
-        "tau": [float(v) for v in args.tau],
-        "omega": omega,
-        "alpha": args.alpha,
-    }
     if conducting:
         pair = maxwell_conductor.conjugate_conducting(
             E0, args.tau, medium, omega, alpha=args.alpha
@@ -318,7 +303,7 @@ def _run_em(args):
             "spec": pair.spec.to_dict(),
             "medium": medium.to_dict(),
             "dispersion": pair.dispersion.to_dict(),
-            "B0": _vector_json(pair.B0),
+            "B0": _matrix_pair(pair.B0),
         }
     else:
         pair = maxwell_vacuum.conjugate_vacuum(
@@ -328,8 +313,9 @@ def _run_em(args):
             "spec": pair.spec.to_dict(),
             "medium": medium.to_dict(),
             "k": pair.k,
-            "B0": _vector_json(pair.B0),
+            "B0": _matrix_pair(pair.B0),
         }
+    params = pair.spec.to_dict()
     grid = Grid4D.for_wave(pair.k, omega, samples=args.samples, step_scale=step)
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BtkitError, InvalidParameterError
-from .maxwell_vacuum import VacuumWaveSpec, _as_vec3
+from .maxwell_vacuum import VacuumWaveSpec, _as_vec3, _wave_terms
 from .media import VACUUM, MediumParams
 from .verify import Grid4D, ResidualReport, magnitude, report_from_values
 
@@ -219,20 +219,7 @@ def modified_wave_residual(F, medium: MediumParams, grid: Grid4D,
 
     ``scale`` divides the raw residual; pass |F0| k^2 for plane waves.
     """
-    X, Y, Z, T = grid.mesh()
-    R = np.stack((X, Y, Z), axis=-1)
-    steps = grid.steps
-
-    center = F(R, T)
-    lap = np.zeros_like(center)
-    for axis in range(3):
-        shift = np.zeros(3)
-        shift[axis] = steps[axis]
-        lap = lap + (F(R + shift, T) - 2.0 * center + F(R - shift, T)) / steps[axis] ** 2
-    ht = steps[3]
-    ftt = (F(R, T + ht) - 2.0 * center + F(R, T - ht)) / ht ** 2
-    ft = (F(R, T + ht) - F(R, T - ht)) / (2.0 * ht)
-
+    meshes, lap, ft, ftt = _wave_terms(F, grid)
     residual = lap - medium.epsilon * medium.mu * ftt - medium.mu * medium.sigma * ft
-    vals = magnitude(residual, X.ndim) / max(scale, 1e-300)
-    return report_from_values(vals, (X, Y, Z, T))
+    vals = magnitude(residual, meshes[0].ndim) / max(scale, 1e-300)
+    return report_from_values(vals, meshes)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
 from .media import CONSTANTS, VACUUM, MediumParams
-from .verify import Grid4D, ResidualReport, magnitude, report_from_values
+from .verify import (Grid4D, ResidualReport, Stencil, curl, divergence, magnitude,
+                     report_from_values)
 
 _UNIT_TOL = 1e-12
 
@@ -189,16 +190,14 @@ def plane_wave(F0, k_vector, omega: float) -> Callable:
     return evaluate
 
 
-def _central_diffs(F: Callable, R: np.ndarray, T: np.ndarray, steps):
-    """First spatial derivatives, time derivative and center value of F."""
-    d = []
-    for axis in range(3):
-        shift = np.zeros(3)
-        shift[axis] = steps[axis]
-        d.append((F(R + shift, T) - F(R - shift, T)) / (2.0 * steps[axis]))
-    ht = steps[3]
-    dt = (F(R, T + ht) - F(R, T - ht)) / (2.0 * ht)
-    return d, dt, F(R, T)
+def _stencil(F: Callable, meshes, steps) -> Stencil:
+    """Stencil of an evaluator F(r, t) over an (x, y, z, t) mesh."""
+    return Stencil(lambda x, y, z, t: F(np.stack((x, y, z), axis=-1), t), meshes, steps)
+
+
+def _div_curl(F: Stencil):
+    d = [F.d(axis) for axis in range(3)]
+    return divergence(d), curl(d)
 
 
 def maxwell_residual(pair, grid: Grid4D, medium: MediumParams | None = None) -> ResidualReport:
@@ -211,39 +210,33 @@ def maxwell_residual(pair, grid: Grid4D, medium: MediumParams | None = None) -> 
     """
     if medium is None:
         medium = getattr(pair, "medium", VACUUM)
-    X, Y, Z, T = grid.mesh()
-    R = np.stack((X, Y, Z), axis=-1)
-    steps = grid.steps
+    meshes = grid.mesh()
+    E, B = (_stencil(F, meshes, grid.steps) for F in (pair.E, pair.B))
 
-    dE, dtE, E_val = _central_diffs(pair.E, R, T, steps)
-    dB, dtB, _ = _central_diffs(pair.B, R, T, steps)
-
-    div_e = dE[0][..., 0] + dE[1][..., 1] + dE[2][..., 2]
-    div_b = dB[0][..., 0] + dB[1][..., 1] + dB[2][..., 2]
-    curl_e = np.stack((
-        dE[1][..., 2] - dE[2][..., 1],
-        dE[2][..., 0] - dE[0][..., 2],
-        dE[0][..., 1] - dE[1][..., 0],
-    ), axis=-1)
-    curl_b = np.stack((
-        dB[1][..., 2] - dB[2][..., 1],
-        dB[2][..., 0] - dB[0][..., 2],
-        dB[0][..., 1] - dB[1][..., 0],
-    ), axis=-1)
-
-    faraday = curl_e + dtB
-    ampere = curl_b - medium.epsilon * medium.mu * dtE - medium.mu * medium.sigma * E_val
+    div_e, curl_e = _div_curl(E)
+    div_b, curl_b = _div_curl(B)
+    faraday = curl_e + B.d(3)
+    ampere = curl_b - medium.epsilon * medium.mu * E.d(3) - medium.mu * medium.sigma * E.center
 
     k = pair.k
     e_scale = max(pair.e_scale, 1e-300) * k
     b_scale = max(pair.b_scale, 1e-300) * k
+    ndim = meshes[0].ndim
     rows = np.stack((
-        magnitude(div_e, X.ndim) / e_scale,
-        magnitude(div_b, X.ndim) / b_scale,
-        magnitude(faraday, X.ndim) / e_scale,
-        magnitude(ampere, X.ndim) / b_scale,
+        magnitude(div_e, ndim) / e_scale,
+        magnitude(div_b, ndim) / b_scale,
+        magnitude(faraday, ndim) / e_scale,
+        magnitude(ampere, ndim) / b_scale,
     ))
-    return report_from_values(rows.max(axis=0), (X, Y, Z, T))
+    return report_from_values(rows.max(axis=0), meshes)
+
+
+def _wave_terms(F: Callable, grid: Grid4D):
+    """Mesh, vector Laplacian, F_t and F_tt of an evaluator F(r, t) on ``grid``."""
+    meshes = grid.mesh()
+    stencil = _stencil(F, meshes, grid.steps)
+    lap = stencil.diffs(0)[1] + stencil.diffs(1)[1] + stencil.diffs(2)[1]
+    return (meshes, lap) + stencil.diffs(3)
 
 
 def wave_residual(F: Callable, speed: float, grid: Grid4D,
@@ -257,19 +250,7 @@ def wave_residual(F: Callable, speed: float, grid: Grid4D,
     """
     if not speed > 0.0:
         raise InvalidParameterError(f"wave speed must be positive, got {speed}")
-    X, Y, Z, T = grid.mesh()
-    R = np.stack((X, Y, Z), axis=-1)
-    steps = grid.steps
-
-    center = F(R, T)
-    lap = np.zeros_like(center)
-    for axis in range(3):
-        shift = np.zeros(3)
-        shift[axis] = steps[axis]
-        lap = lap + (F(R + shift, T) - 2.0 * center + F(R - shift, T)) / steps[axis] ** 2
-    ht = steps[3]
-    ftt = (F(R, T + ht) - 2.0 * center + F(R, T - ht)) / ht ** 2
-
+    meshes, lap, _, ftt = _wave_terms(F, grid)
     residual = lap - ftt / speed ** 2
-    vals = magnitude(residual, X.ndim) / max(scale, 1e-300)
-    return report_from_values(vals, (X, Y, Z, T))
+    vals = magnitude(residual, meshes[0].ndim) / max(scale, 1e-300)
+    return report_from_values(vals, meshes)

@@ -3,8 +3,12 @@
 Every solution generator in this package is certified numerically: the
 claimed solution is swept over a sample grid and the defining equations are
 evaluated pointwise with central differences.  This module owns the grid
-descriptions, the difference stencils, and the report type that the rest of
-the package returns.
+descriptions, the report type that the rest of the package returns, and
+``Stencil``, the one small-step difference core: the classic and Maxwell
+scans, the pointwise helpers and the generic ``MatrixField`` derivatives
+all difference their closed-form evaluators through it.  The chiral
+lattice stencils in ``chiral_recursion`` are separate: they are fourth
+order and act on tabulated data, not on an evaluator.
 
 Stencils are second order:
 
@@ -231,36 +235,88 @@ def _call(f: Callable, coords) -> complex:
     return value
 
 
-def _shift(point, axis: int, delta: float):
-    p = [float(c) for c in point]
-    p[axis] += delta
-    return p
+class Stencil:
+    """Central differences of ``f`` around broadcastable coordinates.
+
+    ``coords`` are the arguments of ``f`` (arrays that broadcast, or
+    scalars); ``h`` is one step or one step per axis.  Every shifted
+    evaluation is reduced as soon as it is made; only the center value is
+    kept, evaluated at most once and only when a second difference or a
+    caller asks for it.
+    """
+
+    def __init__(self, f: Callable, coords, h: float | Sequence[float]):
+        self.f = f
+        self.coords = tuple(coords)
+        self.h = (h,) * len(self.coords) if np.isscalar(h) else tuple(h)
+        self._center = None
+
+    @property
+    def center(self):
+        if self._center is None:
+            self._center = self.f(*self.coords)
+        return self._center
+
+    def _at(self, *shifts):
+        coords = list(self.coords)
+        for axis, delta in shifts:
+            coords[axis] = coords[axis] + delta
+        return self.f(*coords)
+
+    def d(self, axis: int):
+        """First partial along ``axis`` by the 2-point stencil."""
+        h = self.h[axis]
+        return (self._at((axis, h)) - self._at((axis, -h))) / (2.0 * h)
+
+    def diffs(self, axis: int):
+        """First and second partials along ``axis`` from one +-h pair."""
+        h = self.h[axis]
+        plus, minus = self._at((axis, h)), self._at((axis, -h))
+        return (plus - minus) / (2.0 * h), (plus - 2.0 * self.center + minus) / (h * h)
+
+    def dxy(self, a: int, b: int):
+        """Mixed second partial by the 4-point cross stencil."""
+        ha, hb = self.h[a], self.h[b]
+        return (
+            self._at((a, ha), (b, hb)) - self._at((a, ha), (b, -hb))
+            - self._at((a, -ha), (b, hb)) + self._at((a, -ha), (b, -hb))
+        ) / (4.0 * ha * hb)
+
+
+def divergence(d):
+    """Divergence of a 3-vector field from its first partials ``d[0..2]``."""
+    return d[0][..., 0] + d[1][..., 1] + d[2][..., 2]
+
+
+def curl(d):
+    """Curl of a 3-vector field from its first partials ``d[0..2]``."""
+    return np.stack((
+        d[1][..., 2] - d[2][..., 1],
+        d[2][..., 0] - d[0][..., 2],
+        d[0][..., 1] - d[1][..., 0],
+    ), axis=-1)
+
+
+def _pointwise(f: Callable, point: Sequence[float], h) -> Stencil:
+    return Stencil(lambda *p: _call(f, p), [float(c) for c in point], h)
 
 
 def partial_derivative(f: Callable, point: Sequence[float], axis: int,
                        h: float = DEFAULT_STEP):
     """First partial of ``f`` along ``axis`` by the 2-point central stencil."""
-    return (_call(f, _shift(point, axis, h)) - _call(f, _shift(point, axis, -h))) / (2.0 * h)
+    return _pointwise(f, point, h).d(axis)
 
 
 def second_derivative(f: Callable, point: Sequence[float], axis: int,
                       h: float = DEFAULT_STEP):
     """Second partial along one axis by the 3-point central stencil."""
-    return (
-        _call(f, _shift(point, axis, h))
-        - 2.0 * _call(f, list(point))
-        + _call(f, _shift(point, axis, -h))
-    ) / (h * h)
+    return _pointwise(f, point, h).diffs(axis)[1]
 
 
 def mixed_derivative(f: Callable, point: Sequence[float], axis_a: int,
                      axis_b: int, h: float = DEFAULT_STEP):
     """Mixed second partial by the 4-point cross stencil."""
-    pp = _call(f, _shift(_shift(point, axis_a, h), axis_b, h))
-    pm = _call(f, _shift(_shift(point, axis_a, h), axis_b, -h))
-    mp = _call(f, _shift(_shift(point, axis_a, -h), axis_b, h))
-    mm = _call(f, _shift(_shift(point, axis_a, -h), axis_b, -h))
-    return (pp - pm - mp + mm) / (4.0 * h * h)
+    return _pointwise(f, point, h).dxy(axis_a, axis_b)
 
 
 @dataclass(frozen=True)
@@ -281,22 +337,9 @@ def vector_ops(field: Callable, point: Sequence[float],
     the stencils act on real and imaginary parts alike.  ``h`` is a scalar
     step or one step per axis.
     """
-    steps = (float(h),) * 4 if np.isscalar(h) else tuple(float(v) for v in h)
-    center = np.asarray(_call(field, list(point)))
-    plus = [np.asarray(_call(field, _shift(point, a, steps[a]))) for a in range(4)]
-    minus = [np.asarray(_call(field, _shift(point, a, -steps[a]))) for a in range(4)]
-
-    d1 = [(plus[a] - minus[a]) / (2.0 * steps[a]) for a in range(4)]
-    d2 = [(plus[a] - 2.0 * center + minus[a]) / (steps[a] ** 2) for a in range(4)]
-
-    divergence = d1[0][0] + d1[1][1] + d1[2][2]
-    curl = np.array([
-        d1[1][2] - d1[2][1],
-        d1[2][0] - d1[0][2],
-        d1[0][1] - d1[1][0],
-    ])
-    laplacian = d2[0] + d2[1] + d2[2]
-    return FieldDerivatives(divergence, curl, laplacian, d1[3])
+    stencil = _pointwise(lambda *p: np.asarray(field(*p)), point, h)
+    d1, d2 = zip(*(stencil.diffs(axis) for axis in range(4)))
+    return FieldDerivatives(divergence(d1), curl(d1), d2[0] + d2[1] + d2[2], d1[3])
 
 
 def magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:

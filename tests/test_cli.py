@@ -6,6 +6,7 @@ stdout, or written files.  Determinism checks compare raw bytes.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,7 @@ from btkit.chiral_recursion import ExpSeedField, chiral_residual
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
 from btkit.verify import Grid2D
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 A_RE = '[[0.1, 0.2], [0.0, -0.1]]'
 B_RE = '[[0.3, 0.1], [0.0, 0.2]]'
 M_RE = '[[0.0, 1.0], [0.0, 0.0]]'
@@ -101,6 +103,20 @@ class TestExitCodes:
         assert payload["verify"]["passed"] is False
         for scan in payload["verify"]["scans"].values():
             assert 0.0 < scan["rms"] <= scan["max_abs"] < float("inf")
+
+    def test_overflowing_seed_is_one_error_line(self):
+        # exp(800) overflows inside expm; the seed is rejected as singular
+        # with no RuntimeWarning printed ahead of the error line
+        proc = run_python("""
+            import sys
+            from btkit.cli import main
+            sys.exit(main(["chiral", "residual", "--a-re", "[[800.0, 0.0], [0.0, 1.0]]",
+                           "--b-re", "[[0.0, 0.0], [0.0, 0.0]]", "--verify"]))
+        """)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("btkit: error: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 class TestNegativeNumbers:
@@ -194,6 +210,37 @@ class TestChiralResidual:
         expected["worst_point"] = list(expected["worst_point"])
         assert payload["result"]["report"] == expected
         assert payload["verify"]["scans"]["chiral"] == expected
+
+
+def _readme_examples():
+    """Each command of the README's example block, continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("### Examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    return [shlex.split(line) for line in lines if line and not line.startswith("#")]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_examples_are_btkit_commands(self):
+        assert len(README_EXAMPLES) == 9
+        assert all(argv[0] == "btkit" for argv in README_EXAMPLES)
+
+    @pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: " ".join(argv[1:3]))
+    def test_example_exits_zero_with_documented_keys(self, capsys, argv):
+        code, out, err = run(capsys, *argv[1:])
+        assert code == EXIT_OK, err
+        payload = json.loads(out.splitlines()[0])
+        assert list(payload) == ["command", "params", "grid", "result", "verify"]
+        if "--verify" not in argv:
+            assert payload["verify"] is None
+            return
+        assert list(payload["verify"]) == ["tolerance", "passed", "scans"]
+        assert payload["verify"]["scans"]
+        for scan in payload["verify"]["scans"].values():
+            assert list(scan) == ["max_abs", "rms", "n_points", "worst_point", "n_singular"]
 
 
 class TestImportBoundary:

@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from btkit import classic_bts
 from btkit.errors import EmptyDomainError, InvalidGridError, SingularPointError
+from btkit.maxwell_conductor import conjugate_conducting, modified_wave_residual
+from btkit.maxwell_vacuum import FieldPair, conjugate_vacuum, maxwell_residual, wave_residual
+from btkit.media import MediumParams
 from btkit.verify import (
     Grid2D,
     Grid4D,
@@ -131,6 +135,59 @@ class TestVectorOps:
         grad_div = np.array([partial_derivative(div_field, point, a, h) for a in range(3)])
         lap = vector_ops(self.smooth_field, point, h).laplacian
         np.testing.assert_allclose(curl_curl, grad_div - lap, atol=1e-4)
+
+
+class _Counted:
+    """Evaluator wrapper that counts its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.f(*args)
+
+
+_GRID2 = Grid2D(nx=9, nt=7)
+_HARMONIC = classic_bts.harmonic_conjugate_match(1.0, 0.5, -0.3)
+_LIOUVILLE = (classic_bts.liouville_from_trivial(2.0), classic_bts.zero_field())
+_KINK = (classic_bts.sine_gordon_from_vacuum(1.0, 1.0), classic_bts.zero_field())
+_WAVE = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0e9)
+_MEDIUM = MediumParams(epsilon=3.0, mu=1.0, sigma=4.0)
+_CONDUCTOR = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], _MEDIUM, 1.0)
+
+
+def _maxwell(E, B):
+    pair = FieldPair(E, B, _WAVE.k, _WAVE.e_scale, _WAVE.b_scale)
+    return maxwell_residual(pair, _WAVE.default_grid(5), _WAVE.medium)
+
+
+class TestEvaluationCounts:
+    # whole-grid field evaluations per scan: one per stencil point, with the
+    # center evaluated once per field and shared by every term that needs it
+    @pytest.mark.parametrize("scan,fields,limit", [
+        pytest.param(lambda u, v: classic_bts.bt_residual_cr(u, v, _GRID2),
+                     _HARMONIC, 8, id="cauchy_riemann"),
+        pytest.param(lambda u: classic_bts.laplace_residual(u, _GRID2),
+                     _HARMONIC[:1], 5, id="laplace"),
+        pytest.param(lambda u: classic_bts.liouville_residual(u, _GRID2),
+                     _LIOUVILLE[:1], 5, id="liouville"),
+        pytest.param(lambda u, v: classic_bts.bt_residual_liouville(u, v, _GRID2),
+                     _LIOUVILLE, 10, id="bt_liouville"),
+        pytest.param(lambda u, v: classic_bts.bt_residual_sine_gordon(u, v, 1.0, _GRID2),
+                     _KINK, 10, id="bt_sine_gordon"),
+        pytest.param(lambda E: wave_residual(E, _WAVE.medium.wave_speed, _WAVE.default_grid(5)),
+                     (_WAVE.E,), 9, id="wave"),
+        pytest.param(lambda E: modified_wave_residual(E, _MEDIUM, _CONDUCTOR.default_grid(5)),
+                     (_CONDUCTOR.E,), 9, id="modified_wave"),
+        pytest.param(_maxwell, (_WAVE.E, _WAVE.B), 17, id="maxwell"),
+    ])
+    def test_scan_evaluates_fields_no_more_often_than_its_stencils_need(
+            self, scan, fields, limit):
+        counted = [_Counted(f) for f in fields]
+        scan(*counted)
+        assert sum(c.calls for c in counted) <= limit
 
 
 class TestResidualScan:
