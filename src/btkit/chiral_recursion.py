@@ -34,6 +34,12 @@ integrands; combined with the stencils this makes levels 0 through 3 of an
 exponential-seed hierarchy exact to rounding on the default grids.  Both
 axis orders of every line integral are always computed; their disagreement
 is the integrability diagnostic.
+
+The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
+starts from.  An exponential seed computes it, and the conditioning check
+on g that guards it, once per grid and returns it read-only, so a whole
+hierarchy and its symmetry scans share one build; other fields rebuild it
+on each call, since their samples may change between calls.
 """
 
 from __future__ import annotations
@@ -148,6 +154,14 @@ class MatrixField:
     def d2_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
         return Stencil(self, grid.mesh(), grid.h).diffs(axis)[1]
 
+    def connection(self, grid: Grid2D):
+        """U = g^-1 g_x and V = g^-1 g_t on the lattice."""
+        gs = self.sample(grid)
+        _check_invertible(gs, grid)
+        U = np.linalg.solve(gs, self.d1_samples(grid, 0))
+        V = np.linalg.solve(gs, self.d1_samples(grid, 1))
+        return U, V
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -195,9 +209,11 @@ class ExpSeedField(MatrixField):
     are rejected at construction.
 
     Derivative samples use that closed form (g_x = A g, g_t = B g) rather
-    than differencing the exponential.  Grid samples are computed once per
-    grid and returned read-only; the generators are read-only copies, so
-    the cache cannot go stale.
+    than differencing the exponential.  Grid samples and the connection
+    (U, V), with its invertibility check, are computed once per grid and
+    returned read-only; the generators are read-only copies, so the caches
+    cannot go stale.  A seed that fails the check is not cached and raises
+    again on the next call.
     """
 
     def __init__(self, A, B):
@@ -206,6 +222,7 @@ class ExpSeedField(MatrixField):
         self.A.setflags(write=False)
         self.B.setflags(write=False)
         self._samples: dict = {}
+        self._connections: dict = {}
         if self.A.shape != self.B.shape:
             raise InvalidParameterError("generators must have matching shapes")
         self.n = self.A.shape[0]
@@ -239,6 +256,15 @@ class ExpSeedField(MatrixField):
 
     def d1_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
         return (self.A, self.B)[axis] @ self.sample(grid)
+
+    def connection(self, grid: Grid2D):
+        pair = self._connections.get(grid)
+        if pair is None:
+            pair = super().connection(grid)
+            for values in pair:
+                values.setflags(write=False)
+            self._connections[grid] = pair
+        return pair
 
     def to_dict(self):
         return {
@@ -380,19 +406,10 @@ def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
         raise SingularMatrixError((grid.xs[i], grid.ts[j]))
 
 
-def _connection_samples(g: MatrixField, grid: Grid2D):
-    """U = g^-1 g_x and V = g^-1 g_t on the lattice."""
-    gs = g.sample(grid)
-    _check_invertible(gs, grid)
-    U = np.linalg.solve(gs, g.d1_samples(grid, 0))
-    V = np.linalg.solve(gs, g.d1_samples(grid, 1))
-    return U, V
-
-
 def chiral_defect_samples(g: MatrixField, grid: Grid2D) -> np.ndarray:
     """Per-node max-entry magnitude of (g^-1 g_x)_x + (g^-1 g_t)_t."""
     _require_lattice(grid)
-    U, V = _connection_samples(g, grid)
+    U, V = g.connection(grid)
     residual = (
         _lattice_derivative(U, grid.dx, 0) + _lattice_derivative(V, grid.dt, 1)
     )
@@ -407,7 +424,7 @@ def chiral_residual(g: MatrixField, grid: Grid2D) -> ResidualReport:
 def symmetry_residual(phi: MatrixField, g: MatrixField, grid: Grid2D) -> ResidualReport:
     """Scan of the linearized symmetry condition for Phi on the seed g."""
     _require_lattice(grid)
-    U, V = _connection_samples(g, grid)
+    U, V = g.connection(grid)
     px = phi.d1_samples(grid, 0)
     pt = phi.d1_samples(grid, 1)
     residual = (
@@ -459,7 +476,7 @@ def potential(g: MatrixField, grid: Grid2D, base=None) -> Potential:
     raises PathDependenceError.
     """
     _require_lattice(grid)
-    U, V = _connection_samples(g, grid)
+    U, V = g.connection(grid)
     base_m = np.zeros((g.n, g.n), dtype=complex) if base is None else _as_square(base, "base")
     result, disagreement = _line_integrate(V, -U, grid, base_m)
     tol = _path_tolerance(grid, U, V)
@@ -486,7 +503,7 @@ def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
     _require_lattice(grid)
     if phi.n != g.n:
         raise InvalidParameterError(f"Phi is {phi.n} x {phi.n} but g is {g.n} x {g.n}")
-    U, V = _connection_samples(g, grid)
+    U, V = g.connection(grid)
     p = phi.sample(grid)
     rx = phi.d1_samples(grid, 1) + _commutator(V, p)
     rt = -(phi.d1_samples(grid, 0) + _commutator(U, p))

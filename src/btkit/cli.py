@@ -268,11 +268,11 @@ def _run_classic(args):
         } if args.verify else {}
         fields = [("u", u)]
 
-    X, T = grid.mesh()
     columns = ["x", "t"] + [name for name, _ in fields]
-    sampled = [np.asarray(f(X, T), dtype=float) for _, f in fields]
 
     def rows():
+        X, T = grid.mesh()
+        sampled = [np.asarray(f(X, T), dtype=float) for _, f in fields]
         for i in range(grid.nx):
             for j in range(grid.nt):
                 yield [X[i, j], T[i, j]] + [s[i, j] for s in sampled]
@@ -319,13 +319,12 @@ def _run_em(args):
     grid = Grid4D.for_wave(pair.k, omega, samples=args.samples, step_scale=step)
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
 
-    meshes = grid.mesh()
-    R = np.stack(meshes[:3], axis=-1)
-    T = meshes[3]
-    E = pair.E(R, T)
-    B = pair.B(R, T)
-
     def rows():
+        meshes = grid.mesh()
+        R = np.stack(meshes[:3], axis=-1)
+        T = meshes[3]
+        E = pair.E(R, T)
+        B = pair.B(R, T)
         for idx in np.ndindex(T.shape):
             row = [meshes[0][idx], meshes[1][idx], meshes[2][idx], T[idx]]
             for field in (E, B):
@@ -416,11 +415,10 @@ def _run_chiral(args):
     }
     scans = reports if args.verify else {}
     columns = ["level", "x", "t"] + _entry_columns("phi", g.n) + _entry_columns("q", g.n)
-    phi_samples = [item.phi.sample(grid) for item in levels]
-    q_samples = [item.q_samples(grid) for item in levels]
 
     def rows():
-        for item, phis, qs in zip(levels, phi_samples, q_samples):
+        for item in levels:
+            phis, qs = item.phi.sample(grid), item.q_samples(grid)
             for i in range(grid.nx):
                 for j in range(grid.nt):
                     yield ([item.level, X[i, j], T[i, j]]

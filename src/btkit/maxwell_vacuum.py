@@ -204,9 +204,9 @@ def maxwell_residual(pair, grid: Grid4D, medium: MediumParams | None = None) -> 
     """Scan all four field equations over a spacetime grid.
 
     Works for non-conducting and conducting media alike; with sigma = 0 the
-    conduction term drops out.  Each equation is normalized by the natural
-    scale of its leading term (|E0| k or |B0| k) so reports are comparable
-    across units and frequencies.
+    conduction term, and the evaluation of E it needs, drops out.  Each
+    equation is normalized by the natural scale of its leading term (|E0| k
+    or |B0| k) so reports are comparable across units and frequencies.
     """
     if medium is None:
         medium = getattr(pair, "medium", VACUUM)
@@ -216,7 +216,9 @@ def maxwell_residual(pair, grid: Grid4D, medium: MediumParams | None = None) -> 
     div_e, curl_e = _div_curl(E)
     div_b, curl_b = _div_curl(B)
     faraday = curl_e + B.d(3)
-    ampere = curl_b - medium.epsilon * medium.mu * E.d(3) - medium.mu * medium.sigma * E.center
+    ampere = curl_b - medium.epsilon * medium.mu * E.d(3)
+    if medium.is_conducting:
+        ampere = ampere - medium.mu * medium.sigma * E.center
 
     k = pair.k
     e_scale = max(pair.e_scale, 1e-300) * k

@@ -10,10 +10,13 @@ or inlining a traced name breaks every traced benchmark run.
 import importlib
 from pathlib import Path
 
-from btkit import classic_bts, maxwell_conductor, maxwell_vacuum
+from btkit import classic_bts, cli, maxwell_conductor, maxwell_vacuum
 from btkit.verify import Grid2D
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+A_RE = '[[0.1, 0.2], [0.0, -0.1]]'
+B_RE = '[[0.3, 0.1], [0.0, 0.2]]'
+M_RE = '[[0.0, 1.0], [0.0, 0.0]]'
 
 
 def _owner(module: str, path: str):
@@ -24,9 +27,13 @@ def _owner(module: str, path: str):
     return owner, attr
 
 
-def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
+def _spans_module(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
-    spans = importlib.import_module("spans")
+    return importlib.import_module("spans")
+
+
+def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
+    spans = _spans_module(monkeypatch)
     targets = [_owner(module, path) for module, path, *_ in spans.TARGETS]
     originals = [vars(owner)[attr] for owner, attr in targets]
 
@@ -48,3 +55,26 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
     assert {"classic_bts.scan", "classic_bts.ScalarField2D.__call__",
             "maxwell_vacuum.maxwell_residual", "maxwell_vacuum.field_eval",
             "verify.magnitude", "verify.report_from_values", "verify.mesh"} <= names
+
+
+def test_json_only_runs_evaluate_nothing_for_the_table(monkeypatch, capsys):
+    spans = _spans_module(monkeypatch)
+    runs = [
+        ["chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE, "--m-re", M_RE, "--verify"],
+        ["classic", "laplace", "--verify"],
+    ]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for op, argv in enumerate(runs):
+            tracer.op = op
+            assert cli.main(argv) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    figures = spans.op_layers(tracer.spans, {op: True for op in range(len(runs))},
+                              {op: 41 * 41 for op in range(len(runs))})
+    for op in range(len(runs)):
+        assert figures[op]["cli.evaluated_points"] > 0
+        assert figures[op]["cli.unused_points"] == 0

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from btkit import chiral_recursion
 from btkit.chiral_recursion import (
     ConstantField,
     ExpSeedField,
@@ -384,3 +385,64 @@ class TestRecursion:
             hierarchy(g, M, 2, GRID)
         with pytest.raises(IntegrabilityError):
             recursion_step(ConstantField(M), g, GRID)
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace ``owner.name`` with a wrapper; returns its growing call list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestConnection:
+    def test_hierarchy_and_its_scans_build_the_connection_once(self, monkeypatch):
+        A, B, M = seed_triple(31)
+        g = ExpSeedField(A, B)
+        g.sample(GRID)
+        for deriv in (1, 2):        # the lattice stencils solve for their weights once
+            chiral_recursion._diff_matrix_unit(GRID.nx, deriv)
+            chiral_recursion._diff_matrix_unit(GRID.nt, deriv)
+        conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
+        solves = _counting(monkeypatch, chiral_recursion.np.linalg, "solve")
+        for item in hierarchy(g, M, 3, GRID):
+            symmetry_residual(item.phi, g, GRID)
+        assert (len(conds), len(solves)) == (1, 2)
+
+    def test_exp_seed_connection_is_shared_read_only_and_exact(self):
+        A, B, _ = seed_triple(7)
+        g = ExpSeedField(A, B)
+        U, V = g.connection(GRID)
+        again = g.connection(Grid2D())
+        assert again[0] is U and again[1] is V
+        for built, rebuilt in zip((U, V), MatrixField.connection(g, GRID)):
+            assert not built.flags.writeable
+            with pytest.raises(ValueError):
+                built[0, 0] = 0.0
+            assert built.shape == rebuilt.shape
+            assert built.tobytes() == rebuilt.tobytes()
+
+    def test_failed_check_is_not_cached(self, monkeypatch):
+        # cond(g) reaches e^40 at x = 1, beyond the invertibility limit
+        g = ExpSeedField(np.diag([20.0, -20.0]), np.zeros((2, 2)))
+        conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                g.connection(GRID)
+        assert len(conds) == 2
+
+    def test_each_grid_gets_its_own_connection(self):
+        A, B, _ = seed_triple(7)
+        g = ExpSeedField(A, B)
+        U, V = g.connection(GRID)
+        small = Grid2D(nx=21, nt=17)
+        U2, V2 = g.connection(small)
+        assert U2.shape == V2.shape == (21, 17, 3, 3)
+        assert U2 is not U and V2 is not V
+        assert g.connection(GRID)[0] is U
+        assert g.connection(small)[0] is U2

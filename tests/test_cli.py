@@ -16,9 +16,12 @@ import numpy as np
 import pytest
 
 import btkit
-from btkit.chiral_recursion import ExpSeedField, chiral_residual
+from btkit import classic_bts
+from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_residual,
+                                    hierarchy)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
-from btkit.verify import Grid2D
+from btkit.maxwell_vacuum import conjugate_vacuum
+from btkit.verify import Grid2D, Grid4D
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 A_RE = '[[0.1, 0.2], [0.0, -0.1]]'
@@ -180,6 +183,18 @@ class TestCsv:
         assert lines[0] == ("x,y,z,t,Ex_re,Ex_im,Ey_re,Ey_im,Ez_re,Ez_im,"
                             "Bx_re,Bx_im,By_re,By_im,Bz_re,Bz_im")
         assert len(lines) == 1 + 3 ** 4
+        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        meshes = Grid4D.for_wave(pair.k, 1e9, samples=3).mesh()
+        idx = (1, 2, 0, 1)
+        r = np.array([m[idx] for m in meshes[:3]])
+        cells = [float(c) for c in lines[1 + np.ravel_multi_index(idx, (3,) * 4)].split(",")]
+        assert cells[:4] == [m[idx] for m in meshes]
+        t = meshes[3][idx]
+        for offset, value, scale in ((4, pair.E(r, t), pair.e_scale),
+                                     (10, pair.B(r, t), pair.b_scale)):
+            expected = [part for v in value for part in (v.real, v.imag)]
+            np.testing.assert_allclose(cells[offset:offset + 6], expected,
+                                       rtol=0, atol=1e-12 * scale)
 
     def test_chiral_residual_header(self, capsys):
         _, out, _ = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
@@ -197,6 +212,38 @@ class TestCsv:
         assert header[:3] == ["level", "x", "t"]
         assert "phi_0_0_re" in header and "q_1_1_im" in header
         assert len(lines) == 1 + 2 * 64
+        grid = Grid2D(nx=8, nt=8)
+        g = ExpSeedField(json.loads(A_RE), json.loads(B_RE))
+        item = hierarchy(g, json.loads(M_RE), 1, grid)[1]
+        cells = [float(c) for c in lines[1 + 64 + 3 * 8 + 5].split(",")]
+        assert cells[:3] == [1.0, grid.xs[3], grid.ts[5]]
+        for offset, matrix in ((3, item.phi.sample(grid)), (11, item.q_samples(grid))):
+            entries = matrix[3, 5].ravel()
+            assert cells[offset:offset + 8] == [p for v in entries for p in (v.real, v.imag)]
+
+
+class TestJsonOnlyRuns:
+    """The CSV table is computed only when CSV is written."""
+
+    def test_hierarchy_computes_no_characteristics(self, capsys, monkeypatch):
+        calls = []
+        q_samples = SymmetryCharacteristic.q_samples
+        monkeypatch.setattr(SymmetryCharacteristic, "q_samples",
+                            lambda item, grid: calls.append(item) or q_samples(item, grid))
+        code, _, _ = run(capsys, "chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE,
+                         "--m-re", M_RE, "--nx", "8", "--nt", "8", "--verify")
+        assert code == EXIT_OK
+        assert calls == []
+
+    def test_classic_evaluates_fields_only_for_its_scans(self, capsys, monkeypatch):
+        calls = []
+        evaluate = classic_bts.ScalarField2D.__call__
+        monkeypatch.setattr(classic_bts.ScalarField2D, "__call__",
+                            lambda field, x, t: calls.append(field) or evaluate(field, x, t))
+        code, _, _ = run(capsys, "classic", "laplace", "--verify")
+        assert code == EXIT_OK
+        # Cauchy-Riemann 8 and two Laplacians of 5 (tests/test_verify.py counts)
+        assert len(calls) <= 8 + 5 + 5
 
 
 class TestChiralResidual:
