@@ -175,6 +175,16 @@ def _as_square(value, name: str) -> np.ndarray:
     return arr
 
 
+def _base_matrix(base, n: int) -> np.ndarray:
+    """The integration constant: zero by default, else an n x n matrix."""
+    if base is None:
+        return np.zeros((n, n), dtype=complex)
+    arr = _as_square(base, "base")
+    if arr.shape != (n, n):
+        raise InvalidParameterError(f"base must be {n} x {n} like g, got shape {arr.shape}")
+    return arr
+
+
 def _matrix_pair(value) -> dict:
     """Real and imaginary parts of a complex vector or matrix as nested lists."""
     arr = np.asarray(value, complex)
@@ -471,13 +481,15 @@ class Potential:
 def potential(g: MatrixField, grid: Grid2D, base=None) -> Potential:
     """Integrate X_x = g^-1 g_t, -X_t = g^-1 g_x from the origin node.
 
+    ``base``, an n x n matrix (zero by default), is X at the origin node.
+
     The potential exists exactly when g solves the chiral field equation;
     a seed that does not makes the two integration orders disagree and
     raises PathDependenceError.
     """
     _require_lattice(grid)
+    base_m = _base_matrix(base, g.n)
     U, V = g.connection(grid)
-    base_m = np.zeros((g.n, g.n), dtype=complex) if base is None else _as_square(base, "base")
     result, disagreement = _line_integrate(V, -U, grid, base_m)
     tol = _path_tolerance(grid, U, V)
     if disagreement > tol:
@@ -495,7 +507,7 @@ def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
                    base=None) -> TabulatedField:
     """Apply the recursion once: integrate the transformed gradient of Phi.
 
-    ``base`` fixes the additive constant (the value at the origin node).
+    ``base`` fixes the additive constant (the n x n value at the origin node).
     Raises IntegrabilityError when the two integration orders disagree,
     which signals that Phi fails the symmetry condition or g the field
     equation.
@@ -503,11 +515,11 @@ def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
     _require_lattice(grid)
     if phi.n != g.n:
         raise InvalidParameterError(f"Phi is {phi.n} x {phi.n} but g is {g.n} x {g.n}")
+    base_m = _base_matrix(base, g.n)
     U, V = g.connection(grid)
     p = phi.sample(grid)
     rx = phi.d1_samples(grid, 1) + _commutator(V, p)
     rt = -(phi.d1_samples(grid, 0) + _commutator(U, p))
-    base_m = np.zeros((g.n, g.n), dtype=complex) if base is None else _as_square(base, "base")
     result, disagreement = _line_integrate(rx, rt, grid, base_m)
     tol = _path_tolerance(grid, rx, rt)
     if disagreement > tol:

@@ -112,6 +112,9 @@ class ScalarField2D:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise InvalidParameterError(f"unknown field family {self.family!r}")
+        for name, value in self.params.items():
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"parameter {name} must be finite, got {value}")
 
     def __call__(self, x, t):
         return _FAMILIES[self.family](self.params, x, t)

@@ -101,12 +101,34 @@ def _emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _format_float(float(value)) if math.isfinite(float(value)) else "nan"
+def _csv_cell(value: float) -> str:
+    return _format_float(value) if math.isfinite(value) else "nan"
+
+
+def _complex_columns(labels):
+    return [f"{label}_{part}" for label in labels for part in ("re", "im")]
+
+
+def _entry_columns(prefix: str, n: int):
+    return _complex_columns(f"{prefix}_{r}_{c}" for r in range(n) for c in range(n))
+
+
+def _grid_rows(meshes, *blocks):
+    """One CSV row per node, in the meshes' C order.
+
+    A row holds the node's mesh coordinates, then each block's entries at
+    that node; a complex entry fills two cells, its real then its imaginary
+    part.  Rows are yielded one at a time, so no whole-table list is built.
+    """
+    n = np.size(meshes[0])
+    parts = [np.reshape(m, (n, 1)) for m in meshes]
+    for block in blocks:
+        if np.iscomplexobj(block):
+            parts.append(np.ascontiguousarray(block, dtype=complex).reshape(n, -1).view(float))
+        else:
+            parts.append(np.asarray(block, dtype=float).reshape(n, -1))
+    for k in range(n):
+        yield np.concatenate([part[k] for part in parts]).tolist()
 
 
 # --- shared argument plumbing ----------------------------------------------
@@ -202,17 +224,17 @@ def _resolve_omega(args) -> float:
     return 2.0 * math.pi * args.freq
 
 
+def _absolute(args, name: str, unit: float) -> float:
+    """``--NAME`` if given, else ``--NAME-rel`` times ``unit``, else ``unit``."""
+    if getattr(args, name) is not None:
+        return getattr(args, name)
+    relative = getattr(args, f"{name}_rel")
+    return unit if relative is None else relative * unit
+
+
 def _resolve_medium(args, omega: float, conducting: bool) -> MediumParams:
-    epsilon = EPSILON0
-    if getattr(args, "epsilon", None) is not None:
-        epsilon = args.epsilon
-    elif getattr(args, "epsilon_rel", None) is not None:
-        epsilon = args.epsilon_rel * EPSILON0
-    mu = MU0
-    if getattr(args, "mu", None) is not None:
-        mu = args.mu
-    elif getattr(args, "mu_rel", None) is not None:
-        mu = args.mu_rel * MU0
+    epsilon = _absolute(args, "epsilon", EPSILON0)
+    mu = _absolute(args, "mu", MU0)
     sigma = 0.0
     if conducting:
         if args.sigma_over_eps_omega is not None:
@@ -272,18 +294,12 @@ def _run_classic(args):
 
     def rows():
         X, T = grid.mesh()
-        sampled = [np.asarray(f(X, T), dtype=float) for _, f in fields]
-        for i in range(grid.nx):
-            for j in range(grid.nt):
-                yield [X[i, j], T[i, j]] + [s[i, j] for s in sampled]
+        return _grid_rows((X, T), *(f(X, T) for _, f in fields))
 
     return params, grid.to_dict(), result, scans, (columns, rows)
 
 
-_EM_COLUMNS = ["x", "y", "z", "t"] + [
-    f"{f}{c}_{part}" for f in ("E", "B") for c in ("x", "y", "z")
-    for part in ("re", "im")
-]
+_EM_COLUMNS = ["x", "y", "z", "t"] + _complex_columns(f + c for f in "EB" for c in "xyz")
 
 
 def _run_em(args):
@@ -299,22 +315,14 @@ def _run_em(args):
         pair = maxwell_conductor.conjugate_conducting(
             E0, args.tau, medium, omega, alpha=args.alpha
         )
-        result = {
-            "spec": pair.spec.to_dict(),
-            "medium": medium.to_dict(),
-            "dispersion": pair.dispersion.to_dict(),
-            "B0": _matrix_pair(pair.B0),
-        }
+        wavenumber = {"dispersion": pair.dispersion.to_dict()}
     else:
         pair = maxwell_vacuum.conjugate_vacuum(
             E0, args.tau, omega, medium=medium, alpha=args.alpha
         )
-        result = {
-            "spec": pair.spec.to_dict(),
-            "medium": medium.to_dict(),
-            "k": pair.k,
-            "B0": _matrix_pair(pair.B0),
-        }
+        wavenumber = {"k": pair.k}
+    result = {"spec": pair.spec.to_dict(), "medium": medium.to_dict(), **wavenumber,
+              "B0": _matrix_pair(pair.B0)}
     params = pair.spec.to_dict()
     grid = Grid4D.for_wave(pair.k, omega, samples=args.samples, step_scale=step)
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
@@ -322,32 +330,9 @@ def _run_em(args):
     def rows():
         meshes = grid.mesh()
         R = np.stack(meshes[:3], axis=-1)
-        T = meshes[3]
-        E = pair.E(R, T)
-        B = pair.B(R, T)
-        for idx in np.ndindex(T.shape):
-            row = [meshes[0][idx], meshes[1][idx], meshes[2][idx], T[idx]]
-            for field in (E, B):
-                for c in range(3):
-                    row.extend([field[idx][c].real, field[idx][c].imag])
-            yield row
+        return _grid_rows(meshes, pair.E(R, meshes[3]), pair.B(R, meshes[3]))
 
     return params, grid.to_dict(), result, scans, (_EM_COLUMNS, rows)
-
-
-def _entry_columns(prefix: str, n: int):
-    return [
-        f"{prefix}_{r}_{c}_{part}"
-        for r in range(n) for c in range(n) for part in ("re", "im")
-    ]
-
-
-def _matrix_cells(value: np.ndarray):
-    cells = []
-    for r in range(value.shape[0]):
-        for c in range(value.shape[1]):
-            cells.extend([value[r, c].real, value[r, c].imag])
-    return cells
 
 
 def _run_chiral(args):
@@ -364,14 +349,8 @@ def _run_chiral(args):
         report = report_from_values(values, (X, T))
         result = {"seed": g.to_dict(), "report": report.to_dict()}
         scans = {"chiral": report} if args.verify else {}
-        columns = ["x", "t", "residual"]
-
-        def rows():
-            for i in range(grid.nx):
-                for j in range(grid.nt):
-                    yield [X[i, j], T[i, j], values[i, j]]
-
-        return params, grid.to_dict(), result, scans, (columns, rows)
+        table = (["x", "t", "residual"], lambda: _grid_rows((X, T), values))
+        return params, grid.to_dict(), result, scans, table
 
     if args.sub == "potential":
         base = None
@@ -387,15 +366,9 @@ def _run_chiral(args):
             "path_disagreement": pot.path_disagreement,
         }
         scans = {"chiral": chiral_recursion.chiral_residual(g, grid)} if args.verify else {}
-        columns = ["x", "t"] + _entry_columns("X", g.n)
-        samples = pot.X.values
-
-        def rows():
-            for i in range(grid.nx):
-                for j in range(grid.nt):
-                    yield [X[i, j], T[i, j]] + _matrix_cells(samples[i, j])
-
-        return params, grid.to_dict(), result, scans, (columns, rows)
+        table = (["x", "t"] + _entry_columns("X", g.n),
+                 lambda: _grid_rows((X, T), pot.X.values))
+        return params, grid.to_dict(), result, scans, table
 
     M = _complex_matrix(args.m_re, args.m_im, "M")
     params["M"] = _matrix_pair(M)
@@ -418,11 +391,8 @@ def _run_chiral(args):
 
     def rows():
         for item in levels:
-            phis, qs = item.phi.sample(grid), item.q_samples(grid)
-            for i in range(grid.nx):
-                for j in range(grid.nt):
-                    yield ([item.level, X[i, j], T[i, j]]
-                           + _matrix_cells(phis[i, j]) + _matrix_cells(qs[i, j]))
+            yield from _grid_rows((np.full_like(X, item.level), X, T),
+                                  item.phi.sample(grid), item.q_samples(grid))
 
     return params, grid.to_dict(), result, scans, (columns, rows)
 
@@ -522,24 +492,16 @@ def _build_parser() -> _Parser:
 _RUNNERS = {"classic": _run_classic, "em": _run_em, "chiral": _run_chiral}
 
 
-def _write_outputs(args, payload: dict, table) -> None:
-    if args.format in ("json", "both"):
-        text = _emit_json(payload) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
+def _write(text: str, path) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    try:
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    if args.format in ("csv", "both"):
-        columns, rows = table
-        lines = [",".join(columns)]
-        lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows())
-        text = "\n".join(lines) + "\n"
-        if args.csv_output:
-            with open(args.csv_output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write output: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -550,38 +512,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.group == "verify":
-        try:
+    try:
+        if args.group == "verify":
             return main(_argv_from_spec(args.spec_file))
-        except _UsageError as exc:
-            print(f"btkit: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-
-    name = f"{args.group} {args.sub}"
-    try:
-        params, grid_dict, result, scans, table = _RUNNERS[args.group](args)
-    except _UsageError as exc:
+        name = f"{args.group} {args.sub}"
+        params, grid_dict, result, scans, (columns, rows) = _RUNNERS[args.group](args)
+        block, passed = _verify_block(scans, TOLERANCES[name]) if args.verify else (None, True)
+        payload = {"command": name, "params": params, "grid": grid_dict, "result": result,
+                   "verify": block}
+        if args.format in ("json", "both"):
+            _write(_emit_json(payload) + "\n", args.output)
+        if args.format in ("csv", "both"):
+            lines = [",".join(columns)]
+            lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows())
+            _write("\n".join(lines) + "\n", args.csv_output)
+    except (_UsageError, BtkitError) as exc:
         print(f"btkit: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BtkitError as exc:
-        print(f"btkit: error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-
-    payload = {"command": name, "params": params, "grid": grid_dict, "result": result}
-    failed = False
-    if args.verify:
-        block, passed = _verify_block(scans, TOLERANCES[name])
-        payload["verify"] = block
-        failed = not passed
-    else:
-        payload["verify"] = None
-
-    try:
-        _write_outputs(args, payload, table)
-    except OSError as exc:
-        print(f"btkit: error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_VERIFY if failed else EXIT_OK
+        return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_PRECONDITION
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 if __name__ == "__main__":

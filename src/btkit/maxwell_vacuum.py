@@ -83,6 +83,8 @@ class VacuumWaveSpec:
         object.__setattr__(self, "tau", _check_direction(_as_vec3(self.tau, "tau", float)))
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise InvalidParameterError(f"omega must be positive, got {self.omega}")
+        if not math.isfinite(self.alpha):
+            raise InvalidParameterError(f"alpha must be finite, got {self.alpha}")
         _check_transverse(self.tau, self.E0)
 
     def to_dict(self) -> dict:

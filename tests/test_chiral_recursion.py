@@ -264,6 +264,17 @@ class TestPotential:
             potential(g, GRID)
 
 
+    @pytest.mark.parametrize("base", [[[1.0]], np.eye(2)], ids=["1x1", "2x2"])
+    @pytest.mark.parametrize("integrate", [
+        lambda g, base: potential(g, GRID, base=base),
+        lambda g, base: recursion_step(ConstantField(np.eye(3)), g, GRID, base=base),
+    ], ids=["potential", "recursion_step"])
+    def test_base_of_another_size_is_rejected(self, exp_setup, integrate, base):
+        # unchecked, a 1 x 1 base would broadcast onto every entry of the 3 x 3 result
+        with pytest.raises(InvalidParameterError, match="base must be 3 x 3"):
+            integrate(exp_setup[3], base)
+
+
 class TestRecursion:
     def test_level_one_is_commutator_with_potential(self, exp_setup):
         A, B, M, g = exp_setup

@@ -194,3 +194,13 @@ class TestSerialization:
 
         with pytest.raises(InvalidParameterError):
             ScalarField2D("cubic_spline", {})
+
+    @pytest.mark.parametrize("make", [
+        lambda value: liouville_from_trivial(value),
+        lambda value: harmonic_conjugate_match(1.0, value, 0.0)[0],
+        lambda value: sine_gordon_from_vacuum(value, 1.0),
+    ], ids=["liouville C", "laplace beta", "sine-gordon a"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_is_rejected(self, make, value):
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            make(value)

@@ -17,8 +17,8 @@ import pytest
 
 import btkit
 from btkit import classic_bts
-from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_residual,
-                                    hierarchy)
+from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_defect_samples,
+                                    chiral_residual, hierarchy, potential)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
 from btkit.maxwell_vacuum import conjugate_vacuum
 from btkit.verify import Grid2D, Grid4D
@@ -27,6 +27,9 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 A_RE = '[[0.1, 0.2], [0.0, -0.1]]'
 B_RE = '[[0.3, 0.1], [0.0, 0.2]]'
 M_RE = '[[0.0, 1.0], [0.0, 0.0]]'
+# commuting 3 x 3 generators: B3 = A3 / 2 + I / 10
+A3_RE = '[[0.1, 0.2, 0.0], [0.0, -0.1, 0.3], [0.0, 0.0, 0.05]]'
+B3_RE = '[[0.15, 0.1, 0.0], [0.0, 0.05, 0.15], [0.0, 0.0, 0.125]]'
 
 
 def run(capsys, *argv):
@@ -107,6 +110,32 @@ class TestExitCodes:
         for scan in payload["verify"]["scans"].values():
             assert 0.0 < scan["rms"] <= scan["max_abs"] < float("inf")
 
+    @pytest.mark.parametrize("argv", [
+        ["classic", "laplace", "--alpha", "nan"],
+        ["classic", "liouville", "--C", "nan"],
+        ["em", "vacuum", "--freq", "1e9", "--alpha", "inf"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_non_finite_parameter_is_one_error_line(self, argv):
+        # unchecked, each would compute its result, then fail to serialize the parameter
+        proc = run_python(f"""
+            import sys
+            from btkit.cli import main
+            sys.exit(main({argv!r}))
+        """)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("btkit: error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("base", ["[[1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
+                             ids=["1x1", "3x3"])
+    def test_misshaped_base_is_precondition_error(self, capsys, base):
+        code, out, err = run(capsys, "chiral", "potential", "--a-re", A_RE, "--b-re", B_RE,
+                             "--base-re", base)
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("btkit: error: base must be 2 x 2")
+
     def test_overflowing_seed_is_one_error_line(self):
         # exp(800) overflows inside expm; the seed is rejected as singular
         # with no RuntimeWarning printed ahead of the error line
@@ -159,6 +188,103 @@ class TestDeterminism:
         payload = json.loads(out)
         assert list(payload) == ["command", "params", "grid", "result", "verify"]
         assert payload["verify"] is None
+
+
+def _reference_table(coords, *blocks):
+    """The expected CSV body, built entry by entry in node order.
+
+    Columns are the coordinates, then each block's entries at the node, a
+    complex entry as its real then its imaginary part.
+    """
+    n = np.size(coords[0])
+    columns = [np.ravel(c) for c in coords]
+    for block in blocks:
+        flat = np.asarray(block).reshape(n, -1)
+        for j in range(flat.shape[1]):
+            entry = flat[:, j]
+            columns += [entry.real, entry.imag] if np.iscomplexobj(entry) else [entry]
+    return np.column_stack(columns)
+
+
+def _entries(prefix, n):
+    return [f"{prefix}_{r}_{c}_{part}" for r in range(n) for c in range(n)
+            for part in ("re", "im")]
+
+
+def _classic_pair_table():
+    grid = Grid2D(nx=7, nt=5)
+    X, T = grid.mesh()
+    u, v = classic_bts.harmonic_conjugate_match(1.0, 2.0, -3.0)
+    argv = ["classic", "laplace", "--alpha", "1", "--beta", "2", "--gamma", "-3",
+            "--nx", "7", "--nt", "5"]
+    return argv, ["x", "t", "u", "v"], _reference_table((X, T), u(X, T), v(X, T))
+
+
+def _single_field_table():
+    grid = Grid2D(nx=9, nt=6)
+    X, T = grid.mesh()
+    u = classic_bts.liouville_from_trivial(1.0)
+    expected = _reference_table((X, T), u(X, T))
+    assert np.isnan(expected).any()  # C = 1 puts the blow-up line on the grid
+    argv = ["classic", "liouville", "--C", "1", "--nx", "9", "--nt", "6"]
+    return argv, ["x", "t", "u"], expected
+
+
+def _em_table():
+    pair = conjugate_vacuum(np.array([1.0, 0.0, 0.0]) + 1j * np.array([0.0, 0.5, 0.0]),
+                            [0.0, 0.0, 1.0], 1e9)
+    meshes = Grid4D.for_wave(pair.k, 1e9, samples=3).mesh()
+    R = np.stack(meshes[:3], axis=-1)
+    argv = ["em", "vacuum", "--omega", "1e9", "--e0-im", "0", "0.5", "0", "--samples", "3"]
+    header = ["x", "y", "z", "t"] + [f"{f}{c}_{part}" for f in "EB" for c in "xyz"
+                                     for part in ("re", "im")]
+    return argv, header, _reference_table(meshes, pair.E(R, meshes[3]), pair.B(R, meshes[3]))
+
+
+def _chiral_residual_table():
+    grid = Grid2D(nx=8, nt=6)
+    g = ExpSeedField(json.loads(A_RE), json.loads(B_RE))
+    argv = ["chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--nx", "8", "--nt", "6"]
+    return (argv, ["x", "t", "residual"],
+            _reference_table(grid.mesh(), chiral_defect_samples(g, grid)))
+
+
+def _chiral_potential_table():
+    grid = Grid2D(nx=8, nt=6)
+    g = ExpSeedField(json.loads(A_RE), json.loads(B_RE))
+    base = np.array([[1.0, 2.0], [3.0, 4.0]]) + 1j * np.array([[0.5, 0.0], [0.0, -0.25]])
+    argv = ["chiral", "potential", "--a-re", A_RE, "--b-re", B_RE, "--nx", "8", "--nt", "6",
+            "--base-re", "[[1, 2], [3, 4]]", "--base-im", "[[0.5, 0], [0, -0.25]]"]
+    return (argv, ["x", "t"] + _entries("X", 2),
+            _reference_table(grid.mesh(), potential(g, grid, base=base).X.values))
+
+
+def _hierarchy_table():
+    grid = Grid2D(nx=8, nt=8)
+    X, T = grid.mesh()
+    m_re = "[[0, 1, 0], [0, 0, 1], [0.5, 0, 0]]"
+    m_im = "[[0.1, 0, 0], [0, -0.2, 0], [0, 0, 0.3]]"
+    g = ExpSeedField(json.loads(A3_RE), json.loads(B3_RE))
+    M = np.array(json.loads(m_re)) + 1j * np.array(json.loads(m_im))
+    levels = hierarchy(g, M, 2, grid)
+    argv = ["chiral", "hierarchy", "--a-re", A3_RE, "--b-re", B3_RE, "--m-re", m_re,
+            "--m-im", m_im, "--levels", "2", "--nx", "8", "--nt", "8"]
+    expected = np.vstack([
+        _reference_table((np.full(X.shape, item.level), X, T),
+                         item.phi.sample(grid), item.q_samples(grid))
+        for item in levels
+    ])
+    return argv, ["level", "x", "t"] + _entries("phi", 3) + _entries("q", 3), expected
+
+
+CSV_TABLES = {
+    "classic pair": _classic_pair_table,
+    "single field": _single_field_table,
+    "em": _em_table,
+    "chiral residual": _chiral_residual_table,
+    "chiral potential": _chiral_potential_table,
+    "chiral hierarchy": _hierarchy_table,
+}
 
 
 class TestCsv:
@@ -220,6 +346,18 @@ class TestCsv:
         for offset, matrix in ((3, item.phi.sample(grid)), (11, item.q_samples(grid))):
             entries = matrix[3, 5].ravel()
             assert cells[offset:offset + 8] == [p for v in entries for p in (v.real, v.imag)]
+
+    @pytest.mark.parametrize("kind", CSV_TABLES)
+    def test_rows_match_library_in_node_order(self, capsys, kind):
+        argv, header, expected = CSV_TABLES[kind]()
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == EXIT_OK
+        lines = out.split("\n")
+        assert lines[0].split(",") == header
+        assert lines[-1] == ""
+        rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:-1]])
+        assert rows.shape == expected.shape
+        np.testing.assert_array_equal(rows, expected)
 
 
 class TestJsonOnlyRuns:

@@ -73,6 +73,11 @@ class TestConjugation:
         with pytest.raises(InvalidParameterError):
             conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=alpha)
+
     def test_first_curl_relation_and_its_redundant_twin(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
