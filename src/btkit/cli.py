@@ -26,6 +26,7 @@ import math
 import os
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -418,6 +419,8 @@ def _argv_from_spec(path: str) -> list:
         raise _UsageError(f"cannot read spec file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _UsageError(f"spec file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise _UsageError("spec file must hold a JSON object")
     command = data.get("command")
     if (not isinstance(command, list) or not command
             or not all(isinstance(c, str) for c in command)):
@@ -435,7 +438,9 @@ def _argv_from_spec(path: str) -> list:
 
 # --- entry point -------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = _Parser(prog="btkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
 

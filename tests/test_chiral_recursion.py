@@ -23,6 +23,7 @@ from btkit.chiral_recursion import (
     Potential,
     SymmetryCharacteristic,
     TabulatedField,
+    _commutator,
     _cumulative_integral,
     _lattice_derivative,
     chiral_residual,
@@ -111,6 +112,27 @@ class TestFields:
         np.testing.assert_allclose(
             g(0.3, -0.7), expm(0.3 * A - 0.7 * B), rtol=1e-12, atol=1e-14
         )
+
+    @pytest.mark.parametrize("A, B, grid", [
+        (*seed_triple(7)[:2], GRID),
+        (np.array([[10.0, 1.0], [0.0, 10.0]]), -np.array([[10.0, 1.0], [0.0, 10.0]]),
+         Grid2D(100.0, 101.0, 100.0, 101.0, 41, 41)),
+        # each axis factor reaches e^80, their product e^160
+        (np.array([[800.0, 1.0], [0.0, 800.0]]), -np.array([[800.0, 1.0], [0.0, 800.0]]),
+         Grid2D(0.9, 1.1, 0.9, 1.1, 41, 41)),
+        # the centre factor exp(A x0 + B t0) is not the identity here
+        (*seed_triple(7)[:2], Grid2D(0.5, 2.0, -1.5, 0.0, 31, 23)),
+    ], ids=["default", "far-from-origin", "jordan-800", "off-centre"])
+    def test_exp_seed_samples_match_per_node_exponential(self, A, B, grid):
+        g = ExpSeedField(A, B)
+        X, T = grid.mesh()
+        per_node = np.array([[expm(x * A + t * B) for x, t in zip(xr, tr)]
+                             for xr, tr in zip(X, T)])
+        assert np.max(np.abs(g.sample(grid) - per_node)) < 1e-12 * np.max(np.abs(per_node))
+        # scattered points, not a mesh, factor about their own centre
+        xs, ts = X.ravel()[::97], T.ravel()[::97]
+        scattered = np.array([expm(x * A + t * B) for x, t in zip(xs, ts)])
+        assert np.max(np.abs(g(xs, ts) - scattered)) < 1e-12 * np.max(np.abs(scattered))
 
     def test_exp_seed_derivatives_are_generator_products(self):
         A, B, _ = seed_triple(7)
@@ -235,6 +257,26 @@ class TestChiralResidual:
         with pytest.raises(InvalidGridError):
             chiral_residual(g, Grid2D(-1.0, 1.0, -1.0, 1.0, 5, 41))
 
+    def test_non_finite_node_is_singular_at_that_node(self, exp_setup):
+        _, _, _, g = exp_setup
+        values = g.sample(GRID).copy()
+        values[12, 30, 1, 2] = np.nan
+        with pytest.raises(SingularMatrixError) as excinfo:
+            chiral_residual(TabulatedField(GRID.xs, GRID.ts, values), GRID)
+        assert excinfo.value.point == pytest.approx((GRID.xs[12], GRID.ts[30]))
+
+    def test_perturbed_tabulated_seed_fails(self):
+        # an exp seed's connection is exactly (A, B), so the field-equation
+        # scan has something to find only in tabulated seeds, whose
+        # connection is differenced from the samples
+        g = ExpSeedField([[0.1, 0.2], [0.0, -0.1]], [[0.3, 0.1], [0.0, 0.2]])
+        X, _ = GRID.mesh()
+        exact = TabulatedField(GRID.xs, GRID.ts, g.sample(GRID))
+        assert chiral_residual(exact, GRID).max_abs < 1e-6
+        perturbed = TabulatedField(GRID.xs, GRID.ts,
+                                   g.sample(GRID) + 1e-5 * (X ** 3)[..., None, None])
+        assert chiral_residual(perturbed, GRID).max_abs > 1e-5
+
 
 class TestPotential:
     def test_matches_closed_form(self, exp_setup):
@@ -313,6 +355,17 @@ class TestRecursion:
         M = random_matrix(rng, n)
         g = ExpSeedField(A, B)
         grid = Grid2D(nx=161, nt=161)
+        for item in hierarchy(g, M, 3, grid)[1:]:
+            report = symmetry_residual(item.phi, g, grid)
+            assert report.max_abs < 1e-5, f"level {item.level}: {report.max_abs}"
+
+    def test_genuine_seed_passes_symmetry_check_at_321(self):
+        # with U, V differenced from the samples, level 3 read 1.4e-5 here
+        rng = np.random.default_rng(1003)
+        A, B = random_commuting_pair(rng, 3)
+        M = random_matrix(rng, 3)
+        g = ExpSeedField(A, B)
+        grid = Grid2D(nx=321, nt=321)
         for item in hierarchy(g, M, 3, grid)[1:]:
             report = symmetry_residual(item.phi, g, grid)
             assert report.max_abs < 1e-5, f"level {item.level}: {report.max_abs}"
@@ -411,6 +464,15 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_commutator_matches_matrix_products(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+    single = random_matrix(rng, n)
+    for a, b in ((stack, stack[::-1]), (single, stack), (stack, single), (single, single.T)):
+        np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0, atol=1e-13)
+
+
 class TestConnection:
     def test_hierarchy_and_its_scans_build_the_connection_once(self, monkeypatch):
         A, B, M = seed_triple(31)
@@ -423,7 +485,7 @@ class TestConnection:
         solves = _counting(monkeypatch, chiral_recursion.np.linalg, "solve")
         for item in hierarchy(g, M, 3, GRID):
             symmetry_residual(item.phi, g, GRID)
-        assert (len(conds), len(solves)) == (1, 2)
+        assert (len(conds), len(solves)) == (1, 0)
 
     def test_exp_seed_connection_is_shared_read_only_and_exact(self):
         A, B, _ = seed_triple(7)
@@ -431,12 +493,15 @@ class TestConnection:
         U, V = g.connection(GRID)
         again = g.connection(Grid2D())
         assert again[0] is U and again[1] is V
-        for built, rebuilt in zip((U, V), MatrixField.connection(g, GRID)):
+        for built, gen, rebuilt in zip((U, V), (A, B), MatrixField.connection(g, GRID)):
             assert not built.flags.writeable
             with pytest.raises(ValueError):
                 built[0, 0] = 0.0
-            assert built.shape == rebuilt.shape
-            assert built.tobytes() == rebuilt.tobytes()
+            assert built.shape == rebuilt.shape == (GRID.nx, GRID.nt, 3, 3)
+            # every node is the generator itself, bit for bit
+            assert np.array_equal(built, np.broadcast_to(gen, built.shape))
+            # g^-1 g_x solved node by node from the samples agrees
+            assert np.max(np.abs(rebuilt - built)) < 1e-12
 
     def test_failed_check_is_not_cached(self, monkeypatch):
         # cond(g) reaches e^40 at x = 1, beyond the invertibility limit

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import btkit
-from btkit import classic_bts
+from btkit import classic_bts, cli
 from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_defect_samples,
                                     chiral_residual, hierarchy, potential)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
@@ -573,3 +573,52 @@ class TestVerifySpecFiles:
                                     "params": {"C": 1.0}}))
         code, _, _ = run(capsys, "verify", str(spec))
         assert code == EXIT_VERIFY
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"'], ids=["list", "number", "string"])
+    def test_top_level_not_an_object_is_one_error_line(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        proc = run_python(f"""
+            import sys
+            from btkit.cli import main
+            sys.exit(main(["verify", {str(spec)!r}]))
+        """)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr == "btkit: error: spec file must hold a JSON object\n"
+
+
+class TestParserReuse:
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        seen = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(self, *args, **kwargs):
+            seen.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        for _ in range(2):
+            assert run(capsys, "classic", "liouville")[0] == EXIT_OK
+        assert len(seen) == 2 and seen[0] is seen[1]
+
+    def test_spec_re_entry_parses_again(self, capsys, tmp_path):
+        spec = tmp_path / "scan.json"
+        spec.write_text(json.dumps({"command": ["classic", "liouville"],
+                                    "params": {"C": 3.0}}))
+        for _ in range(2):
+            code, out, _ = run(capsys, "verify", str(spec))
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            assert payload["params"]["C"] == 3.0 and payload["verify"]["passed"] is True
+        # defaults are not carried over from the previous parse
+        code, out, _ = run(capsys, "classic", "liouville")
+        assert code == EXIT_OK
+        assert json.loads(out)["params"]["C"] == 2.0 and json.loads(out)["verify"] is None
+
+    def test_usage_error_after_a_success_exits_64(self, capsys):
+        assert run(capsys, "classic", "laplace", "--verify")[0] == EXIT_OK
+        code, out, err = run(capsys, "classic", "laplace", "--alpha", "bogus")
+        assert code == EXIT_USAGE
+        assert out == "" and "invalid float" in err
+        assert run(capsys, "classic", "laplace")[0] == EXIT_OK
