@@ -25,9 +25,10 @@ and the first hierarchy step lands on Phi^1 = [X, M].
 
 Numerics
 --------
-Hierarchy fields live on the grid lattice (recursion outputs are tabulated,
-and a bilinear interpolant has no trustworthy small-step second
-derivatives), so every lattice derivative here uses fourth-order stencils:
+Hierarchy fields live on the grid lattice: each recursion output is a
+TabulatedField that holds the Grid2D it was tabulated on, and a bilinear
+interpolant has no trustworthy small-step second derivatives, so every
+lattice derivative here uses fourth-order stencils:
 5-point interior, one-sided at edges.  Line integration is cumulative
 trapezoid with the Euler-Maclaurin endpoint correction, exact for cubic
 integrands; combined with the stencils this makes levels 0 through 3 of an
@@ -63,7 +64,7 @@ from .errors import (
     PathDependenceError,
     SingularMatrixError,
 )
-from .verify import Grid2D, ResidualReport, Stencil, report_from_values
+from .verify import Grid2D, ResidualReport, Stencil, magnitude, report_from_values
 
 _MIN_NODES = 6          # one-sided second-derivative stencils need 6 nodes
 _COMMUTE_TOL = 1e-12
@@ -123,12 +124,6 @@ def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.nd
     deriv = np.tensordot(_diff_matrix_unit(v.shape[0], 1) / spacing, v, axes=(1, 0))
     out -= spacing ** 2 / 12.0 * (deriv - deriv[0])
     return np.moveaxis(out, 0, axis)
-
-
-def _entry_magnitude(values: np.ndarray) -> np.ndarray:
-    """Max-absolute-entry norm per grid node, real and imaginary separately."""
-    mags = np.maximum(np.abs(values.real), np.abs(values.imag))
-    return mags.max(axis=(-2, -1))
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,55 +301,42 @@ class ExpSeedField(MatrixField):
 
 
 class TabulatedField(MatrixField):
-    """Matrix field known on a uniform lattice, bilinear between nodes.
+    """Matrix field tabulated on the nodes of ``grid``, bilinear between them.
 
-    Lattice derivatives use the fourth-order stencils; off-node evaluation
-    interpolates bilinearly (clamped-cell extrapolation outside the range).
-    ``path_disagreement`` records the integration diagnostic when the field
-    was produced by a recursion step.
+    The field's lattice is its Grid2D: ``values[i, j]`` is the matrix at
+    (grid.xs[i], grid.ts[j]).  Sampling on an equal grid returns the table
+    itself; any other grid is interpolated bilinearly (clamped-cell
+    extrapolation outside the range).  Lattice derivatives use the
+    fourth-order stencils.  ``path_disagreement`` records the integration
+    diagnostic when the field was produced by a recursion step.
     """
 
-    def __init__(self, xs, ts, values, path_disagreement: float | None = None):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ts = np.asarray(ts, dtype=float)
+    def __init__(self, grid: Grid2D, values, path_disagreement: float | None = None):
+        self.grid = grid
         self.values = np.asarray(values, dtype=complex)
         self.path_disagreement = path_disagreement
-        if self.xs.ndim != 1 or self.ts.ndim != 1:
-            raise InvalidParameterError("node arrays must be one-dimensional")
-        expected = (self.xs.size, self.ts.size)
+        expected = (grid.nx, grid.nt)
         if self.values.shape[:2] != expected or self.values.ndim != 4:
             raise InvalidParameterError(
                 f"samples of shape {self.values.shape} do not match lattice {expected}"
             )
         if self.values.shape[2] != self.values.shape[3]:
             raise InvalidParameterError("samples must be square matrices")
-        for nodes, name in ((self.xs, "x"), (self.ts, "t")):
-            gaps = np.diff(nodes)
-            if nodes.size < 2 or not np.all(gaps > 0):
-                raise InvalidParameterError(f"{name} nodes must increase")
-            if not np.allclose(gaps, gaps[0], rtol=1e-9):
-                raise InvalidParameterError(f"{name} nodes must be uniformly spaced")
         self.n = self.values.shape[2]
 
     @classmethod
     def from_function(cls, fn, grid: Grid2D) -> "TabulatedField":
         X, T = grid.mesh()
-        return cls(grid.xs, grid.ts, np.asarray(fn(X, T), dtype=complex))
-
-    @property
-    def dx(self) -> float:
-        return float(self.xs[1] - self.xs[0])
-
-    @property
-    def dt(self) -> float:
-        return float(self.ts[1] - self.ts[0])
+        return cls(grid, np.asarray(fn(X, T), dtype=complex))
 
     def __call__(self, x, t):
+        grid = self.grid
+        xs, ts = grid.xs, grid.ts
         xq, tq = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        ix = np.clip(np.searchsorted(self.xs, xq, side="right") - 1, 0, self.xs.size - 2)
-        it = np.clip(np.searchsorted(self.ts, tq, side="right") - 1, 0, self.ts.size - 2)
-        fx = ((xq - self.xs[ix]) / self.dx)[..., None, None]
-        ft = ((tq - self.ts[it]) / self.dt)[..., None, None]
+        ix = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, grid.nx - 2)
+        it = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, grid.nt - 2)
+        fx = ((xq - xs[ix]) / grid.dx)[..., None, None]
+        ft = ((tq - ts[it]) / grid.dt)[..., None, None]
         v = self.values
         return (
             v[ix, it] * (1 - fx) * (1 - ft)
@@ -363,16 +345,8 @@ class TabulatedField(MatrixField):
             + v[ix + 1, it + 1] * fx * ft
         )
 
-    def _on_lattice(self, grid: Grid2D) -> bool:
-        return (
-            grid.nx == self.xs.size
-            and grid.nt == self.ts.size
-            and np.allclose(grid.xs, self.xs, rtol=0, atol=1e-12 * max(1.0, self.dx))
-            and np.allclose(grid.ts, self.ts, rtol=0, atol=1e-12 * max(1.0, self.dt))
-        )
-
     def sample(self, grid: Grid2D) -> np.ndarray:
-        if self._on_lattice(grid):
+        if grid == self.grid:
             return self.values
         return super().sample(grid)
 
@@ -390,13 +364,9 @@ class TabulatedField(MatrixField):
     def _combine(self, other, scale_self=1.0, scale_other=1.0) -> "TabulatedField":
         if not isinstance(other, TabulatedField):
             return NotImplemented
-        if self.values.shape != other.values.shape or not (
-            np.allclose(self.xs, other.xs) and np.allclose(self.ts, other.ts)
-        ):
+        if self.grid != other.grid or self.n != other.n:
             raise InvalidParameterError("tabulated fields live on different lattices")
-        return TabulatedField(
-            self.xs, self.ts, scale_self * self.values + scale_other * other.values
-        )
+        return TabulatedField(self.grid, scale_self * self.values + scale_other * other.values)
 
     def __add__(self, other):
         return self._combine(other)
@@ -405,7 +375,7 @@ class TabulatedField(MatrixField):
         return self._combine(other, 1.0, -1.0)
 
     def __mul__(self, scalar):
-        return TabulatedField(self.xs, self.ts, self.values * scalar)
+        return TabulatedField(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
 
@@ -413,9 +383,9 @@ class TabulatedField(MatrixField):
         return {
             "n": self.n,
             "family": "tabulated",
-            "x": [float(v) for v in self.xs],
-            "t": [float(v) for v in self.ts],
-            "values": _matrix_pair(self.values.reshape(self.xs.size * self.ts.size, -1)),
+            "x": self.grid.xs.tolist(),
+            "t": self.grid.ts.tolist(),
+            "values": _matrix_pair(self.values.reshape(self.grid.nx * self.grid.nt, -1)),
         }
 
 
@@ -447,7 +417,7 @@ def chiral_defect_samples(g: MatrixField, grid: Grid2D) -> np.ndarray:
     residual = (
         _lattice_derivative(U, grid.dx, 0) + _lattice_derivative(V, grid.dt, 1)
     )
-    return _entry_magnitude(residual)
+    return magnitude(residual, 2)
 
 
 def chiral_residual(g: MatrixField, grid: Grid2D) -> ResidualReport:
@@ -467,7 +437,7 @@ def symmetry_residual(phi: MatrixField, g: MatrixField, grid: Grid2D) -> Residua
         + _commutator(U, px)
         + _commutator(V, pt)
     )
-    return report_from_values(_entry_magnitude(residual), grid.mesh())
+    return report_from_values(residual, grid.mesh())
 
 
 def _line_integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray):
@@ -522,7 +492,7 @@ def potential(g: MatrixField, grid: Grid2D, base=None) -> Potential:
             "the seed does not solve the chiral field equation"
         )
     return Potential(
-        X=TabulatedField(grid.xs, grid.ts, result, path_disagreement=disagreement),
+        X=TabulatedField(grid, result, path_disagreement=disagreement),
         path_disagreement=disagreement,
     )
 
@@ -551,7 +521,7 @@ def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
             f"axis-ordered integrals disagree by {disagreement!r} (tolerance {tol!r}): "
             "input violates the integrability condition of the recursion"
         )
-    return TabulatedField(grid.xs, grid.ts, result, path_disagreement=disagreement)
+    return TabulatedField(grid, result, path_disagreement=disagreement)
 
 
 @dataclass(frozen=True)

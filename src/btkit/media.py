@@ -50,6 +50,11 @@ class MediumParams:
             raise InvalidParameterError(f"permeability must be positive, got {self.mu}")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
             raise InvalidParameterError(f"conductivity must be non-negative, got {self.sigma}")
+        # the wave speed and wavenumber need eps * mu itself to be representable
+        if not 0.0 < self.epsilon * self.mu < math.inf:
+            raise InvalidParameterError(
+                f"epsilon * mu must be positive and finite, got {self.epsilon * self.mu}"
+            )
 
     @property
     def is_conducting(self) -> bool:

@@ -162,7 +162,7 @@ class Grid4D:
 
     @classmethod
     def for_wave(cls, wavenumber: float, omega: float, samples: int = 9,
-                 step_scale: float = 1e-4) -> "Grid4D":
+                 step_scale: float = DEFAULT_STEP) -> "Grid4D":
         """Grid spanning one wavelength per spatial axis and one period.
 
         The stencil step is ``step_scale`` in the wave's own units: 1/k in

@@ -214,14 +214,29 @@ class TestFields:
         with pytest.raises(InvalidParameterError):
             a + b
 
+    def test_tabulated_field_samples_its_own_table_on_an_equal_grid(self):
+        f = TabulatedField.from_function(
+            lambda X, T: (X * T)[..., None, None] * np.eye(2), GRID
+        )
+        assert f.grid is GRID
+        assert f.sample(Grid2D()) is f.values
+
+    def test_tabulated_field_interpolates_on_a_grid_with_another_step(self):
+        f = TabulatedField.from_function(
+            lambda X, T: np.exp(X - 2.0 * T)[..., None, None] * np.eye(2), GRID
+        )
+        other = Grid2D(h=1e-5)
+        assert other != GRID
+        resampled = f.sample(other)
+        assert resampled is not f.values
+        np.testing.assert_allclose(resampled, f.values, rtol=1e-14, atol=0)
+
     def test_tabulated_validation(self):
-        xs = np.linspace(-1, 1, 7)
+        grid = Grid2D(nx=7, nt=7)
         with pytest.raises(InvalidParameterError):
-            TabulatedField(xs, xs, np.zeros((7, 6, 2, 2)))
+            TabulatedField(grid, np.zeros((7, 6, 2, 2)))
         with pytest.raises(InvalidParameterError):
-            TabulatedField(xs[::-1], xs, np.zeros((7, 7, 2, 2)))
-        with pytest.raises(InvalidParameterError):
-            TabulatedField(xs, xs, np.zeros((7, 7, 2, 3)))
+            TabulatedField(grid, np.zeros((7, 7, 2, 3)))
 
 
 class TestChiralResidual:
@@ -262,7 +277,7 @@ class TestChiralResidual:
         values = g.sample(GRID).copy()
         values[12, 30, 1, 2] = np.nan
         with pytest.raises(SingularMatrixError) as excinfo:
-            chiral_residual(TabulatedField(GRID.xs, GRID.ts, values), GRID)
+            chiral_residual(TabulatedField(GRID, values), GRID)
         assert excinfo.value.point == pytest.approx((GRID.xs[12], GRID.ts[30]))
 
     def test_perturbed_tabulated_seed_fails(self):
@@ -271,10 +286,9 @@ class TestChiralResidual:
         # connection is differenced from the samples
         g = ExpSeedField([[0.1, 0.2], [0.0, -0.1]], [[0.3, 0.1], [0.0, 0.2]])
         X, _ = GRID.mesh()
-        exact = TabulatedField(GRID.xs, GRID.ts, g.sample(GRID))
+        exact = TabulatedField(GRID, g.sample(GRID))
         assert chiral_residual(exact, GRID).max_abs < 1e-6
-        perturbed = TabulatedField(GRID.xs, GRID.ts,
-                                   g.sample(GRID) + 1e-5 * (X ** 3)[..., None, None])
+        perturbed = TabulatedField(GRID, g.sample(GRID) + 1e-5 * (X ** 3)[..., None, None])
         assert chiral_residual(perturbed, GRID).max_abs > 1e-5
 
 
@@ -486,6 +500,15 @@ class TestConnection:
         for item in hierarchy(g, M, 3, GRID):
             symmetry_residual(item.phi, g, GRID)
         assert (len(conds), len(solves)) == (1, 0)
+
+    def test_hierarchy_and_its_scans_compare_no_node_arrays(self, monkeypatch):
+        A, B, M = seed_triple(31)
+        g = ExpSeedField(A, B)
+        calls = [_counting(monkeypatch, chiral_recursion.np, name)
+                 for name in ("allclose", "isclose")]
+        for item in hierarchy(g, M, 3, GRID):
+            symmetry_residual(item.phi, g, GRID)
+        assert calls == [[], []]
 
     def test_exp_seed_connection_is_shared_read_only_and_exact(self):
         A, B, _ = seed_triple(7)

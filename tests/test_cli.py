@@ -127,6 +127,24 @@ class TestExitCodes:
         assert proc.stderr.startswith("btkit: error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["em", "medium", "--omega", "1", "--epsilon-rel", "1e300", "--mu-rel", "1e300"],
+        ["em", "medium", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200"],
+        ["em", "conductor", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200",
+         "--sigma", "1"],
+    ], ids=["medium-overflow", "medium-underflow", "conductor-underflow"])
+    def test_unrepresentable_medium_is_one_error_line(self, argv):
+        # eps * mu over- or underflows although each factor is finite and positive
+        proc = run_python(f"""
+            import sys
+            from btkit.cli import main
+            sys.exit(main({argv!r}))
+        """)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("btkit: error: epsilon * mu must be positive and finite")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("base", ["[[1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
                              ids=["1x1", "3x3"])
     def test_misshaped_base_is_precondition_error(self, capsys, base):

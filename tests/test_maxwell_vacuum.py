@@ -49,6 +49,13 @@ class TestConstants:
         with pytest.raises(InvalidParameterError):
             MediumParams(**kwargs)
 
+    @pytest.mark.parametrize("epsilon, mu", [(1e300, 1e300), (1e-200, 1e-200)],
+                             ids=["overflow", "underflow"])
+    def test_unrepresentable_epsilon_mu_product_rejected(self, epsilon, mu):
+        # each factor is fine; the wave speed 1/sqrt(eps mu) is not
+        with pytest.raises(InvalidParameterError, match="epsilon \\* mu"):
+            MediumParams(epsilon, mu)
+
 
 class TestConjugation:
     def test_dispersion_relation(self):
