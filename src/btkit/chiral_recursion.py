@@ -121,7 +121,7 @@ def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.nd
     v = np.moveaxis(values, axis, 0)
     out = np.zeros_like(v)
     np.cumsum(0.5 * (v[1:] + v[:-1]) * spacing, axis=0, out=out[1:])
-    deriv = np.tensordot(_diff_matrix_unit(v.shape[0], 1) / spacing, v, axes=(1, 0))
+    deriv = _lattice_derivative(v, spacing, 0)
     out -= spacing ** 2 / 12.0 * (deriv - deriv[0])
     return np.moveaxis(out, 0, axis)
 

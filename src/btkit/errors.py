@@ -13,18 +13,6 @@ class InvalidGridError(BtkitError):
     """Grid bounds, sample counts, or stencil step are inconsistent."""
 
 
-class SingularPointError(BtkitError):
-    """A field evaluator failed at a stencil point.
-
-    Carries the offending coordinates so residual scans can exclude the
-    point and count it instead of aborting.
-    """
-
-    def __init__(self, point, message=None):
-        self.point = tuple(float(c) for c in point)
-        super().__init__(message or f"field evaluation failed at {self.point}")
-
-
 class EmptyDomainError(BtkitError):
     """Every point of a residual scan was singular; nothing to report."""
 

@@ -2,13 +2,13 @@
 
 Every solution generator in this package is certified numerically: the
 claimed solution is swept over a sample grid and the defining equations are
-evaluated pointwise with central differences.  This module owns the grid
-descriptions, the report type that the rest of the package returns, and
-``Stencil``, the one small-step difference core: the classic and Maxwell
-scans, the pointwise helpers and the generic ``MatrixField`` derivatives
-all difference their closed-form evaluators through it.  The chiral
-lattice stencils in ``chiral_recursion`` are separate: they are fourth
-order and act on tabulated data, not on an evaluator.
+evaluated at every sample with central differences.  This module owns the
+grid descriptions, the report type that the rest of the package returns,
+and ``Stencil``, the one small-step difference core: the classic and
+Maxwell scans and the generic ``MatrixField`` derivatives all difference
+their closed-form evaluators through it, on whole grids at once.  The
+chiral lattice stencils in ``chiral_recursion`` are separate: they are
+fourth order and act on tabulated data, not on an evaluator.
 
 Stencils are second order:
 
@@ -25,17 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyDomainError, InvalidGridError, SingularPointError
+from .errors import EmptyDomainError, InvalidGridError
 
 DEFAULT_STEP = 1e-4
-
-# Evaluation failures that mark a stencil point as singular rather than
-# aborting a scan.  Overflow and domain errors both land here.
-_EVAL_ERRORS = (ArithmeticError, ValueError, SingularPointError)
 
 
 def _check_axis(name: str, lo: float, hi: float, n: int) -> float:
@@ -55,12 +52,19 @@ def _check_step(h: float, spacing: float, axis: str) -> None:
         )
 
 
+def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
+    nodes = np.linspace(lo, hi, n)
+    nodes.setflags(write=False)
+    return nodes
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Rectangular sample grid for fields of two variables (x, t).
 
     ``h`` is the central-difference step used by residual evaluators on this
     grid; it must stay strictly below one tenth of the smallest grid spacing.
+    The node arrays ``xs`` and ``ts`` are built once per grid and read-only.
     """
 
     x_min: float = -1.0
@@ -84,13 +88,13 @@ class Grid2D:
     def dt(self) -> float:
         return (self.t_max - self.t_min) / (self.nt - 1)
 
-    @property
+    @cached_property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.nx)
+        return _nodes(self.x_min, self.x_max, self.nx)
 
-    @property
+    @cached_property
     def ts(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.nt)
+        return _nodes(self.t_min, self.t_max, self.nt)
 
     def mesh(self):
         return np.meshgrid(self.xs, self.ts, indexing="ij")
@@ -222,19 +226,6 @@ class ResidualReport:
         }
 
 
-def _call(f: Callable, coords) -> complex:
-    """Evaluate ``f`` at one point, mapping failures to SingularPointError."""
-    try:
-        with np.errstate(all="ignore"):
-            value = f(*coords)
-    except _EVAL_ERRORS as exc:
-        raise SingularPointError(coords) from exc
-    arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)):
-        raise SingularPointError(coords)
-    return value
-
-
 class Stencil:
     """Central differences of ``f`` around broadcastable coordinates.
 
@@ -297,51 +288,6 @@ def curl(d):
     ), axis=-1)
 
 
-def _pointwise(f: Callable, point: Sequence[float], h) -> Stencil:
-    return Stencil(lambda *p: _call(f, p), [float(c) for c in point], h)
-
-
-def partial_derivative(f: Callable, point: Sequence[float], axis: int,
-                       h: float = DEFAULT_STEP):
-    """First partial of ``f`` along ``axis`` by the 2-point central stencil."""
-    return _pointwise(f, point, h).d(axis)
-
-
-def second_derivative(f: Callable, point: Sequence[float], axis: int,
-                      h: float = DEFAULT_STEP):
-    """Second partial along one axis by the 3-point central stencil."""
-    return _pointwise(f, point, h).diffs(axis)[1]
-
-
-def mixed_derivative(f: Callable, point: Sequence[float], axis_a: int,
-                     axis_b: int, h: float = DEFAULT_STEP):
-    """Mixed second partial by the 4-point cross stencil."""
-    return _pointwise(f, point, h).dxy(axis_a, axis_b)
-
-
-@dataclass(frozen=True)
-class FieldDerivatives:
-    """First-order vector calculus of a 3-vector field at one spacetime point."""
-
-    divergence: complex
-    curl: np.ndarray
-    laplacian: np.ndarray
-    dt: np.ndarray
-
-
-def vector_ops(field: Callable, point: Sequence[float],
-               h: float | Sequence[float] = DEFAULT_STEP) -> FieldDerivatives:
-    """Divergence, curl, vector Laplacian and time derivative of ``field``.
-
-    ``field`` maps (x, y, z, t) to a 3-vector; complex components are fine,
-    the stencils act on real and imaginary parts alike.  ``h`` is a scalar
-    step or one step per axis.
-    """
-    stencil = _pointwise(lambda *p: np.asarray(field(*p)), point, h)
-    d1, d2 = zip(*(stencil.diffs(axis) for axis in range(4)))
-    return FieldDerivatives(divergence(d1), curl(d1), d2[0] + d2[1] + d2[2], d1[3])
-
-
 def magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
     """Reduce a residual array to one non-negative number per grid point.
 
@@ -388,32 +334,3 @@ def report_from_values(values: np.ndarray, meshes) -> ResidualReport:
         worst_point=worst,
         n_singular=n_singular,
     )
-
-
-def residual_scan(residual: Callable, grid) -> ResidualReport:
-    """Sweep a pointwise residual over every sample of ``grid``.
-
-    ``residual`` receives the grid coordinates (two arrays for Grid2D, four
-    for Grid4D) and returns the residual magnitude per point.  Evaluators
-    written for scalars are retried point by point; a point whose evaluation
-    fails is recorded as singular.
-    """
-    meshes = grid.mesh()
-    try:
-        with np.errstate(all="ignore"):
-            values = residual(*meshes)
-        values = np.broadcast_to(np.asarray(values), meshes[0].shape)
-    except _EVAL_ERRORS + (TypeError, IndexError):
-        values = _pointwise_scan(residual, meshes)
-    return report_from_values(values, meshes)
-
-
-def _pointwise_scan(residual: Callable, meshes) -> np.ndarray:
-    out = np.full(meshes[0].shape, np.nan)
-    for idx in np.ndindex(meshes[0].shape):
-        coords = [float(m[idx]) for m in meshes]
-        try:
-            out[idx] = abs(_call(residual, coords))
-        except SingularPointError:
-            pass
-    return out

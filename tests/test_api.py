@@ -1,0 +1,122 @@
+"""The public surface: the names btkit exports and the README's library tour."""
+
+import contextlib
+import io
+import math
+from pathlib import Path
+
+import pytest
+
+import btkit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Every name of btkit.__all__.  A change to the public API has to change
+# this list too, so it shows up in review.
+PUBLIC_API = [
+    "BtkitError",
+    "CONSTANTS",
+    "ConductorWavePair",
+    "ConstantField",
+    "DEFAULT_STEP",
+    "DispersionSolution",
+    "EPSILON0",
+    "EmptyDomainError",
+    "ExpSeedField",
+    "FieldPair",
+    "Grid2D",
+    "Grid4D",
+    "IntegrabilityError",
+    "InvalidGridError",
+    "InvalidParameterError",
+    "MU0",
+    "MatrixField",
+    "MediumParams",
+    "NonCommutingError",
+    "NormalizationError",
+    "PathDependenceError",
+    "PhysicalConstants",
+    "Potential",
+    "ResidualReport",
+    "ScalarField2D",
+    "SingularMatrixError",
+    "SymmetryCharacteristic",
+    "TabulatedField",
+    "TransversalityError",
+    "VACUUM",
+    "VacuumWaveSpec",
+    "WavePair",
+    "XYMatchResult",
+    "bt_residual_cr",
+    "bt_residual_liouville",
+    "bt_residual_sine_gordon",
+    "chiral_defect_samples",
+    "chiral_residual",
+    "conjugate_conducting",
+    "conjugate_vacuum",
+    "dispersion_solve",
+    "harmonic_conjugate_match",
+    "harmonic_conjugate_quadratic",
+    "harmonic_quadratic",
+    "hierarchy",
+    "laplace_residual",
+    "liouville_from_trivial",
+    "liouville_residual",
+    "maxwell_residual",
+    "modified_wave_residual",
+    "monomial_xy",
+    "plane_wave",
+    "potential",
+    "real_fields_conducting",
+    "real_fields_vacuum",
+    "recursion_step",
+    "report_from_values",
+    "sine_gordon_from_vacuum",
+    "sine_gordon_residual",
+    "symmetry_residual",
+    "wave_residual",
+    "xy_family_match",
+    "zero_field",
+]
+
+
+class TestPublicApi:
+    def test_all_matches_the_snapshot(self):
+        assert len(PUBLIC_API) == 63
+        assert sorted(btkit.__all__) == PUBLIC_API
+
+    def test_every_name_resolves(self):
+        assert [name for name in PUBLIC_API if not hasattr(btkit, name)] == []
+
+
+def _quick_tour() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _claimed(comment: str) -> tuple:
+    """A comment's value and whether it is approximate ("~2e-8")."""
+    approximate = comment.startswith("~")
+    value = eval(comment.lstrip("~"), {"__builtins__": {}, "arctan": math.atan})
+    return float(value), approximate
+
+
+class TestQuickTour:
+    def test_printed_values_match_their_comments(self):
+        source = _quick_tour()
+        comments = [line.split("#", 1)[1].split()
+                    for line in source.splitlines() if line.startswith("print(")]
+        assert len(comments) == 3
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(source, str(README), "exec"), {})
+        printed = [line.split() for line in out.getvalue().splitlines()]
+        assert [len(p) for p in printed] == [len(c) for c in comments]
+        for values, claims in zip(printed, comments):
+            for value, claim in zip(values, claims):
+                expected, approximate = _claimed(claim)
+                if approximate:
+                    # an order-of-magnitude claim holds within a factor of 10
+                    assert 0.1 < float(value) / expected < 10.0, (value, claim)
+                else:
+                    assert float(value) == pytest.approx(expected, rel=1e-12), (value, claim)

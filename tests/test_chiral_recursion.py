@@ -70,7 +70,7 @@ class TestLatticeCalculus:
         d1 = _lattice_derivative(xs ** 4, xs[1] - xs[0], axis=0, deriv=1)
         np.testing.assert_allclose(d1, 4.0 * xs ** 3, atol=1e-12)
 
-    def test_second_derivative_exact_for_quintics(self):
+    def test_second_lattice_derivative_exact_for_quintics(self):
         xs = np.linspace(-1.0, 1.0, 13)
         d2 = _lattice_derivative(xs ** 5, xs[1] - xs[0], axis=0, deriv=2)
         np.testing.assert_allclose(d2, 20.0 * xs ** 3, atol=1e-11)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from btkit import classic_bts
-from btkit.errors import EmptyDomainError, InvalidGridError, SingularPointError
+from btkit.errors import EmptyDomainError, InvalidGridError
 from btkit.maxwell_conductor import conjugate_conducting, modified_wave_residual
 from btkit.maxwell_vacuum import FieldPair, conjugate_vacuum, maxwell_residual, wave_residual
 from btkit.media import MediumParams
@@ -14,12 +14,10 @@ from btkit.verify import (
     Grid2D,
     Grid4D,
     ResidualReport,
-    mixed_derivative,
-    partial_derivative,
+    Stencil,
+    curl,
+    divergence,
     report_from_values,
-    residual_scan,
-    second_derivative,
-    vector_ops,
 )
 
 
@@ -30,110 +28,118 @@ def quadratic(x, t):
 class TestStencils:
     def test_first_derivative_of_quadratic_is_exact(self):
         # at (0.7, -0.3): f_x = 1.5 + 6x + t = 5.4, f_t = -2 + x - 2t = -0.7
-        p = (0.7, -0.3)
-        assert partial_derivative(quadratic, p, 0) == pytest.approx(5.4, rel=1e-10)
-        assert partial_derivative(quadratic, p, 1) == pytest.approx(-0.7, rel=1e-10)
+        stencil = Stencil(quadratic, (0.7, -0.3), 1e-4)
+        assert stencil.d(0) == pytest.approx(5.4, rel=1e-10)
+        assert stencil.d(1) == pytest.approx(-0.7, rel=1e-10)
 
-    def test_second_derivatives_of_quadratic_are_exact(self):
-        p = (0.7, -0.3)
+    def test_second_differences_of_quadratic_are_exact(self):
+        stencil = Stencil(quadratic, (0.7, -0.3), 1e-4)
+        f_x, f_xx = stencil.diffs(0)
         # rounding floor for 3-point stencils is ~4 eps |f| / h^2
-        assert second_derivative(quadratic, p, 0) == pytest.approx(6.0, rel=1e-6)
-        assert second_derivative(quadratic, p, 1) == pytest.approx(-2.0, rel=1e-6)
-        assert mixed_derivative(quadratic, p, 0, 1) == pytest.approx(1.0, rel=1e-6)
+        assert f_x == pytest.approx(5.4, rel=1e-10)
+        assert f_xx == pytest.approx(6.0, rel=1e-6)
+        assert stencil.diffs(1)[1] == pytest.approx(-2.0, rel=1e-6)
+        assert stencil.dxy(0, 1) == pytest.approx(1.0, rel=1e-6)
 
     def test_sin_derivative_matches_analytic_cosine(self):
-        f = lambda x, t: math.sin(x)
-        assert partial_derivative(f, (0.0, 0.0), 0) == pytest.approx(1.0, abs=1e-8)
-        assert partial_derivative(f, (0.9, 0.0), 0) == pytest.approx(math.cos(0.9), abs=1e-8)
+        xs = np.array([0.0, 0.9])
+        d = Stencil(lambda x, t: np.sin(x), (xs, 0.0), 1e-4).d(0)
+        np.testing.assert_allclose(d, np.cos(xs), atol=1e-8)
 
-    def test_mixed_derivative_matches_analytic(self):
-        f = lambda x, t: math.sin(x) * math.cos(t)
+    def test_cross_difference_matches_analytic(self):
+        f = lambda x, t: np.sin(x) * np.cos(t)
         expected = -math.cos(0.4) * math.sin(0.8)
-        assert mixed_derivative(f, (0.4, 0.8), 0, 1, h=1e-3) == pytest.approx(expected, abs=1e-6)
+        assert Stencil(f, (0.4, 0.8), 1e-3).dxy(0, 1) == pytest.approx(expected, abs=1e-6)
 
-    @pytest.mark.parametrize("deriv,axis", [
-        (partial_derivative, 0),
-        (second_derivative, 0),
-        (partial_derivative, 1),
-    ])
-    def test_halving_step_quarters_the_error(self, deriv, axis):
-        f = lambda x, t: math.sin(x) * math.exp(t)
+    @pytest.mark.parametrize("order,axis", [(1, 0), (2, 0), (1, 1)])
+    def test_halving_step_quarters_the_error(self, order, axis):
+        f = lambda x, t: np.sin(x) * np.exp(t)
         point = (0.5, 0.3)
         exact = {
-            (partial_derivative, 0): math.cos(0.5) * math.exp(0.3),
-            (second_derivative, 0): -math.sin(0.5) * math.exp(0.3),
-            (partial_derivative, 1): math.sin(0.5) * math.exp(0.3),
-        }[(deriv, axis)]
-        e1 = abs(deriv(f, point, axis, h=1e-2) - exact)
-        e2 = abs(deriv(f, point, axis, h=5e-3) - exact)
+            (1, 0): math.cos(0.5) * math.exp(0.3),
+            (2, 0): -math.sin(0.5) * math.exp(0.3),
+            (1, 1): math.sin(0.5) * math.exp(0.3),
+        }[(order, axis)]
+        e1, e2 = (abs(Stencil(f, point, h).diffs(axis)[order - 1] - exact)
+                  for h in (1e-2, 5e-3))
         assert 3.0 < e1 / e2 < 5.0
 
-    def test_evaluator_failure_raises_singular_point_with_coordinates(self):
-        f = lambda x, t: math.log(x)
-        with pytest.raises(SingularPointError) as err:
-            partial_derivative(f, (0.0, 0.0), 0, h=1e-4)
-        assert len(err.value.point) == 2
 
-    def test_non_finite_result_counts_as_singular(self):
-        f = lambda x, t: float("nan")
-        with pytest.raises(SingularPointError):
-            partial_derivative(f, (0.0, 0.0), 0)
+def _partials(field, coords, h):
+    """First partials of a 3-vector field along x, y, z."""
+    stencil = Stencil(field, coords, h)
+    return [stencil.d(axis) for axis in range(3)]
 
 
-class TestVectorOps:
+def _laplacian(field, coords, h):
+    stencil = Stencil(field, coords, h)
+    return sum(stencil.diffs(axis)[1] for axis in range(3))
+
+
+class TestVectorCalculus:
     # F = (x^2 + 3yz, y^2 - 2xz, z^2 + xy + t^2/2), quadratic so stencils are exact:
     # div = 2x + 2y + 2z, curl = (3x, 2y, -5z), lap = (2, 2, 2), dt = (0, 0, t)
     @staticmethod
     def poly_field(x, y, z, t):
-        return np.array([
+        return np.stack(np.broadcast_arrays(
             x * x + 3.0 * y * z,
             y * y - 2.0 * x * z,
             z * z + x * y + 0.5 * t * t,
-        ])
+        ), axis=-1)
 
     def test_polynomial_field_derivatives_are_exact(self):
-        p = (0.3, -0.2, 0.5, 0.7)
-        d = vector_ops(self.poly_field, p)
-        assert d.divergence == pytest.approx(1.2, abs=1e-9)
-        np.testing.assert_allclose(d.curl, [0.9, -0.4, -2.5], atol=1e-8)
-        np.testing.assert_allclose(d.laplacian, [2.0, 2.0, 2.0], atol=1e-6)
-        np.testing.assert_allclose(d.dt, [0.0, 0.0, 0.7], atol=1e-9)
+        # two points at once: the stencil broadcasts over coordinate arrays
+        x, y, z, t = np.array([[0.3, -0.2, 0.5, 0.7], [0.1, 0.4, -0.6, -0.2]]).T
+        d = _partials(self.poly_field, (x, y, z, t), 1e-4)
+        np.testing.assert_allclose(divergence(d), 2.0 * (x + y + z), atol=1e-9)
+        np.testing.assert_allclose(curl(d), np.stack((3.0 * x, 2.0 * y, -5.0 * z), -1),
+                                   atol=1e-8)
+        np.testing.assert_allclose(_laplacian(self.poly_field, (x, y, z, t), 1e-4), 2.0,
+                                   atol=1e-6)
+        dt = Stencil(self.poly_field, (x, y, z, t), 1e-4).d(3)
+        np.testing.assert_allclose(dt, np.stack((0 * t, 0 * t, t), -1), atol=1e-9)
 
     def test_complex_field_handled_componentwise(self):
         scale = 1.0 + 2.0j
         f = lambda x, y, z, t: scale * self.poly_field(x, y, z, t)
-        d = vector_ops(f, (0.3, -0.2, 0.5, 0.7))
-        assert d.divergence == pytest.approx(scale * 1.2, abs=1e-8)
-        np.testing.assert_allclose(d.curl, scale * np.array([0.9, -0.4, -2.5]), atol=1e-8)
+        d = _partials(f, (0.3, -0.2, 0.5, 0.7), 1e-4)
+        assert divergence(d) == pytest.approx(scale * 1.2, abs=1e-8)
+        np.testing.assert_allclose(curl(d), scale * np.array([0.9, -0.4, -2.5]), atol=1e-8)
 
     def test_per_axis_steps_accepted(self):
-        d = vector_ops(self.poly_field, (0.1, 0.2, 0.3, 0.4), h=(1e-4, 1e-4, 1e-4, 1e-5))
-        assert d.divergence == pytest.approx(1.2, abs=1e-8)
+        stencil = Stencil(self.poly_field, (0.1, 0.2, 0.3, 0.4), (1e-4, 1e-4, 1e-4, 1e-5))
+        assert divergence([stencil.d(axis) for axis in range(3)]) == pytest.approx(1.2, abs=1e-8)
+        np.testing.assert_allclose(stencil.d(3), [0.0, 0.0, 0.4], atol=1e-8)
 
     @staticmethod
     def smooth_field(x, y, z, t):
-        return np.array([
-            math.sin(x + 2.0 * y) + t * t,
-            math.cos(y + 3.0 * z),
-            math.exp(0.3 * z) * math.sin(x) + x * y,
-        ])
+        return np.stack(np.broadcast_arrays(
+            np.sin(x + 2.0 * y) + t * t,
+            np.cos(y + 3.0 * z),
+            np.exp(0.3 * z) * np.sin(x) + x * y,
+        ), axis=-1)
+
+    # nested stencils on broadcast coordinates: the outer stencil shifts the
+    # arrays, the inner one differences the field around the shifted points
+    POINTS = tuple(np.array([[0.2, 0.1, -0.3, 0.0], [-0.5, 0.4, 0.2, 1.0],
+                             [0.2, -0.1, 0.3, 0.5]]).T)
 
     def test_divergence_of_curl_vanishes(self):
         h = 1e-4
-        curl_field = lambda *p: vector_ops(self.smooth_field, p, h).curl
-        for point in [(0.2, 0.1, -0.3, 0.0), (-0.5, 0.4, 0.2, 1.0)]:
-            d = vector_ops(curl_field, point, h)
-            assert abs(d.divergence) < 1e-5
+        curl_field = lambda *p: curl(_partials(self.smooth_field, p, h))
+        div_curl = divergence(_partials(curl_field, self.POINTS, h))
+        assert div_curl.shape == (3,)
+        assert np.max(np.abs(div_curl)) < 1e-5
 
     def test_curl_curl_identity(self):
         # curl(curl F) = grad(div F) - lap F for any smooth F
         h = 1e-4
-        point = (0.2, -0.1, 0.3, 0.5)
-        curl_field = lambda *p: vector_ops(self.smooth_field, p, h).curl
-        div_field = lambda *p: vector_ops(self.smooth_field, p, h).divergence
-        curl_curl = vector_ops(curl_field, point, h).curl
-        grad_div = np.array([partial_derivative(div_field, point, a, h) for a in range(3)])
-        lap = vector_ops(self.smooth_field, point, h).laplacian
+        curl_field = lambda *p: curl(_partials(self.smooth_field, p, h))
+        div_field = lambda *p: divergence(_partials(self.smooth_field, p, h))
+        curl_curl = curl(_partials(curl_field, self.POINTS, h))
+        grad_div = np.stack(_partials(div_field, self.POINTS, h), axis=-1)
+        lap = _laplacian(self.smooth_field, self.POINTS, h)
+        assert curl_curl.shape == (3, 3)
         np.testing.assert_allclose(curl_curl, grad_div - lap, atol=1e-4)
 
 
@@ -195,10 +201,15 @@ class TestEvaluationCounts:
         assert sum(c.calls for c in counted) <= limit
 
 
+def _scan(residual, grid) -> ResidualReport:
+    meshes = grid.mesh()
+    return report_from_values(residual(*meshes), meshes)
+
+
 class TestResidualScan:
     def test_zero_residual_reports_zero(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 10, 10, h=1e-3)
-        report = residual_scan(lambda x, t: 0.0 * x, grid)
+        report = _scan(lambda x, t: 0.0 * x, grid)
         assert report.max_abs == 0.0
         assert report.rms == 0.0
         assert report.n_points == 100
@@ -206,38 +217,32 @@ class TestResidualScan:
 
     def test_constant_residual_reports_its_value(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
-        report = residual_scan(lambda x, t: 2.0 + 0.0 * x, grid)
+        report = _scan(lambda x, t: 2.0 + 0.0 * x, grid)
         assert report.max_abs == pytest.approx(2.0)
         assert report.rms == pytest.approx(2.0)
         assert report.n_points == 4
 
     def test_worst_point_location(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 11, 11, h=1e-3)
-        report = residual_scan(lambda x, t: x + 2.0 * t, grid)
+        report = _scan(lambda x, t: x + 2.0 * t, grid)
         assert report.worst_point == (1.0, 1.0)
         assert report.max_abs == pytest.approx(3.0)
         assert report.rms < report.max_abs
 
-    def test_vectorized_nan_region_counted_singular(self):
+    def test_nan_region_counted_singular(self):
         grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 21, 21, h=1e-3)
-        residual = lambda x, t: np.where(x + t > 1.0, np.nan, 1.0 + 0.0 * x)
-        report = residual_scan(residual, grid)
-        assert report.n_singular > 0
+        residual = lambda x, t: np.where(x > 0.55, np.nan, 1.0 + 0.0 * t)
+        report = _scan(residual, grid)
+        assert report.n_singular == 5 * 21  # the columns x = 0.6 ... 1.0
         assert report.n_points + report.n_singular == 21 * 21
         assert report.max_abs == pytest.approx(1.0)
 
-    def test_pointwise_evaluator_failure_counted_singular(self):
-        grid = Grid2D(0.0, 2.0, 0.0, 1.0, 21, 5, h=1e-3)
-        residual = lambda x, t: math.log(1.0 - x)  # fails for x >= 1
-        report = residual_scan(residual, grid)
-        assert report.n_singular > 0
-        assert report.n_points + report.n_singular == 21 * 5
-
     def test_all_singular_raises_empty_domain(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5, h=1e-3)
-        residual = lambda x, t: math.log(-1.0 - x * x)
+        with np.errstate(invalid="ignore"):
+            values = np.log(-1.0 - grid.mesh()[0] ** 2)
         with pytest.raises(EmptyDomainError):
-            residual_scan(residual, grid)
+            report_from_values(values, grid.mesh())
 
     def test_rms_of_huge_residuals_is_finite(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
@@ -254,7 +259,7 @@ class TestResidualScan:
 
     def test_scan_over_4d_grid(self):
         grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1, 5, 5, 5, 5, h=1e-3)
-        report = residual_scan(lambda x, y, z, t: x * y * z * t, grid)
+        report = _scan(lambda x, y, z, t: x * y * z * t, grid)
         assert report.max_abs == pytest.approx(1.0)
         assert report.worst_point == (1.0, 1.0, 1.0, 1.0)
         assert report.n_points == 5 ** 4
@@ -279,6 +284,23 @@ class TestGrids:
     def test_bad_grid_rejected(self, kwargs):
         with pytest.raises(InvalidGridError):
             Grid2D(**kwargs)
+
+    def test_node_arrays_are_built_once_and_read_only(self):
+        grid = Grid2D(nx=9, nt=7)
+        assert grid.xs is grid.xs and grid.ts is grid.ts
+        np.testing.assert_array_equal(grid.xs, np.linspace(-1.0, 1.0, 9))
+        np.testing.assert_array_equal(grid.ts, np.linspace(-1.0, 1.0, 7))
+        for nodes in (grid.xs, grid.ts):
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
+
+    def test_cached_nodes_leave_equality_and_hash_alone(self):
+        used, fresh = Grid2D(nx=9), Grid2D(nx=9)
+        used.mesh()
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {fresh: "cached"}[used] == "cached"
+        assert used.to_dict() == fresh.to_dict()
+        assert used != Grid2D(nx=11)
 
     def test_grid4d_per_axis_steps(self):
         grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=9, h=(1e-3, 1e-3, 1e-3, 1e-12))
