@@ -32,9 +32,11 @@ lattice derivative here uses fourth-order stencils:
 5-point interior, one-sided at edges.  Line integration is cumulative
 trapezoid with the Euler-Maclaurin endpoint correction, exact for cubic
 integrands; combined with the stencils this makes levels 0 through 3 of an
-exponential-seed hierarchy exact to rounding on the default grids.  Both
-axis orders of every line integral are always computed; their disagreement
-is the integrability diagnostic.
+exponential-seed hierarchy exact to rounding on the default grids.  The
+potential and the recursion step share one integrator: it always computes
+both axis orders, their disagreement is the integrability diagnostic, and
+it returns a TabulatedField that carries it as ``path_disagreement``.  The
+potential X is that field itself.
 
 The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
 starts from.  For an exponential seed it is exactly the constant pair
@@ -440,12 +442,15 @@ def symmetry_residual(phi: MatrixField, g: MatrixField, grid: Grid2D) -> Residua
     return report_from_values(residual, grid.mesh())
 
 
-def _line_integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray):
+def _integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray,
+               error: type, meaning: str) -> TabulatedField:
     """Integrate dF = rx dx + rt dt from the node nearest the origin.
 
-    Returns the average of the two axis orders and their max disagreement;
-    the disagreement measures the curl of the integrand, i.e. how far the
-    system is from integrable.
+    Both axis orders are computed; the result is their average plus
+    ``base``.  Their max disagreement measures the curl of the integrand,
+    i.e. how far the system is from integrable: past the tolerance it
+    raises ``error``, whose message ends with ``meaning``; otherwise it is
+    kept as the field's ``path_disagreement``.
     """
     i0 = int(np.argmin(np.abs(grid.xs)))
     j0 = int(np.argmin(np.abs(grid.ts)))
@@ -455,27 +460,22 @@ def _line_integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarr
     x_then_t = (gx[:, j0] - gx[i0, j0])[:, None] + (gt - gt[:, j0][:, None])
     t_then_x = (gt[i0, :] - gt[i0, j0])[None, :] + (gx - gx[i0, :][None, :])
     disagreement = float(np.max(np.abs(x_then_t - t_then_x)))
-    result = base + 0.5 * (x_then_t + t_then_x)
-    return result, disagreement
+    scale = max(1.0, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
+    tol = _PATH_TOL * grid.diameter * scale
+    if disagreement > tol:
+        raise error(
+            f"axis-ordered integrals disagree by {disagreement!r} (tolerance {tol!r}): {meaning}"
+        )
+    return TabulatedField(grid, base + 0.5 * (x_then_t + t_then_x),
+                          path_disagreement=disagreement)
 
 
-def _path_tolerance(grid: Grid2D, *integrands) -> float:
-    scale = max([1.0] + [float(np.max(np.abs(r))) for r in integrands])
-    return _PATH_TOL * grid.diameter * scale
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Potential X of the connection, with its integration diagnostic."""
-
-    X: TabulatedField
-    path_disagreement: float
-
-
-def potential(g: MatrixField, grid: Grid2D, base=None) -> Potential:
+def potential(g: MatrixField, grid: Grid2D, base=None) -> TabulatedField:
     """Integrate X_x = g^-1 g_t, -X_t = g^-1 g_x from the origin node.
 
     ``base``, an n x n matrix (zero by default), is X at the origin node.
+    Returns X as a TabulatedField whose ``path_disagreement`` is the
+    integration diagnostic.
 
     The potential exists exactly when g solves the chiral field equation;
     a seed that does not makes the two integration orders disagree and
@@ -484,17 +484,8 @@ def potential(g: MatrixField, grid: Grid2D, base=None) -> Potential:
     _require_lattice(grid)
     base_m = _base_matrix(base, g.n)
     U, V = g.connection(grid)
-    result, disagreement = _line_integrate(V, -U, grid, base_m)
-    tol = _path_tolerance(grid, U, V)
-    if disagreement > tol:
-        raise PathDependenceError(
-            f"axis-ordered integrals disagree by {disagreement!r} (tolerance {tol!r}): "
-            "the seed does not solve the chiral field equation"
-        )
-    return Potential(
-        X=TabulatedField(grid, result, path_disagreement=disagreement),
-        path_disagreement=disagreement,
-    )
+    return _integrate(V, -U, grid, base_m, PathDependenceError,
+                      "the seed does not solve the chiral field equation")
 
 
 def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
@@ -514,14 +505,8 @@ def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
     p = phi.sample(grid)
     rx = phi.d1_samples(grid, 1) + _commutator(V, p)
     rt = -(phi.d1_samples(grid, 0) + _commutator(U, p))
-    result, disagreement = _line_integrate(rx, rt, grid, base_m)
-    tol = _path_tolerance(grid, rx, rt)
-    if disagreement > tol:
-        raise IntegrabilityError(
-            f"axis-ordered integrals disagree by {disagreement!r} (tolerance {tol!r}): "
-            "input violates the integrability condition of the recursion"
-        )
-    return TabulatedField(grid, result, path_disagreement=disagreement)
+    return _integrate(rx, rt, grid, base_m, IntegrabilityError,
+                      "input violates the integrability condition of the recursion")
 
 
 @dataclass(frozen=True)

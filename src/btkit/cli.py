@@ -363,12 +363,12 @@ def _run_chiral(args):
         pot = chiral_recursion.potential(g, grid, base=base)
         result = {
             "seed": g.to_dict(),
-            "potential": pot.X.to_dict(),
+            "potential": pot.to_dict(),
             "path_disagreement": pot.path_disagreement,
         }
         scans = {"chiral": chiral_recursion.chiral_residual(g, grid)} if args.verify else {}
         table = (["x", "t"] + _entry_columns("X", g.n),
-                 lambda: _grid_rows((X, T), pot.X.values))
+                 lambda: _grid_rows((X, T), pot.values))
         return params, grid.to_dict(), result, scans, table
 
     M = _complex_matrix(args.m_re, args.m_im, "M")

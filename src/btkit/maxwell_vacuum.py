@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
-from .media import CONSTANTS, VACUUM, MediumParams
+from .media import VACUUM, MediumParams
 from .verify import (Grid4D, ResidualReport, Stencil, curl, divergence, magnitude,
                      report_from_values)
 

@@ -64,7 +64,8 @@ class Grid2D:
 
     ``h`` is the central-difference step used by residual evaluators on this
     grid; it must stay strictly below one tenth of the smallest grid spacing.
-    The node arrays ``xs`` and ``ts`` are built once per grid and read-only.
+    The node arrays ``xs`` and ``ts`` and the ``mesh()`` arrays are built once
+    per grid and read-only, shared by every caller.
     """
 
     x_min: float = -1.0
@@ -96,8 +97,15 @@ class Grid2D:
     def ts(self) -> np.ndarray:
         return _nodes(self.t_min, self.t_max, self.nt)
 
+    @cached_property
+    def _mesh(self) -> tuple:
+        X, T = np.meshgrid(self.xs, self.ts, indexing="ij")
+        X.setflags(write=False)
+        T.setflags(write=False)
+        return X, T
+
     def mesh(self):
-        return np.meshgrid(self.xs, self.ts, indexing="ij")
+        return self._mesh
 
     @property
     def diameter(self) -> float:

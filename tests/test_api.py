@@ -36,7 +36,6 @@ PUBLIC_API = [
     "NormalizationError",
     "PathDependenceError",
     "PhysicalConstants",
-    "Potential",
     "ResidualReport",
     "ScalarField2D",
     "SingularMatrixError",
@@ -82,7 +81,7 @@ PUBLIC_API = [
 
 class TestPublicApi:
     def test_all_matches_the_snapshot(self):
-        assert len(PUBLIC_API) == 63
+        assert len(PUBLIC_API) == 62
         assert sorted(btkit.__all__) == PUBLIC_API
 
     def test_every_name_resolves(self):

@@ -11,6 +11,8 @@ integrator).  Degree growth is measured by least-squares polynomial
 fitting, not by the recursion's own bookkeeping.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -20,7 +22,6 @@ from btkit.chiral_recursion import (
     ConstantField,
     ExpSeedField,
     MatrixField,
-    Potential,
     SymmetryCharacteristic,
     TabulatedField,
     _commutator,
@@ -299,17 +300,17 @@ class TestPotential:
         pot = potential(g, GRID, base=base)
         X, T = GRID.mesh()
         exact = X[..., None, None] * B - T[..., None, None] * A + base
-        assert isinstance(pot, Potential)
-        assert np.max(np.abs(pot.X.values - exact)) < 1e-8
+        assert isinstance(pot, TabulatedField)
+        assert pot.grid == GRID and pot.n == 3
+        assert np.max(np.abs(pot.values - exact)) < 1e-8
         assert pot.path_disagreement < 1e-6
-        assert pot.X.path_disagreement == pot.path_disagreement
 
     def test_base_defaults_to_zero_at_origin_node(self, exp_setup):
         _, _, _, g = exp_setup
         pot = potential(g, GRID)
         i0 = int(np.argmin(np.abs(GRID.xs)))
         j0 = int(np.argmin(np.abs(GRID.ts)))
-        np.testing.assert_allclose(pot.X.values[i0, j0], 0.0, atol=1e-14)
+        np.testing.assert_allclose(pot.values[i0, j0], 0.0, atol=1e-14)
 
     def test_non_solution_seed_raises_path_dependence(self):
         A = np.array([[0.4, 0.1], [0.0, -0.3]])
@@ -319,6 +320,25 @@ class TestPotential:
         with pytest.raises(PathDependenceError, match="disagree"):
             potential(g, GRID)
 
+    @pytest.mark.parametrize("integrate, error, meaning", [
+        (lambda g: potential(g, GRID), PathDependenceError,
+         "the seed does not solve the chiral field equation"),
+        (lambda g: recursion_step(ConstantField([[0.0, 1.0], [0.0, 0.0]]), g, GRID),
+         IntegrabilityError, "input violates the integrability condition of the recursion"),
+    ], ids=["potential", "recursion_step"])
+    def test_non_solution_seed_fails_the_shared_integrator(self, integrate, error, meaning):
+        # U_x + V_t = 2A != 0, and [2A, M] != 0, so neither system is curl-free
+        A = np.array([[0.4, 0.1], [0.0, -0.3]])
+        g = TabulatedField.from_function(
+            lambda X, T: expm((X ** 2)[..., None, None] * A), GRID
+        )
+        with pytest.raises(PathDependenceError) as excinfo:
+            integrate(g)
+        assert type(excinfo.value) is error
+        assert re.fullmatch(
+            r"axis-ordered integrals disagree by \S+ \(tolerance \S+\): " + re.escape(meaning),
+            str(excinfo.value),
+        )
 
     @pytest.mark.parametrize("base", [[[1.0]], np.eye(2)], ids=["1x1", "2x2"])
     @pytest.mark.parametrize("integrate", [

@@ -274,7 +274,7 @@ def _chiral_potential_table():
     argv = ["chiral", "potential", "--a-re", A_RE, "--b-re", B_RE, "--nx", "8", "--nt", "6",
             "--base-re", "[[1, 2], [3, 4]]", "--base-im", "[[0.5, 0], [0, -0.25]]"]
     return (argv, ["x", "t"] + _entries("X", 2),
-            _reference_table(grid.mesh(), potential(g, grid, base=base).X.values))
+            _reference_table(grid.mesh(), potential(g, grid, base=base).values))
 
 
 def _hierarchy_table():
@@ -413,6 +413,17 @@ class TestChiralResidual:
         expected["worst_point"] = list(expected["worst_point"])
         assert payload["result"]["report"] == expected
         assert payload["verify"]["scans"]["chiral"] == expected
+
+
+class TestChiralPotential:
+    def test_payload_is_the_library_field(self, capsys):
+        grid = Grid2D(nx=12, nt=10)
+        _, out, _ = run(capsys, "chiral", "potential", "--a-re", A3_RE, "--b-re", B3_RE,
+                        "--nx", "12", "--nt", "10")
+        payload = json.loads(out)
+        pot = potential(ExpSeedField(json.loads(A3_RE), json.loads(B3_RE)), grid)
+        assert payload["result"]["path_disagreement"] == pot.path_disagreement
+        assert payload["result"]["potential"] == pot.to_dict()
 
 
 def _readme_examples():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from btkit import classic_bts
+from btkit import classic_bts, cli
 from btkit.errors import EmptyDomainError, InvalidGridError
 from btkit.maxwell_conductor import conjugate_conducting, modified_wave_residual
 from btkit.maxwell_vacuum import FieldPair, conjugate_vacuum, maxwell_residual, wave_residual
@@ -301,6 +301,38 @@ class TestGrids:
         assert {fresh: "cached"}[used] == "cached"
         assert used.to_dict() == fresh.to_dict()
         assert used != Grid2D(nx=11)
+
+    def test_mesh_is_built_once_per_grid_and_read_only(self):
+        grid = Grid2D(nx=9, nt=7)
+        X, T = grid.mesh()
+        assert grid.mesh()[0] is X and grid.mesh()[1] is T
+        expected = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 7),
+                               indexing="ij")
+        np.testing.assert_array_equal(X, expected[0])
+        np.testing.assert_array_equal(T, expected[1])
+        for nodes in (X, T):
+            with pytest.raises(ValueError):
+                nodes[0, 0] = 0.0
+        fresh = Grid2D(nx=9, nt=7)
+        assert grid == fresh and hash(grid) == hash(fresh)
+
+    def test_chiral_hierarchy_run_builds_one_mesh(self, monkeypatch, capsys):
+        # the CLI builds one grid, so its hierarchy, scans and CSV table
+        # all share one mesh
+        calls = []
+        meshgrid = np.meshgrid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return meshgrid(*args, **kwargs)
+
+        monkeypatch.setattr(np, "meshgrid", counting)
+        argv = ["chiral", "hierarchy", "--a-re", "[[0.1, 0.2], [0.0, -0.1]]",
+                "--b-re", "[[0.3, 0.1], [0.0, 0.2]]", "--m-re", "[[0.0, 1.0], [0.0, 0.0]]",
+                "--levels", "3", "--verify", "--format", "both"]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_grid4d_per_axis_steps(self):
         grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=9, h=(1e-3, 1e-3, 1e-3, 1e-12))
