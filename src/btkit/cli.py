@@ -160,7 +160,8 @@ def _add_em_flags(parser) -> None:
                         metavar=("EX", "EY", "EZ"))
     parser.add_argument("--tau", type=float, nargs=3, default=[0.0, 0.0, 1.0],
                         metavar=("TX", "TY", "TZ"))
-    parser.add_argument("--alpha", type=float, default=0.0)
+    parser.add_argument("--alpha", type=float, default=0.0, help="polarization phase, only "
+                        "recorded in params/spec: the complex amplitude carries the phase")
     parser.add_argument("--samples", type=int, default=9)
     freq = parser.add_mutually_exclusive_group(required=True)
     freq.add_argument("--omega", type=float, help="angular frequency, rad/s")

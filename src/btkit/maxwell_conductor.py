@@ -33,6 +33,9 @@ which trails E by the phase phi = arctan(s / k) of k + i s and exceeds it
 in amplitude by sqrt(k^2 + s^2) / omega.  The remaining field equation,
 (k + i s) tau x B0 = -(eps mu omega + i mu sigma) E0, follows from these
 and is checked rather than imposed.
+
+A conductor changes the construction of ``maxwell_vacuum`` only through
+k + i s: ``ConductorWavePair`` is the ``WavePair`` that supplies k, s and B0.
 """
 
 from __future__ import annotations
@@ -43,20 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BtkitError, InvalidParameterError
-from .maxwell_vacuum import VacuumWaveSpec, _as_vec3, _wave_terms
-from .media import VACUUM, MediumParams
+from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _wave_terms
+from .media import MediumParams
 from .verify import Grid4D, ResidualReport, magnitude, report_from_values
-
-__all__ = [
-    "MediumParams",
-    "VACUUM",
-    "DispersionSolution",
-    "dispersion_solve",
-    "ConductorWavePair",
-    "conjugate_conducting",
-    "real_fields_conducting",
-    "modified_wave_residual",
-]
 
 _BRANCH_TOL = 1e-12
 
@@ -124,6 +116,9 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     if not (omega > 0.0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     eps, mu, sigma = medium.epsilon, medium.mu, medium.sigma
+    if eps * omega == 0.0:
+        raise InvalidParameterError(
+            f"epsilon * omega underflows to 0 (epsilon={eps}, omega={omega})")
     loss_tangent = sigma / (eps * omega)
     k = omega * math.sqrt(eps * mu) * math.sqrt((1.0 + math.hypot(1.0, loss_tangent)) / 2.0)
     s = mu * sigma * omega / (2.0 * k)
@@ -138,11 +133,13 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     return DispersionSolution(k=k, s=s, phi=phi, omega=omega)
 
 
-class ConductorWavePair:
+class ConductorWavePair(WavePair):
     """Conjugate attenuated (E, B) pair in a conducting medium.
 
-    The magnetic amplitude trails the electric one by the dispersion angle
-    phi and both share the envelope exp(-s tau . r).
+    The sigma > 0 case of ``WavePair``, which supplies the carrier and the
+    evaluators: the complex wavenumber k + i s of ``dispersion`` sets the
+    envelope exp(-s tau . r) both fields share and the magnetic amplitude,
+    which trails the electric one by the dispersion angle phi.
     """
 
     def __init__(self, spec: VacuumWaveSpec, medium: MediumParams,
@@ -151,38 +148,14 @@ class ConductorWavePair:
         self.medium = medium
         self.dispersion = dispersion
         self.real = real
-        self.B0 = (dispersion.k + 1j * dispersion.s) / dispersion.omega * np.cross(
-            spec.tau, spec.E0
-        )
+        self.k = dispersion.k
+        self.s = dispersion.s
+        self.B0 = (self.k + 1j * self.s) / dispersion.omega * np.cross(spec.tau, spec.E0)
 
-    @property
-    def k(self) -> float:
-        return self.dispersion.k
-
-    @property
-    def e_scale(self) -> float:
-        return float(np.linalg.norm(self.spec.E0))
-
-    @property
-    def b_scale(self) -> float:
-        return float(np.linalg.norm(self.B0))
-
-    def _carrier(self, r, t) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        along = r @ self.spec.tau
-        phase = self.dispersion.k * along - self.spec.omega * np.asarray(t)
-        return np.exp(-self.dispersion.s * along) * np.exp(1j * phase)
-
-    def E(self, r, t) -> np.ndarray:
-        wave = self._carrier(r, t)[..., None] * self.spec.E0
-        return wave.real if self.real else wave
-
-    def B(self, r, t) -> np.ndarray:
-        wave = self._carrier(r, t)[..., None] * self.B0
-        return wave.real if self.real else wave
-
-    def default_grid(self, samples: int = 9) -> Grid4D:
-        return Grid4D.for_wave(self.dispersion.k, self.spec.omega, samples)
+    # WavePair's evaluators, bound here as well: the bench tracer
+    # (bench/spans.py) wraps methods through each class's own __dict__
+    E = WavePair.E
+    B = WavePair.B
 
     def to_dict(self) -> dict:
         out = self.spec.to_dict()

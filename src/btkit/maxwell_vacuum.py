@@ -19,6 +19,11 @@ so B is transverse as well, orthogonal to E under the bilinear dot product,
 and oscillates in phase with it.  Real solutions are the real parts; for a
 linearly polarized amplitude E0 = E0R exp(i alpha) with real E0R both real
 fields carry the same phase k . r - omega t + alpha.
+
+``WavePair`` is the one plane-wave pair for every linear medium: a
+conductor (``maxwell_conductor``) replaces k by k + i s, which adds the
+envelope exp(-s tau . r) to the shared carrier and the factor (k + i s) /
+omega to B0; a non-conducting medium has s = 0.
 """
 
 from __future__ import annotations
@@ -98,11 +103,14 @@ class VacuumWaveSpec:
 
 
 class WavePair:
-    """A conjugate (E, B) plane-wave pair in a non-conducting medium.
+    """A conjugate (E, B) plane-wave pair in a linear medium.
 
     Evaluators take r with shape (..., 3) and broadcastable t and return
     (..., 3) arrays; complex by default, real parts when ``real`` is set.
+    The attenuation ``s`` is 0 here; ``ConductorWavePair`` sets k, s and B0.
     """
+
+    s = 0.0
 
     def __init__(self, spec: VacuumWaveSpec, medium: MediumParams = VACUUM,
                  real: bool = False):
@@ -131,7 +139,10 @@ class WavePair:
     def _carrier(self, r, t) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         phase = r @ self.k_vector - self.spec.omega * np.asarray(t)
-        return np.exp(1j * phase)
+        wave = np.exp(1j * phase)
+        if self.s:
+            wave = np.exp(-self.s * (r @ self.spec.tau)) * wave
+        return wave
 
     def E(self, r, t) -> np.ndarray:
         wave = self._carrier(r, t)[..., None] * self.spec.E0

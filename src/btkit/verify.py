@@ -58,6 +58,13 @@ def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
     return nodes
 
 
+def _frozen_mesh(*axes) -> tuple:
+    mesh = np.meshgrid(*axes, indexing="ij")
+    for coords in mesh:
+        coords.setflags(write=False)
+    return tuple(mesh)
+
+
 @dataclass(frozen=True)
 class Grid2D:
     """Rectangular sample grid for fields of two variables (x, t).
@@ -99,10 +106,7 @@ class Grid2D:
 
     @cached_property
     def _mesh(self) -> tuple:
-        X, T = np.meshgrid(self.xs, self.ts, indexing="ij")
-        X.setflags(write=False)
-        T.setflags(write=False)
-        return X, T
+        return _frozen_mesh(self.xs, self.ts)
 
     def mesh(self):
         return self._mesh
@@ -125,7 +129,8 @@ class Grid4D:
 
     ``h`` may be a single step or one step per axis.  Electromagnetic fields
     in SI units vary on metres in space but on fractions of a nanosecond in
-    time, so a per-axis step keeps the stencil matched to each scale.
+    time, so a per-axis step keeps the stencil matched to each scale.  The
+    ``axes()`` and ``mesh()`` arrays are built once per grid and read-only.
     """
 
     x_min: float
@@ -166,11 +171,19 @@ class Grid4D:
             raise InvalidGridError(f"per-axis step needs 4 entries, got {len(h)}")
         return h
 
+    @cached_property
+    def _axes(self) -> tuple:
+        return tuple(_nodes(lo, hi, n) for lo, hi, n in self._axis_specs())
+
+    @cached_property
+    def _mesh(self) -> tuple:
+        return _frozen_mesh(*self._axes)
+
     def axes(self):
-        return [np.linspace(lo, hi, n) for lo, hi, n in self._axis_specs()]
+        return self._axes
 
     def mesh(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
+        return self._mesh
 
     @classmethod
     def for_wave(cls, wavenumber: float, omega: float, samples: int = 9,

@@ -127,14 +127,23 @@ class TestExitCodes:
         assert proc.stderr.startswith("btkit: error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("argv", [
-        ["em", "medium", "--omega", "1", "--epsilon-rel", "1e300", "--mu-rel", "1e300"],
-        ["em", "medium", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200"],
-        ["em", "conductor", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200",
-         "--sigma", "1"],
-    ], ids=["medium-overflow", "medium-underflow", "conductor-underflow"])
-    def test_unrepresentable_medium_is_one_error_line(self, argv):
-        # eps * mu over- or underflows although each factor is finite and positive
+    @pytest.mark.parametrize("argv, message", [
+        (["em", "medium", "--omega", "1", "--epsilon-rel", "1e300", "--mu-rel", "1e300"],
+         "epsilon * mu must be positive and finite"),
+        (["em", "medium", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200"],
+         "epsilon * mu must be positive and finite"),
+        (["em", "conductor", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200",
+          "--sigma", "1"], "epsilon * mu must be positive and finite"),
+        (["em", "conductor", "--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300",
+          "--sigma", "1"], "epsilon * omega underflows to 0"),
+        (["em", "conductor", "--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300",
+          "--sigma", "0"], "epsilon * omega underflows to 0"),
+    ], ids=["medium-overflow", "medium-underflow", "conductor-underflow",
+            "eps-omega-underflow-conducting", "eps-omega-underflow-non-conducting"])
+    def test_unrepresentable_medium_is_one_error_line(self, argv, message):
+        # eps * mu over- or underflows although each factor is finite and
+        # positive; or eps * mu = 1 but eps * omega underflows to 0, where the
+        # loss tangent sigma / (eps omega) once divided by zero
         proc = run_python(f"""
             import sys
             from btkit.cli import main
@@ -142,7 +151,7 @@ class TestExitCodes:
         """)
         assert proc.returncode == EXIT_PRECONDITION
         assert proc.stdout == ""
-        assert proc.stderr.startswith("btkit: error: epsilon * mu must be positive and finite")
+        assert proc.stderr.startswith("btkit: error: " + message)
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("base", ["[[1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],

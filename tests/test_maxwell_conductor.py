@@ -14,7 +14,7 @@ from btkit.maxwell_conductor import (
     modified_wave_residual,
     real_fields_conducting,
 )
-from btkit.maxwell_vacuum import conjugate_vacuum, maxwell_residual
+from btkit.maxwell_vacuum import WavePair, conjugate_vacuum, maxwell_residual
 from btkit.media import EPSILON0, MU0, MediumParams, VACUUM
 from btkit.verify import Grid4D
 
@@ -95,6 +95,11 @@ class TestDispersion:
             dispersion_solve(SYNTH, 0.0)
         with pytest.raises(InvalidParameterError):
             dispersion_solve(SYNTH, -5.0)
+        for sigma in (1.0, 0.0):
+            # eps * mu = 1 is fine, but eps * omega underflows to 0, so the
+            # loss tangent sigma / (eps omega) is undefined
+            with pytest.raises(InvalidParameterError, match=r"epsilon \* omega underflows"):
+                dispersion_solve(MediumParams(1e-300, 1e300, sigma), 1e-30)
 
     def test_solution_invariants_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -143,6 +148,29 @@ class TestConjugation:
         np.testing.assert_allclose(cond.B0, vac.B0, rtol=1e-12)
         r0 = np.array([0.05, 0.02, -0.3])
         np.testing.assert_allclose(cond.E(r0, 1e-9), vac.E(r0, 1e-9), rtol=1e-12)
+
+
+    def test_zero_attenuation_pair_shares_the_non_conducting_carrier(self):
+        # one carrier serves both classes: with s = 0 and the same k the
+        # conductor's E is bit-identical to the medium pair's, even at an
+        # oblique direction where k (r . tau) and r . (k tau) round apart
+        medium = MediumParams(4.0 * EPSILON0, MU0, 0.0)
+        omega = 1.0e9
+        vac = conjugate_vacuum([0.8, -0.64, 0.0], [0.48, 0.6, 0.64], omega, medium)
+        dispersion = DispersionSolution(k=vac.k, s=0.0, phi=0.0, omega=omega)
+        cond = ConductorWavePair(vac.spec, medium, dispersion)
+        meshes = vac.default_grid(5).mesh()
+        R = np.stack(meshes[:3], axis=-1)
+        assert np.array_equal(cond.E(R, meshes[3]), vac.E(R, meshes[3]))
+        np.testing.assert_array_equal(cond.k_vector, vac.k_vector)
+
+    def test_conducting_pairs_are_wave_pairs(self):
+        pairs = (conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], SYNTH, 1.0),
+                 real_fields_conducting([1.0, 0.0, 0.0], 0.3, [0.0, 0.0, 1.0], SYNTH, 1.0))
+        for pair in pairs:
+            assert isinstance(pair, WavePair)
+            assert (pair.k, pair.s) == (pair.dispersion.k, pair.dispersion.s)
+            np.testing.assert_array_equal(pair.k_vector, [0.0, 0.0, pair.k])
 
 
 class TestFieldScans:

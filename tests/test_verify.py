@@ -334,6 +334,45 @@ class TestGrids:
         capsys.readouterr()
         assert len(calls) == 1
 
+    def test_grid4d_nodes_and_mesh_are_built_once_and_read_only(self):
+        bounds = (0.0, 1.0, -1.0, 2.0, 0.0, 3.0, 0.0, 4.0)
+        grid = Grid4D(*bounds, 5, 4, 3, 2, h=1e-3)
+        axes, meshes = grid.axes(), grid.mesh()
+        assert all(a is b for a, b in zip(grid.axes(), axes))
+        assert all(a is b for a, b in zip(grid.mesh(), meshes))
+        expected_axes = [np.linspace(lo, hi, n)
+                         for lo, hi, n in zip(bounds[::2], bounds[1::2], (5, 4, 3, 2))]
+        expected = np.meshgrid(*expected_axes, indexing="ij")
+        for got, want in zip(axes + meshes, expected_axes + list(expected)):
+            np.testing.assert_array_equal(got, want)
+            with pytest.raises(ValueError):
+                got.flat[0] = 0.0
+        fresh = Grid4D(*bounds, 5, 4, 3, 2, h=1e-3)
+        assert grid == fresh and hash(grid) == hash(fresh)
+        assert {fresh: "cached"}[grid] == "cached"
+        assert grid.to_dict() == fresh.to_dict()
+        assert grid != Grid4D(*bounds, 5, 4, 3, 3, h=1e-3)
+
+    def test_em_vacuum_run_builds_one_mesh(self, monkeypatch, capsys):
+        # the verify scan and the CSV table share the grid's one mesh
+        calls = {"meshgrid": 0, "linspace": 0}
+
+        def counting(name):
+            original = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name))
+        argv = ["em", "vacuum", "--omega", "1e9", "--verify", "--format", "both"]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        assert calls == {"meshgrid": 1, "linspace": 4}
+
     def test_grid4d_per_axis_steps(self):
         grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=9, h=(1e-3, 1e-3, 1e-3, 1e-12))
         assert grid.steps == (1e-3, 1e-3, 1e-3, 1e-12)
