@@ -393,12 +393,21 @@ class TabulatedField(MatrixField):
 
 # --- operators -------------------------------------------------------------
 
-def _require_lattice(grid: Grid2D) -> None:
+def _require_lattice(grid: Grid2D, squared: bool = True) -> None:
+    """Reject lattices the fourth-order operators cannot serve.
+
+    Second derivatives and the cumulative integral take the square of the
+    spacing, which a Python float raises on past about 1.3e154; only the
+    first-derivative defect scan passes ``squared=False``.
+    """
     if grid.nx < _MIN_NODES or grid.nt < _MIN_NODES:
         raise InvalidGridError(
             f"lattice operators need at least {_MIN_NODES} nodes per axis, "
             f"got {grid.nx} x {grid.nt}"
         )
+    for name, spacing in (("dx", grid.dx), ("dt", grid.dt)):
+        if squared and math.isinf(spacing * spacing):
+            raise InvalidGridError(f"lattice spacing {name} = {spacing!r} is too wide to square")
 
 
 def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
@@ -414,7 +423,7 @@ def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
 
 def chiral_defect_samples(g: MatrixField, grid: Grid2D) -> np.ndarray:
     """Per-node max-entry magnitude of (g^-1 g_x)_x + (g^-1 g_t)_t."""
-    _require_lattice(grid)
+    _require_lattice(grid, squared=False)
     U, V = g.connection(grid)
     residual = (
         _lattice_derivative(U, grid.dx, 0) + _lattice_derivative(V, grid.dt, 1)
@@ -454,12 +463,16 @@ def _integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray,
     """
     i0 = int(np.argmin(np.abs(grid.xs)))
     j0 = int(np.argmin(np.abs(grid.ts)))
-    gx = _cumulative_integral(rx, grid.dx, 0)
-    gt = _cumulative_integral(rt, grid.dt, 1)
-
-    x_then_t = (gx[:, j0] - gx[i0, j0])[:, None] + (gt - gt[:, j0][:, None])
-    t_then_x = (gt[i0, :] - gt[i0, j0])[None, :] + (gx - gx[i0, :][None, :])
-    disagreement = float(np.max(np.abs(x_then_t - t_then_x)))
+    # an integral past the float range is rejected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx = _cumulative_integral(rx, grid.dx, 0)
+        gt = _cumulative_integral(rt, grid.dt, 1)
+        x_then_t = (gx[:, j0] - gx[i0, j0])[:, None] + (gt - gt[:, j0][:, None])
+        t_then_x = (gt[i0, :] - gt[i0, j0])[None, :] + (gx - gx[i0, :][None, :])
+        disagreement = float(np.max(np.abs(x_then_t - t_then_x)))
+    if not math.isfinite(disagreement):
+        raise InvalidParameterError("axis-ordered integrals overflow the float range on "
+                                    f"this grid (diameter {grid.diameter!r})")
     scale = max(1.0, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
     tol = _PATH_TOL * grid.diameter * scale
     if disagreement > tol:

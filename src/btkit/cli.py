@@ -21,6 +21,7 @@ tolerance; 64 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -79,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _format_float(value: float) -> str:
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {value!r} cannot be serialized")
+        raise BtkitError(f"non-finite value {value!r} cannot be serialized")
     return format(float(value), ".17g")
 
 
@@ -102,10 +103,6 @@ def _emit_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _csv_cell(value: float) -> str:
-    return _format_float(value) if math.isfinite(value) else "nan"
-
-
 def _complex_columns(labels):
     return [f"{label}_{part}" for label in labels for part in ("re", "im")]
 
@@ -114,12 +111,12 @@ def _entry_columns(prefix: str, n: int):
     return _complex_columns(f"{prefix}_{r}_{c}" for r in range(n) for c in range(n))
 
 
-def _grid_rows(meshes, *blocks):
-    """One CSV row per node, in the meshes' C order.
+def _grid_table(meshes, *blocks) -> np.ndarray:
+    """The CSV table of a grid as one float array, a row per node in C order.
 
     A row holds the node's mesh coordinates, then each block's entries at
-    that node; a complex entry fills two cells, its real then its imaginary
-    part.  Rows are yielded one at a time, so no whole-table list is built.
+    that node; a complex entry fills two columns, its real then its
+    imaginary part.
     """
     n = np.size(meshes[0])
     parts = [np.reshape(m, (n, 1)) for m in meshes]
@@ -128,8 +125,7 @@ def _grid_rows(meshes, *blocks):
             parts.append(np.ascontiguousarray(block, dtype=complex).reshape(n, -1).view(float))
         else:
             parts.append(np.asarray(block, dtype=float).reshape(n, -1))
-    for k in range(n):
-        yield np.concatenate([part[k] for part in parts]).tolist()
+    return np.hstack(parts)
 
 
 # --- shared argument plumbing ----------------------------------------------
@@ -296,7 +292,7 @@ def _run_classic(args):
 
     def rows():
         X, T = grid.mesh()
-        return _grid_rows((X, T), *(f(X, T) for _, f in fields))
+        return _grid_table((X, T), *(f(X, T) for _, f in fields))
 
     return params, grid.to_dict(), result, scans, (columns, rows)
 
@@ -332,7 +328,7 @@ def _run_em(args):
     def rows():
         meshes = grid.mesh()
         R = np.stack(meshes[:3], axis=-1)
-        return _grid_rows(meshes, pair.E(R, meshes[3]), pair.B(R, meshes[3]))
+        return _grid_table(meshes, pair.E(R, meshes[3]), pair.B(R, meshes[3]))
 
     return params, grid.to_dict(), result, scans, (_EM_COLUMNS, rows)
 
@@ -351,7 +347,7 @@ def _run_chiral(args):
         report = report_from_values(values, (X, T))
         result = {"seed": g.to_dict(), "report": report.to_dict()}
         scans = {"chiral": report} if args.verify else {}
-        table = (["x", "t", "residual"], lambda: _grid_rows((X, T), values))
+        table = (["x", "t", "residual"], lambda: _grid_table((X, T), values))
         return params, grid.to_dict(), result, scans, table
 
     if args.sub == "potential":
@@ -369,7 +365,7 @@ def _run_chiral(args):
         }
         scans = {"chiral": chiral_recursion.chiral_residual(g, grid)} if args.verify else {}
         table = (["x", "t"] + _entry_columns("X", g.n),
-                 lambda: _grid_rows((X, T), pot.values))
+                 lambda: _grid_table((X, T), pot.values))
         return params, grid.to_dict(), result, scans, table
 
     M = _complex_matrix(args.m_re, args.m_im, "M")
@@ -392,9 +388,9 @@ def _run_chiral(args):
     columns = ["level", "x", "t"] + _entry_columns("phi", g.n) + _entry_columns("q", g.n)
 
     def rows():
-        for item in levels:
-            yield from _grid_rows((np.full_like(X, item.level), X, T),
-                                  item.phi.sample(grid), item.q_samples(grid))
+        return np.vstack([_grid_table((np.full_like(X, item.level), X, T),
+                                      item.phi.sample(grid), item.q_samples(grid))
+                          for item in levels])
 
     return params, grid.to_dict(), result, scans, (columns, rows)
 
@@ -498,14 +494,14 @@ def _build_parser() -> _Parser:
 _RUNNERS = {"classic": _run_classic, "em": _run_em, "chiral": _run_chiral}
 
 
-def _write(text: str, path) -> None:
-    """Write ``text`` to ``path``, or to stdout when no path is given."""
+def _write(chunks, path) -> None:
+    """Write the strings ``chunks`` to ``path``, or to stdout when no path is given."""
     try:
         if path:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
     except OSError as exc:
         raise _UsageError(f"cannot write output: {exc}") from exc
 
@@ -527,11 +523,14 @@ def main(argv=None) -> int:
         payload = {"command": name, "params": params, "grid": grid_dict, "result": result,
                    "verify": block}
         if args.format in ("json", "both"):
-            _write(_emit_json(payload) + "\n", args.output)
+            _write([_emit_json(payload), "\n"], args.output)
         if args.format in ("csv", "both"):
-            lines = [",".join(columns)]
-            lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows())
-            _write("\n".join(lines) + "\n", args.csv_output)
+            table = rows()
+            table[~np.isfinite(table)] = np.nan  # "%g" would write inf as inf
+            row = ",".join(["%.17g"] * len(columns)) + "\n"
+            _write(itertools.chain([",".join(columns) + "\n"],
+                                   (row % tuple(cells.tolist()) for cells in table)),
+                   args.csv_output)
     except (_UsageError, BtkitError) as exc:
         print(f"btkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_PRECONDITION

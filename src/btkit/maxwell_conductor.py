@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BtkitError, InvalidParameterError
-from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _wave_terms
+from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _finite_partner, _wave_terms
 from .media import MediumParams
 from .verify import Grid4D, ResidualReport, magnitude, report_from_values
 
@@ -150,7 +150,9 @@ class ConductorWavePair(WavePair):
         self.real = real
         self.k = dispersion.k
         self.s = dispersion.s
-        self.B0 = (self.k + 1j * self.s) / dispersion.omega * np.cross(spec.tau, spec.E0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.B0 = _finite_partner(
+                (self.k + 1j * self.s) / dispersion.omega * np.cross(spec.tau, spec.E0))
 
     # WavePair's evaluators, bound here as well: the bench tracer
     # (bench/spans.py) wraps methods through each class's own __dict__

@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
 from .media import VACUUM, MediumParams
-from .verify import (Grid4D, ResidualReport, Stencil, curl, divergence, magnitude,
-                     report_from_values)
+from .verify import (Grid4D, ResidualReport, Stencil, _exact_scale, curl, divergence,
+                     magnitude, report_from_values)
 
 _UNIT_TOL = 1e-12
 
@@ -60,12 +60,36 @@ def _check_direction(tau: np.ndarray) -> np.ndarray:
     return tau
 
 
+def _scaled(vector: np.ndarray):
+    """``vector`` divided by a power of two near its largest part, and that power.
+
+    Sums of squares of the quotient cannot overflow, and wherever the plain
+    ones neither overflow nor underflow, scaling back is bit-identical.
+    """
+    scale = _exact_scale(float(magnitude(vector, 0)))
+    return vector / scale, scale
+
+
+def _norm(vector: np.ndarray) -> float:
+    unit, scale = _scaled(vector)
+    return scale * float(np.linalg.norm(unit))
+
+
+def _finite_partner(B0: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(B0)):
+        raise InvalidParameterError("partner amplitude B0 overflows: |E0| is too large "
+                                    "for this medium")
+    return B0
+
+
 def _check_transverse(tau: np.ndarray, E0: np.ndarray) -> None:
-    dot = complex(np.dot(tau, E0))
-    scale = float(np.linalg.norm(E0))
-    if abs(dot) > _UNIT_TOL * max(scale, 1e-300):
+    unit, scale = _scaled(E0)
+    dot = complex(np.dot(tau, unit))
+    norm = float(np.linalg.norm(unit))
+    if abs(dot) > _UNIT_TOL * max(norm, 1e-300 / scale):
+        dot = complex(dot.real * scale, dot.imag * scale)
         raise TransversalityError(
-            f"amplitude is not transverse: tau . E0 = {dot!r} (|E0| = {scale!r}); "
+            f"amplitude is not transverse: tau . E0 = {dot!r} (|E0| = {norm * scale!r}); "
             "longitudinal components are rejected, not projected out"
         )
 
@@ -122,7 +146,8 @@ class WavePair:
         self.medium = medium
         self.real = real
         self.k = spec.omega / medium.wave_speed
-        self.B0 = np.cross(spec.tau, spec.E0) / medium.wave_speed
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.B0 = _finite_partner(np.cross(spec.tau, spec.E0) / medium.wave_speed)
 
     @property
     def k_vector(self) -> np.ndarray:
@@ -130,11 +155,11 @@ class WavePair:
 
     @property
     def e_scale(self) -> float:
-        return float(np.linalg.norm(self.spec.E0))
+        return _norm(self.spec.E0)
 
     @property
     def b_scale(self) -> float:
-        return float(np.linalg.norm(self.B0))
+        return _norm(self.B0)
 
     def _carrier(self, r, t) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -164,7 +189,8 @@ class FieldPair:
     """An arbitrary (E, B) evaluator pair with its normalization scales.
 
     Used to probe fields that were not produced by a conjugate constructor,
-    e.g. deliberately mismatched pairs in separation tests.
+    e.g. deliberately mismatched pairs in separation tests.  ``medium`` is
+    the medium whose equations ``maxwell_residual`` checks the pair against.
     """
 
     E: Callable
@@ -172,6 +198,7 @@ class FieldPair:
     k: float
     e_scale: float
     b_scale: float
+    medium: MediumParams = VACUUM
 
 
 def conjugate_vacuum(E0, tau, omega: float, medium: MediumParams = VACUUM,
@@ -213,16 +240,15 @@ def _div_curl(F: Stencil):
     return divergence(d), curl(d)
 
 
-def maxwell_residual(pair, grid: Grid4D, medium: MediumParams | None = None) -> ResidualReport:
-    """Scan all four field equations over a spacetime grid.
+def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
+    """Scan all four field equations of ``pair.medium`` over a spacetime grid.
 
     Works for non-conducting and conducting media alike; with sigma = 0 the
     conduction term, and the evaluation of E it needs, drops out.  Each
     equation is normalized by the natural scale of its leading term (|E0| k
     or |B0| k) so reports are comparable across units and frequencies.
     """
-    if medium is None:
-        medium = getattr(pair, "medium", VACUUM)
+    medium = pair.medium
     meshes = grid.mesh()
     E, B = (_stencil(F, meshes, grid.steps) for F in (pair.E, pair.B))
 

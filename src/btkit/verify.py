@@ -52,6 +52,15 @@ def _check_step(h: float, spacing: float, axis: str) -> None:
         )
 
 
+def _exact_scale(peak: float) -> float:
+    """The power of two at or below ``peak`` (1/2 for 0).
+
+    Dividing by it is exact wherever the quotient stays normal, and the
+    squares of values up to ``peak`` so divided stay below 4.
+    """
+    return math.ldexp(1.0, math.frexp(peak)[1] - 1)
+
+
 def _nodes(lo: float, hi: float, n: int) -> np.ndarray:
     nodes = np.linspace(lo, hi, n)
     nodes.setflags(write=False)
@@ -346,7 +355,7 @@ def report_from_values(values: np.ndarray, meshes) -> ResidualReport:
     # RMS scaled by a power of two near the peak: squaring cannot overflow,
     # and wherever v*v neither overflows nor underflows the result is
     # bit-identical to sqrt(mean(v*v))
-    scale = math.ldexp(1.0, math.frexp(peak)[1])
+    scale = _exact_scale(peak)
     scaled = kept / scale
     return ResidualReport(
         max_abs=peak,

@@ -273,6 +273,10 @@ class TestChiralResidual:
         with pytest.raises(InvalidGridError):
             chiral_residual(g, Grid2D(-1.0, 1.0, -1.0, 1.0, 5, 41))
 
+    def test_first_derivative_scan_serves_a_spacing_too_wide_to_square(self):
+        report = chiral_residual(ExpSeedField([[0.0]], [[0.0]]), Grid2D(-1e300, 1e300))
+        assert report.max_abs == 0.0
+
     def test_non_finite_node_is_singular_at_that_node(self, exp_setup):
         _, _, _, g = exp_setup
         values = g.sample(GRID).copy()
@@ -339,6 +343,28 @@ class TestPotential:
             r"axis-ordered integrals disagree by \S+ \(tolerance \S+\): " + re.escape(meaning),
             str(excinfo.value),
         )
+
+    def test_integral_past_the_float_range_is_rejected(self):
+        # X = B x reads about 2e311: the integrals overflowed to inf, their
+        # disagreement read nan, and nan passed the tolerance
+        g = ExpSeedField([[1e-152]], [[1e160]])
+        grid = Grid2D(-2e151, 2e151, -1e-300, 1e-300, h=1e-304)
+        with pytest.raises(InvalidParameterError, match="integrals overflow"):
+            potential(g, grid)
+
+    @pytest.mark.parametrize("operator", [
+        potential,
+        lambda g, grid: recursion_step(ConstantField([[1.0]]), g, grid),
+        lambda g, grid: symmetry_residual(ConstantField([[1.0]]), g, grid),
+    ], ids=["potential", "recursion_step", "symmetry_residual"])
+    @pytest.mark.parametrize("grid, name", [
+        (Grid2D(-1e300, 1e300), "dx = 5e+298"),
+        (Grid2D(t_min=-1e160, t_max=1e160), "dt = 5e+158"),
+    ], ids=["dx", "dt"])
+    def test_spacing_too_wide_to_square_is_rejected(self, operator, grid, name):
+        # a Python float square raised OverflowError past about 1.3e154
+        with pytest.raises(InvalidGridError, match=re.escape(f"lattice spacing {name} is too wide")):
+            operator(ExpSeedField([[0.0]], [[0.0]]), grid)
 
     @pytest.mark.parametrize("base", [[[1.0]], np.eye(2)], ids=["1x1", "2x2"])
     @pytest.mark.parametrize("integrate", [

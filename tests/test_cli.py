@@ -47,6 +47,15 @@ def run_python(source: str):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def run_cli(*argv):
+    """Run ``btkit`` in a fresh interpreter that turns RuntimeWarnings into errors."""
+    env = dict(os.environ)
+    src = str(Path(btkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "btkit.cli",
+                           *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestExitCodes:
     def test_sine_gordon_verify_passes(self, capsys):
         code, out, _ = run(capsys, "classic", "sine-gordon", "--a", "1", "--C", "1",
@@ -153,6 +162,41 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("btkit: error: " + message)
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["em", "vacuum", "--omega", "1", "--e0-re", "1e200", "0", "1e200", "--verify"],
+         "amplitude is not transverse"),
+        (["em", "medium", "--omega", "1", "--epsilon", "1e100", "--mu", "1e100",
+          "--e0-re", "1e300", "0", "0"], "partner amplitude B0 overflows"),
+        (["em", "medium", "--omega", "1", "--epsilon", "1e100", "--mu", "1e100",
+          "--e0-re", "1e300", "0", "0", "--format", "csv"], "partner amplitude B0 overflows"),
+        (["chiral", "potential", "--a-re", "[[1e-152]]", "--b-re", "[[1e160]]",
+          "--x-min", "-2e151", "--x-max", "2e151", "--t-min", "-1e-300", "--t-max", "1e-300",
+          "--h", "1e-304"], "axis-ordered integrals overflow"),
+        (["chiral", "potential", "--a-re", "[[0]]", "--b-re", "[[0]]",
+          "--x-min", "-1e300", "--x-max", "1e300"],
+         "lattice spacing dx = 5e+298 is too wide to square"),
+        (["chiral", "hierarchy", "--a-re", "[[0]]", "--b-re", "[[0]]", "--m-re", "[[1]]",
+          "--x-min", "-1e160", "--x-max", "1e160", "--verify"],
+         "lattice spacing dx = 5e+158 is too wide to square"),
+    ], ids=["longitudinal-1e200", "partner-overflow-json", "partner-overflow-csv",
+            "potential-overflow", "potential-wide-lattice", "hierarchy-wide-lattice"])
+    def test_overflowing_input_is_one_error_line(self, argv, message):
+        # each once passed wrongly, wrote nan cells or ended in a traceback,
+        # with a RuntimeWarning ahead of it
+        proc = run_cli(*argv)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("btkit: error: " + message)
+        assert proc.stderr.count("\n") == 1
+
+    def test_non_finite_json_value_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._RUNNERS, "classic", lambda args: (
+            {}, {}, {"value": float("-inf")}, {}, (["x"], None)))
+        code, out, err = run(capsys, "classic", "laplace")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "btkit: error: non-finite value -inf cannot be serialized\n"
 
     @pytest.mark.parametrize("base", ["[[1]]", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"],
                              ids=["1x1", "3x3"])
@@ -373,6 +417,20 @@ class TestCsv:
         for offset, matrix in ((3, item.phi.sample(grid)), (11, item.q_samples(grid))):
             entries = matrix[3, 5].ravel()
             assert cells[offset:offset + 8] == [p for v in entries for p in (v.real, v.imag)]
+
+    def test_cells_are_17_significant_digits_and_non_finite_cells_nan(self, capsys,
+                                                                        monkeypatch):
+        values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
+        columns = [f"c{k}" for k in range(len(values))]
+        monkeypatch.setitem(cli._RUNNERS, "classic", lambda args: (
+            {}, {}, {}, {}, (columns, lambda: np.array([values, values[::-1]]))))
+        code, out, _ = run(capsys, "classic", "laplace", "--format", "csv")
+        assert code == EXIT_OK
+        cells = [format(v, ".17g") if np.isfinite(v) else "nan" for v in values]
+        assert cells[:4] == ["0.10000000000000001", "-0", "4.9406564584124654e-324",
+                             "1.7976931348623157e+308"]
+        assert out == "\n".join([",".join(columns), ",".join(cells),
+                                 ",".join(cells[::-1])]) + "\n"
 
     @pytest.mark.parametrize("kind", CSV_TABLES)
     def test_rows_match_library_in_node_order(self, capsys, kind):

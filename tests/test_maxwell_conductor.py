@@ -138,6 +138,12 @@ class TestConjugation:
         with pytest.raises(TransversalityError):
             conjugate_conducting([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], SYNTH, 1.0)
 
+    def test_overflowing_partner_amplitude_rejected(self):
+        # B0 = ((k + i s) / omega) tau x E0 reads inf once k is huge
+        medium = MediumParams(epsilon=1e100, mu=1e100, sigma=1.0)
+        with pytest.raises(InvalidParameterError, match="partner amplitude B0 overflows"):
+            conjugate_conducting([1e300, 0.0, 0.0], [0.0, 0.0, 1.0], medium, 1.0)
+
     def test_zero_conductivity_reduces_to_nonconducting_pair(self):
         medium = MediumParams(4.0 * EPSILON0, MU0, 0.0)
         omega = 1.0e9
@@ -212,7 +218,7 @@ class TestFieldScans:
                 k=math.sqrt(3.0), s=0.0, phi=0.0, omega=omega
             ),  # pretend sigma = 0
         )
-        report = maxwell_residual(pair, pair.default_grid(), SYNTH)
+        report = maxwell_residual(pair, pair.default_grid())
         assert report.max_abs > 0.1
 
 

@@ -75,6 +75,17 @@ class TestConjugation:
         with pytest.raises(NormalizationError):
             conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 2.0], OMEGA)
 
+    def test_longitudinal_amplitude_with_overflowing_norm_rejected(self):
+        # |E0|^2 overflowed, so the transversality tolerance read inf
+        with pytest.raises(TransversalityError, match=r"\|E0\| = 1.414213562373095e\+200"):
+            conjugate_vacuum([1e200, 0.0, 1e200], [0.0, 0.0, 1.0], OMEGA)
+
+    def test_overflowing_partner_amplitude_rejected(self):
+        # B0 = tau x E0 / v reads inf once v is tiny and E0 huge
+        medium = MediumParams(epsilon=1e100, mu=1e100)
+        with pytest.raises(InvalidParameterError, match="partner amplitude B0 overflows"):
+            conjugate_vacuum([1e300, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, medium=medium)
+
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf])
     def test_bad_frequency_rejected(self, omega):
         with pytest.raises(InvalidParameterError):
@@ -166,11 +177,24 @@ class TestResiduals:
             k=k,
             e_scale=float(np.linalg.norm(E0)),
             b_scale=float(np.linalg.norm(B0)),
+            medium=VACUUM,
         )
         wave_grid = Grid4D.for_wave(k, OMEGA, step_scale=5e-4)
         assert wave_residual(pair.E, C, wave_grid, pair.e_scale * k ** 2).max_abs < 1e-6
         assert wave_residual(pair.B, C, wave_grid, pair.b_scale * k ** 2).max_abs < 1e-6
-        assert maxwell_residual(pair, Grid4D.for_wave(k, OMEGA), VACUUM).max_abs > 0.1
+        assert maxwell_residual(pair, Grid4D.for_wave(k, OMEGA)).max_abs > 0.1
+
+    @pytest.mark.parametrize("amplitude", [1e150, 1e200])
+    def test_huge_amplitude_pair_passes_and_a_wrong_partner_fails(self, amplitude):
+        # at 1e200, |E0|^2 overflowed: both scales read inf and every
+        # normalized residual 0, so the wrong partner passed too
+        pair = conjugate_vacuum([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        assert pair.e_scale == amplitude
+        grid = pair.default_grid()
+        assert maxwell_residual(pair, grid).max_abs < 1e-10
+        wrong = FieldPair(pair.E, lambda r, t: 1.5 * pair.B(r, t), pair.k,
+                          pair.e_scale, pair.b_scale)
+        assert maxwell_residual(wrong, grid).max_abs == pytest.approx(0.5, rel=1e-3)
 
     def test_zero_partner_field_fails_loudly(self):
         E0 = np.array([1.0, 0.0, 0.0])
@@ -181,8 +205,9 @@ class TestResiduals:
             k=k,
             e_scale=1.0,
             b_scale=1.0 / C,
+            medium=VACUUM,
         )
-        report = maxwell_residual(pair, Grid4D.for_wave(k, OMEGA), VACUUM)
+        report = maxwell_residual(pair, Grid4D.for_wave(k, OMEGA))
         assert report.max_abs == pytest.approx(1.0, rel=1e-4)
 
 

@@ -166,8 +166,8 @@ _CONDUCTOR = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], _MEDIUM, 1.0
 
 def _maxwell(wave, medium):
     def scan(E, B):
-        pair = FieldPair(E, B, wave.k, wave.e_scale, wave.b_scale)
-        return maxwell_residual(pair, wave.default_grid(5), medium)
+        pair = FieldPair(E, B, wave.k, wave.e_scale, wave.b_scale, medium)
+        return maxwell_residual(pair, wave.default_grid(5))
     return scan
 
 
@@ -248,6 +248,12 @@ class TestResidualScan:
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
         report = report_from_values(np.full((2, 2), 1e200), grid.mesh())
         assert report.max_abs == report.rms == 1e200
+
+    def test_rms_of_residuals_near_the_float_limit_is_finite(self):
+        # the scale 2^1024 of a peak at or above 2^1023 raised OverflowError
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
+        report = report_from_values(np.full((2, 2), 1.7976931348623157e308), grid.mesh())
+        assert report.max_abs == report.rms == 1.7976931348623157e308
 
     def test_scaled_rms_is_bit_identical_where_unscaled_is_finite(self):
         grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 7, h=1e-3)
