@@ -48,6 +48,10 @@ applied to a constant); that scan is a real check for tabulated seeds,
 whose connection is solved node by node from lattice derivatives of the
 samples.  Fields other than the exponential seed rebuild the connection
 on each call, since their samples may change between calls.
+
+The seed's samples come from ``_expm``, a numpy Pade [13/13] matrix
+exponential with scaling and squaring that takes a whole stack of
+matrices at once, so the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -126,6 +130,50 @@ def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.nd
     deriv = _lattice_derivative(v, spacing, 0)
     out -= spacing ** 2 / 12.0 * (deriv - deriv[0])
     return np.moveaxis(out, 0, axis)
+
+
+# Pade [13/13] coefficients b_k / b_0, and the 1-norm below which it meets
+# unit roundoff without scaling (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_PADE13 = tuple(math.factorial(26 - k) * math.factorial(13)
+                / (math.factorial(26) * math.factorial(k) * math.factorial(13 - k))
+                for k in range(14))
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one (n, n) matrix or a stack of them.
+
+    Pade [13/13] with scaling and squaring; each matrix gets its own
+    scaling exponent, and one solve serves the whole stack.  A matrix with
+    a non-finite entry or 1-norm maps to NaN, and one whose exponential
+    overflows comes out non-finite, without a floating-point warning.
+    """
+    a = np.asarray(a, dtype=complex)
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.abs(a).sum(axis=1).max(axis=1)
+    finite = np.isfinite(norm)
+    # s = max(0, ceil(log2(norm / theta))), with no log of 0
+    mant, expo = np.frexp(np.where(finite, norm, 0.0) / _THETA13)
+    s = np.maximum(expo - (mant == 0.5), 0)
+    a = np.where(finite[:, None, None], a, 0.0) * np.ldexp(1.0, -s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(int(s.max(initial=0))):
+            squares = s > k
+            r[squares] = r[squares] @ r[squares]
+    r[~finite] = np.nan
+    return r.reshape(shape)
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,7 +277,8 @@ class ExpSeedField(MatrixField):
     Commutation also factors g = exp(A (x - x0)) exp(A x0 + B t0)
     exp(B (t - t0)) about the centre (x0, t0) of the points asked for, so an
     evaluation exponentiates each distinct x and each distinct t once, not
-    every point: 83 exponentials for a 41 x 41 mesh instead of 1681.
+    every point: 83 exponentials for a 41 x 41 mesh instead of 1681, in
+    three calls of the batched Pade ``_expm``.
     Derivative samples use the closed form g_x = A g, g_t = B g, and the
     connection is (A, B) itself, broadcast over the grid once the samples
     pass the invertibility check.  Grid samples and the connection are
@@ -257,10 +306,6 @@ class ExpSeedField(MatrixField):
             )
 
     def __call__(self, x, t):
-        # scipy is imported here, not at module scope, so that importing
-        # btkit and every non-chiral command run on numpy alone
-        from scipy.linalg import expm
-
         X, T = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
         xs, ix = np.unique(X, return_inverse=True)
         ts, it = np.unique(T, return_inverse=True)
@@ -270,8 +315,8 @@ class ExpSeedField(MatrixField):
         # invertibility check reports as a SingularMatrixError; the floating
         # point warnings add nothing
         with np.errstate(over="ignore", invalid="ignore"):
-            left = expm((xs - x0)[:, None, None] * self.A) @ expm(x0 * self.A + t0 * self.B)
-            right = expm((ts - t0)[:, None, None] * self.B)
+            left = _expm((xs - x0)[:, None, None] * self.A) @ _expm(x0 * self.A + t0 * self.B)
+            right = _expm((ts - t0)[:, None, None] * self.B)
             return left[ix.reshape(X.shape)] @ right[it.reshape(T.shape)]
 
     def sample(self, grid: Grid2D) -> np.ndarray:

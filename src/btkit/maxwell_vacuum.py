@@ -246,8 +246,17 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     Works for non-conducting and conducting media alike; with sigma = 0 the
     conduction term, and the evaluation of E it needs, drops out.  Each
     equation is normalized by the natural scale of its leading term (|E0| k
-    or |B0| k) so reports are comparable across units and frequencies.
+    or |B0| k) so reports are comparable across units and frequencies; a
+    scale that overflows the float range raises InvalidParameterError.
     """
+    k = pair.k
+    e_scale = max(pair.e_scale, 1e-300) * k
+    b_scale = max(pair.b_scale, 1e-300) * k
+    # an infinite scale would read every residual it divides as 0
+    for name, scale in (("E", e_scale), ("B", b_scale)):
+        if not math.isfinite(scale):
+            raise InvalidParameterError(f"normalization scale |{name}0| k = {scale!r} overflows "
+                                        "the float range")
     medium = pair.medium
     meshes = grid.mesh()
     E, B = (_stencil(F, meshes, grid.steps) for F in (pair.E, pair.B))
@@ -259,9 +268,6 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     if medium.is_conducting:
         ampere = ampere - medium.mu * medium.sigma * E.center
 
-    k = pair.k
-    e_scale = max(pair.e_scale, 1e-300) * k
-    b_scale = max(pair.b_scale, 1e-300) * k
     ndim = meshes[0].ndim
     rows = np.stack((
         magnitude(div_e, ndim) / e_scale,

@@ -12,10 +12,10 @@ fitting, not by the recursion's own bookkeeping.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from btkit import chiral_recursion
 from btkit.chiral_recursion import (
@@ -26,6 +26,7 @@ from btkit.chiral_recursion import (
     TabulatedField,
     _commutator,
     _cumulative_integral,
+    _expm,
     _lattice_derivative,
     chiral_residual,
     hierarchy,
@@ -95,6 +96,82 @@ class TestLatticeCalculus:
             _lattice_derivative(np.zeros(5), 0.1, axis=0, deriv=1)
 
 
+def _relative_error(got, want):
+    """Per-matrix max-entry error, relative to the largest entry of ``want``."""
+    return np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+
+
+def _mixed_norm_stack(rng, n, size=41):
+    # entry scales 1e-3 to 20 in one stack: scaling exponents 0 to 5
+    scale = np.logspace(-3, np.log10(20.0), size)[:, None, None]
+    return (rng.standard_normal((size, n, n)) + 1j * rng.standard_normal((size, n, n))) * scale
+
+
+class TestExpm:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_agrees_with_scipy_over_mixed_norm_stacks(self, n):
+        expm = pytest.importorskip("scipy.linalg").expm
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            a = _mixed_norm_stack(rng, n)
+            assert _relative_error(_expm(a), expm(a)).max() < 1e-12
+
+    def test_stacked_call_equals_one_by_one_calls(self):
+        a = _mixed_norm_stack(np.random.default_rng(7), 3)
+        single = np.array([_expm(m) for m in a])
+        assert _relative_error(_expm(a), single).max() <= 1e-15
+
+    def test_single_matrix_keeps_its_shape(self):
+        a = _mixed_norm_stack(np.random.default_rng(8), 2, size=1)
+        out = _expm(a[0])
+        assert out.shape == (2, 2)
+        assert _relative_error(out, _expm(a)[0]) <= 1e-15
+        # a grid-shaped stack keeps its leading axes too
+        assert _expm(np.broadcast_to(a, (3, 5, 2, 2))).shape == (3, 5, 2, 2)
+
+    # t = 100 takes five squarings, each adding its rounding
+    @pytest.mark.parametrize("t, tol", [(1.0, 1e-15), (100.0, 1e-14)])
+    def test_nilpotent_jordan_block_is_a_finite_series(self, t, tol):
+        J = t * np.diag(np.ones(3), 1)
+        exact = np.eye(4) + J + J @ J / 2 + J @ J @ J / 6
+        assert _relative_error(_expm(J), exact) < tol
+
+    def test_diagonal_matrix_exponentiates_entrywise(self):
+        d = np.array([-3.0, 0.5 + 2.0j, 10.0, 0.0])
+        out = _expm(np.diag(d))
+        np.testing.assert_allclose(np.diag(out), np.exp(d), rtol=1e-14)
+        assert np.all(out[~np.eye(4, dtype=bool)] == 0)
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi, 50.0])
+    def test_rotation_generator_gives_a_rotation(self, theta):
+        c, s = np.cos(theta), np.sin(theta)
+        out = _expm(theta * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        assert np.abs(out - np.array([[c, -s], [s, c]])).max() < 1e-14
+
+    def test_zero_matrix_gives_identity(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _expm(np.zeros((3, 3)))
+        assert np.all(out == np.eye(3))
+
+    def test_overflowing_and_non_finite_inputs_give_non_finite_outputs(self):
+        good = np.array([[0.1, 0.2], [0.0, -0.1]])
+        a = np.array([
+            np.diag([1000.0, 0.0]),             # exp(1000) overflows
+            [[1e308, 1e308], [1e308, 1e308]],   # the 1-norm overflows
+            [[np.nan, 0.0], [0.0, 0.0]],
+            [[0.0, np.inf], [0.0, 0.0]],
+            good,
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _expm(a)
+            single = _expm(a[3])
+        assert not np.isfinite(out[:4]).all(axis=(-2, -1)).any()
+        assert not np.isfinite(single).all()
+        assert _relative_error(out[4], _expm(good)) <= 1e-15
+
+
 class TestFields:
     def test_constant_field_broadcast_and_zero_derivatives(self):
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -109,6 +186,7 @@ class TestFields:
         np.testing.assert_allclose(g(0.0, 0.0), np.eye(3), atol=1e-14)
 
     def test_exp_seed_matches_direct_exponential(self, exp_setup):
+        expm = pytest.importorskip("scipy.linalg").expm
         A, B, _, g = exp_setup
         np.testing.assert_allclose(
             g(0.3, -0.7), expm(0.3 * A - 0.7 * B), rtol=1e-12, atol=1e-14
@@ -125,6 +203,7 @@ class TestFields:
         (*seed_triple(7)[:2], Grid2D(0.5, 2.0, -1.5, 0.0, 31, 23)),
     ], ids=["default", "far-from-origin", "jordan-800", "off-centre"])
     def test_exp_seed_samples_match_per_node_exponential(self, A, B, grid):
+        expm = pytest.importorskip("scipy.linalg").expm
         g = ExpSeedField(A, B)
         X, T = grid.mesh()
         per_node = np.array([[expm(x * A + t * B) for x, t in zip(xr, tr)]
@@ -251,7 +330,7 @@ class TestChiralResidual:
         # g = exp(A x^2) gives g^-1 g_x = 2Ax, so the residual equals 2A
         A = np.array([[0.4, 0.1], [0.0, -0.3]])
         g = TabulatedField.from_function(
-            lambda X, T: expm((X ** 2)[..., None, None] * A), GRID
+            lambda X, T: _expm((X ** 2)[..., None, None] * A), GRID
         )
         report = chiral_residual(g, GRID)
         assert report.max_abs == pytest.approx(0.8, rel=1e-3)
@@ -319,7 +398,7 @@ class TestPotential:
     def test_non_solution_seed_raises_path_dependence(self):
         A = np.array([[0.4, 0.1], [0.0, -0.3]])
         g = TabulatedField.from_function(
-            lambda X, T: expm((X ** 2)[..., None, None] * A), GRID
+            lambda X, T: _expm((X ** 2)[..., None, None] * A), GRID
         )
         with pytest.raises(PathDependenceError, match="disagree"):
             potential(g, GRID)
@@ -334,7 +413,7 @@ class TestPotential:
         # U_x + V_t = 2A != 0, and [2A, M] != 0, so neither system is curl-free
         A = np.array([[0.4, 0.1], [0.0, -0.3]])
         g = TabulatedField.from_function(
-            lambda X, T: expm((X ** 2)[..., None, None] * A), GRID
+            lambda X, T: _expm((X ** 2)[..., None, None] * A), GRID
         )
         with pytest.raises(PathDependenceError) as excinfo:
             integrate(g)
@@ -503,7 +582,7 @@ class TestRecursion:
         A = np.array([[0.4, 0.1], [0.0, -0.3]])
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
         g = TabulatedField.from_function(
-            lambda X, T: expm((X ** 2)[..., None, None] * A), GRID
+            lambda X, T: _expm((X ** 2)[..., None, None] * A), GRID
         )
         with pytest.raises(IntegrabilityError, match="hierarchy level 1"):
             hierarchy(g, M, 2, GRID)

@@ -170,6 +170,8 @@ class TestExitCodes:
           "--e0-re", "1e300", "0", "0"], "partner amplitude B0 overflows"),
         (["em", "medium", "--omega", "1", "--epsilon", "1e100", "--mu", "1e100",
           "--e0-re", "1e300", "0", "0", "--format", "csv"], "partner amplitude B0 overflows"),
+        (["em", "vacuum", "--omega", "1", "--e0-re", "1.5e308", "1.5e308", "0", "--verify"],
+         "normalization scale |E0| k = inf overflows"),
         (["chiral", "potential", "--a-re", "[[1e-152]]", "--b-re", "[[1e160]]",
           "--x-min", "-2e151", "--x-max", "2e151", "--t-min", "-1e-300", "--t-max", "1e-300",
           "--h", "1e-304"], "axis-ordered integrals overflow"),
@@ -180,7 +182,8 @@ class TestExitCodes:
           "--x-min", "-1e160", "--x-max", "1e160", "--verify"],
          "lattice spacing dx = 5e+158 is too wide to square"),
     ], ids=["longitudinal-1e200", "partner-overflow-json", "partner-overflow-csv",
-            "potential-overflow", "potential-wide-lattice", "hierarchy-wide-lattice"])
+            "normalization-overflow", "potential-overflow", "potential-wide-lattice",
+            "hierarchy-wide-lattice"])
     def test_overflowing_input_is_one_error_line(self, argv, message):
         # each once passed wrongly, wrote nan cells or ended in a traceback,
         # with a RuntimeWarning ahead of it
@@ -524,8 +527,17 @@ class TestReadmeExamples:
             assert list(scan) == ["max_abs", "rms", "n_points", "worst_point", "n_singular"]
 
 
+CHIRAL_VERIFY = (
+    ["chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--nx", "8", "--nt", "8", "--verify"],
+    ["chiral", "potential", "--a-re", A_RE, "--b-re", B_RE, "--nx", "8", "--nt", "8",
+     "--verify"],
+    ["chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE, "--m-re", M_RE, "--levels", "2",
+     "--nx", "8", "--nt", "8", "--verify"],
+)
+
+
 class TestImportBoundary:
-    def test_scipy_loads_only_for_chiral_seeds(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"command": ["classic", "liouville"],
                                     "params": {"C": 2.0}}))
@@ -537,22 +549,41 @@ class TestImportBoundary:
             for argv in (["classic", "laplace", "--nx", "8", "--nt", "8", "--verify"],
                          ["em", "vacuum", "--omega", "1e9", "--samples", "3", "--verify"],
                          ["verify", {str(spec)!r}],
-                         ["chiral", "residual", "--a-re", {A_RE!r}, "--b-re", {B_RE!r},
-                          "--nx", "8", "--nt", "8"]):
+                         *{list(CHIRAL_VERIFY)!r}):
                 with contextlib.redirect_stdout(io.StringIO()):
                     code = main(argv)
                 seen.append([" ".join(argv[:2]), code, "scipy" in sys.modules])
             print(json.dumps(seen))
         """)
         assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
-        assert seen[:-1] == [
+        assert json.loads(proc.stdout) == [
             ["import btkit", 0, False],
             ["classic laplace", EXIT_OK, False],
             ["em vacuum", EXIT_OK, False],
             ["verify " + str(spec), EXIT_OK, False],
+            ["chiral residual", EXIT_OK, False],
+            ["chiral potential", EXIT_OK, False],
+            ["chiral hierarchy", EXIT_OK, False],
         ]
-        assert seen[-1] == ["chiral residual", EXIT_OK, True]
+
+    def test_chiral_commands_run_with_scipy_unimportable(self):
+        # a None entry in sys.modules makes every scipy import raise ImportError
+        proc = run_python(f"""
+            import contextlib, io, json, sys
+            sys.modules["scipy"] = None
+            from btkit.cli import main
+            seen = []
+            for argv in {list(CHIRAL_VERIFY)!r}:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = main(argv)
+                seen.append([argv[1], code, list(json.loads(out.getvalue()))])
+            print(json.dumps(seen))
+        """)
+        assert proc.returncode == 0, proc.stderr
+        envelope = ["command", "params", "grid", "result", "verify"]
+        assert json.loads(proc.stdout) == [[name, EXIT_OK, envelope]
+                                           for name in ("residual", "potential", "hierarchy")]
 
 
 class TestStepOverrides:

@@ -196,6 +196,27 @@ class TestResiduals:
                           pair.e_scale, pair.b_scale)
         assert maxwell_residual(wrong, grid).max_abs == pytest.approx(0.5, rel=1e-3)
 
+    def test_overflowing_normalization_scale_rejected(self):
+        # |E0| = 2.1e308 overflows to inf; dividing by it read div E and
+        # Faraday as 0, so this E, which adds the static field (0, 0, 1e300 z)
+        # with div E = 1e300 (about 1.4 |E0| k), passed
+        pair = conjugate_vacuum([1.5e308, 1.5e308, 0.0], [0.0, 0.0, 1.0], 1.0)
+        assert pair.e_scale == math.inf
+
+        def E(r, t):
+            static = np.zeros(np.shape(r), dtype=complex)
+            static[..., 2] = 1e300 * np.asarray(r)[..., 2]
+            return pair.E(r, t) + static
+
+        witness = FieldPair(E, pair.B, pair.k, pair.e_scale, pair.b_scale)
+        grid = Grid4D(0.0, 1e5, 0.0, 1e5, 0.0, 1e5, 0.0, 1.0, h=(1e3, 1e3, 1e3, 1e-4))
+        for fields in (pair, witness):
+            with pytest.raises(InvalidParameterError, match=r"\|E0\| k = inf overflows"):
+                maxwell_residual(fields, grid)
+        # the same witness with a finite scale of the same order fails the scan
+        finite = FieldPair(E, pair.B, pair.k, 1.5e308, pair.b_scale)
+        assert maxwell_residual(finite, grid).max_abs == pytest.approx(2.0, rel=1e-3)
+
     def test_zero_partner_field_fails_loudly(self):
         E0 = np.array([1.0, 0.0, 0.0])
         k = OMEGA / C
