@@ -26,17 +26,18 @@ and the first hierarchy step lands on Phi^1 = [X, M].
 Numerics
 --------
 Hierarchy fields live on the grid lattice: each recursion output is a
-TabulatedField that holds the Grid2D it was tabulated on, and a bilinear
-interpolant has no trustworthy small-step second derivatives, so every
-lattice derivative here uses fourth-order stencils:
-5-point interior, one-sided at edges.  Line integration is cumulative
-trapezoid with the Euler-Maclaurin endpoint correction, exact for cubic
-integrands; combined with the stencils this makes levels 0 through 3 of an
-exponential-seed hierarchy exact to rounding on the default grids.  The
-potential and the recursion step share one integrator: it always computes
-both axis orders, their disagreement is the integrability diagnostic, and
-it returns a TabulatedField that carries it as ``path_disagreement``.  The
-potential X is that field itself.
+TabulatedField defined on the nodes of its Grid2D and nowhere else (other
+nodes raise InvalidGridError), so no interpolant's kinks are differenced,
+and the closed-form step ``h`` plays no part.  Every lattice derivative
+here uses fourth-order stencils: 5-point interior, one-sided at edges.
+Line integration is cumulative trapezoid with the Euler-Maclaurin endpoint
+correction, exact for cubic integrands; combined with the stencils this
+makes levels 0 through 3 of an exponential-seed hierarchy exact to
+rounding on the default grids.  The potential and the recursion step
+share one integrator: it always computes both axis orders, their
+disagreement is the integrability diagnostic, and it returns a
+TabulatedField that carries it as ``path_disagreement``.  The potential X
+is that field itself.
 
 The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
 starts from.  For an exponential seed it is exactly the constant pair
@@ -192,7 +193,8 @@ class MatrixField:
     """Square-matrix-valued field of (x, t); evaluators broadcast.
 
     Derivative samples default to small-step central differences of the
-    evaluator; tabulated data overrides them with lattice stencils.
+    evaluator.  Tabulated data has no evaluator: it samples its own table
+    and differences it with lattice stencils.
     """
 
     n: int
@@ -348,14 +350,14 @@ class ExpSeedField(MatrixField):
 
 
 class TabulatedField(MatrixField):
-    """Matrix field tabulated on the nodes of ``grid``, bilinear between them.
+    """Matrix field defined on the nodes of ``grid`` only.
 
     The field's lattice is its Grid2D: ``values[i, j]`` is the matrix at
-    (grid.xs[i], grid.ts[j]).  Sampling on an equal grid returns the table
-    itself; any other grid is interpolated bilinearly (clamped-cell
-    extrapolation outside the range).  Lattice derivatives use the
-    fourth-order stencils.  ``path_disagreement`` records the integration
-    diagnostic when the field was produced by a recursion step.
+    (grid.xs[i], grid.ts[j]).  Sampling on a grid with the same nodes
+    returns the table itself; there is no interpolant, so any other nodes
+    raise InvalidGridError.  Lattice derivatives use the fourth-order
+    stencils.  ``path_disagreement`` records the integration diagnostic
+    when the field was produced by a recursion step.
     """
 
     def __init__(self, grid: Grid2D, values, path_disagreement: float | None = None):
@@ -376,26 +378,11 @@ class TabulatedField(MatrixField):
         X, T = grid.mesh()
         return cls(grid, np.asarray(fn(X, T), dtype=complex))
 
-    def __call__(self, x, t):
-        grid = self.grid
-        xs, ts = grid.xs, grid.ts
-        xq, tq = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
-        ix = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, grid.nx - 2)
-        it = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, grid.nt - 2)
-        fx = ((xq - xs[ix]) / grid.dx)[..., None, None]
-        ft = ((tq - ts[it]) / grid.dt)[..., None, None]
-        v = self.values
-        return (
-            v[ix, it] * (1 - fx) * (1 - ft)
-            + v[ix + 1, it] * fx * (1 - ft)
-            + v[ix, it + 1] * (1 - fx) * ft
-            + v[ix + 1, it + 1] * fx * ft
-        )
-
     def sample(self, grid: Grid2D) -> np.ndarray:
-        if grid == self.grid:
-            return self.values
-        return super().sample(grid)
+        if grid != self.grid:
+            raise InvalidGridError("a tabulated field is defined on its own "
+                                   f"{self.grid.nx} x {self.grid.nt} nodes only")
+        return self.values
 
     def d1_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
         return self._lattice_d(grid, axis, 1)
@@ -574,9 +561,6 @@ class SymmetryCharacteristic:
     phi: MatrixField
     level: int
     seed: MatrixField
-
-    def q(self, x, t) -> np.ndarray:
-        return np.asarray(self.seed(x, t)) @ np.asarray(self.phi(x, t))
 
     def q_samples(self, grid: Grid2D) -> np.ndarray:
         return self.seed.sample(grid) @ self.phi.sample(grid)

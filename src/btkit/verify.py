@@ -24,7 +24,7 @@ lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -78,10 +78,11 @@ def _frozen_mesh(*axes) -> tuple:
 class Grid2D:
     """Rectangular sample grid for fields of two variables (x, t).
 
-    ``h`` is the central-difference step used by residual evaluators on this
-    grid; it must stay strictly below one tenth of the smallest grid spacing.
-    The node arrays ``xs`` and ``ts`` and the ``mesh()`` arrays are built once
-    per grid and read-only, shared by every caller.
+    A grid is its lattice: equality and hashing ignore ``h``, the
+    central-difference step of the closed-form stencils (``Stencil``), which
+    moves no node.  ``h`` must stay strictly below one tenth of the smallest
+    grid spacing.  The node arrays ``xs`` and ``ts`` and the ``mesh()``
+    arrays are built once per grid and read-only, shared by every caller.
     """
 
     x_min: float = -1.0
@@ -90,7 +91,7 @@ class Grid2D:
     t_max: float = 1.0
     nx: int = 41
     nt: int = 41
-    h: float = DEFAULT_STEP
+    h: float = field(default=DEFAULT_STEP, compare=False)
 
     def __post_init__(self):
         dx = _check_axis("x", self.x_min, self.x_max, self.nx)

@@ -66,6 +66,29 @@ def exp_setup():
     return A, B, M, ExpSeedField(A, B)
 
 
+@pytest.fixture(scope="module")
+def level_2_of_1003():
+    """The seed default_rng(1003) (n=3) and its hierarchy level 2 on GRID."""
+    rng = np.random.default_rng(1003)
+    A, B = random_commuting_pair(rng, 3)
+    M = random_matrix(rng, 3)
+    g = ExpSeedField(A, B)
+    return g, hierarchy(g, M, 2, GRID)[2]
+
+
+# everything that reads a tabulated field's samples, called as (g, item, grid)
+OFF_LATTICE_CALLS = {
+    "sample": lambda g, item, grid: item.phi.sample(grid),
+    "d1_samples": lambda g, item, grid: item.phi.d1_samples(grid, 0),
+    "d2_samples": lambda g, item, grid: item.phi.d2_samples(grid, 1),
+    "q_samples": lambda g, item, grid: item.q_samples(grid),
+    "recursion_step": lambda g, item, grid: recursion_step(item.phi, g, grid),
+    "symmetry_residual": lambda g, item, grid: symmetry_residual(item.phi, g, grid),
+    "tabulated_seed_connection":
+        lambda g, item, grid: TabulatedField(GRID, g.sample(GRID)).connection(grid),
+}
+
+
 class TestLatticeCalculus:
     def test_first_derivative_exact_for_quartics(self):
         xs = np.linspace(-1.0, 1.0, 13)
@@ -263,16 +286,6 @@ class TestFields:
         with pytest.raises(InvalidParameterError):
             ConstantField(np.ones((2, 3)))
 
-    def test_tabulated_bilinear_reproduces_bilinear_functions(self):
-        def fn(X, T):
-            vals = 1.0 + 2.0 * X - 0.5 * T + 0.25 * X * T
-            return vals[..., None, None] * np.eye(2)
-
-        f = TabulatedField.from_function(fn, GRID)
-        pts_x = np.array([-0.987, -0.21, 0.0, 0.333, 0.98])
-        pts_t = np.array([0.611, -0.43, 0.17, -0.99, 0.05])
-        np.testing.assert_allclose(f(pts_x, pts_t), fn(pts_x, pts_t), rtol=1e-12)
-
     def test_tabulated_arithmetic(self):
         a = TabulatedField.from_function(
             lambda X, T: X[..., None, None] * np.eye(2), GRID
@@ -301,15 +314,25 @@ class TestFields:
         assert f.grid is GRID
         assert f.sample(Grid2D()) is f.values
 
-    def test_tabulated_field_interpolates_on_a_grid_with_another_step(self):
-        f = TabulatedField.from_function(
-            lambda X, T: np.exp(X - 2.0 * T)[..., None, None] * np.eye(2), GRID
-        )
-        other = Grid2D(h=1e-5)
-        assert other != GRID
-        resampled = f.sample(other)
-        assert resampled is not f.values
-        np.testing.assert_allclose(resampled, f.values, rtol=1e-14, atol=0)
+    @pytest.mark.parametrize("call", OFF_LATTICE_CALLS.values(), ids=OFF_LATTICE_CALLS.keys())
+    def test_tabulated_field_raises_on_another_lattice(self, level_2_of_1003, call):
+        # a genuine level (1e-10 on its own nodes) that a bilinear
+        # interpolant on 61 x 61 would scan at 85
+        g, item = level_2_of_1003
+        call(g, item, Grid2D())
+        with pytest.raises(InvalidGridError, match="nodes only"):
+            call(g, item, Grid2D(nx=61, nt=61))
+
+    def test_grids_differing_only_in_step_share_caches_and_tables(self, level_2_of_1003):
+        g, item = level_2_of_1003
+        stepped = Grid2D(h=1e-5)
+        assert g.sample(stepped) is g.sample(GRID)
+        assert g.connection(stepped) is g.connection(GRID)
+        a = TabulatedField(GRID, g.sample(GRID))
+        b = TabulatedField(stepped, g.sample(GRID))
+        np.testing.assert_array_equal((a + b).values, 2.0 * a.values)
+        own = symmetry_residual(item.phi, g, GRID).max_abs
+        assert symmetry_residual(item.phi, g, stepped).max_abs == own
 
     def test_tabulated_validation(self):
         grid = Grid2D(nx=7, nt=7)
@@ -559,11 +582,13 @@ class TestRecursion:
         item = levels[1]
         assert isinstance(item, SymmetryCharacteristic)
         assert item.level == 1
-        got = item.q(0.3, -0.2)
-        expected = np.asarray(g(0.3, -0.2)) @ np.asarray(item.phi(0.3, -0.2))
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
         samples = item.q_samples(GRID)
         assert samples.shape == (GRID.nx, GRID.nt, 3, 3)
+        # the seed's own evaluator, not its cached grid samples
+        for i, j in [(0, 0), (26, 16), (40, 3), (40, 40)]:
+            expected = g(GRID.xs[i], GRID.ts[j]) @ item.phi.values[i, j]
+            np.testing.assert_allclose(samples[i, j], expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
 
     def test_hierarchy_level_zero_is_constant_m(self, exp_setup):
         _, _, M, g = exp_setup

@@ -300,12 +300,18 @@ class TestGrids:
             with pytest.raises(ValueError):
                 nodes[0] = 0.0
 
-    def test_cached_nodes_leave_equality_and_hash_alone(self):
-        used, fresh = Grid2D(nx=9), Grid2D(nx=9)
+    # a grid is its nodes: neither its cached arrays nor the closed-form
+    # step h, which moves no node, set two lattices apart
+    @pytest.mark.parametrize("used_kwargs, fresh_kwargs", [
+        (dict(nx=9), dict(nx=9)),
+        (dict(h=1e-5), dict()),
+    ], ids=["cached-mesh", "other-step"])
+    def test_cached_nodes_leave_equality_and_hash_alone(self, used_kwargs, fresh_kwargs):
+        used, fresh = Grid2D(**used_kwargs), Grid2D(**fresh_kwargs)
         used.mesh()
         assert used == fresh and hash(used) == hash(fresh)
         assert {fresh: "cached"}[used] == "cached"
-        assert used.to_dict() == fresh.to_dict()
+        assert used.to_dict() == {**fresh.to_dict(), "h": used.h}
         assert used != Grid2D(nx=11)
 
     def test_mesh_is_built_once_per_grid_and_read_only(self):
