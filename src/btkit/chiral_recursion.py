@@ -42,13 +42,18 @@ is that field itself.
 The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
 starts from.  For an exponential seed it is exactly the constant pair
 (A, B): the seed runs the conditioning check on its samples once per grid
-and returns read-only broadcasts of its generators, so a whole hierarchy
-and its symmetry scans share one check and never see the rounding of g.
-Its field-equation scan therefore reads rounding level (the stencils
-applied to a constant); that scan is a real check for tabulated seeds,
-whose connection is solved node by node from lattice derivatives of the
-samples.  Fields other than the exponential seed rebuild the connection
-on each call, since their samples may change between calls.
+and returns its read-only (n, n) generators themselves, so a whole
+hierarchy and its symmetry scans share one check, never see the rounding
+of g, and take each commutator [A, P] as two BLAS products over the
+lattice.  The field-equation scan and the potential difference or
+integrate the connection, so they broadcast it to node tables; the
+field-equation scan therefore reads rounding level for an exponential
+seed (the stencils applied to a constant).  That scan is a real check for
+tabulated seeds, whose connection is solved node by node from lattice
+derivatives of the samples.  Fields other than the exponential seed
+rebuild the connection on each call, since their samples may change
+between calls.  The conditioning check runs an SVD only on nodes whose
+Frobenius-norm bound comes near its limit.
 
 The seed's samples come from ``_expm``, a numpy Pade [13/13] matrix
 exponential with scaling and squaring that takes a whole stack of
@@ -127,9 +132,16 @@ def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.nd
     """
     v = np.moveaxis(values, axis, 0)
     out = np.zeros_like(v)
-    np.cumsum(0.5 * (v[1:] + v[:-1]) * spacing, axis=0, out=out[1:])
+    # in place, the same operations in the same order: fewer tables alive
+    steps = v[1:] + v[:-1]
+    steps *= 0.5
+    steps *= spacing
+    np.cumsum(steps, axis=0, out=out[1:])
+    del steps
     deriv = _lattice_derivative(v, spacing, 0)
-    out -= spacing ** 2 / 12.0 * (deriv - deriv[0])
+    deriv -= deriv[0]
+    deriv *= spacing ** 2 / 12.0
+    out -= deriv
     return np.moveaxis(out, 0, axis)
 
 
@@ -178,11 +190,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a, b] over stacked (broadcasting) matrices, one outer product per k.
+    """[a, b] over stacked (broadcasting) matrices.
 
-    For the small matrices of a chiral seed this beats a stacked matmul,
-    which pays a BLAS call per matrix.
+    A constant operand ``a``, one (n, n) matrix such as an exponential
+    seed's connection, takes two BLAS products over the whole stack: ``b a``
+    as one (m, n) @ (n, n) product and ``a b`` as one tensordot.  A stacked
+    ``a`` takes one outer product per k, which for the small matrices of a
+    chiral seed beats a stacked matmul's BLAS call per matrix.
     """
+    if a.ndim == 2:
+        ba = (b.reshape(-1, a.shape[-1]) @ a).reshape(b.shape)
+        ab = np.tensordot(b, a, axes=([-2], [1])).swapaxes(-1, -2)
+        return np.subtract(ab, ba, out=ba)
     return sum(a[..., :, k, None] * b[..., None, k, :] - b[..., :, k, None] * a[..., None, k, :]
                for k in range(a.shape[-1]))
 
@@ -282,11 +301,12 @@ class ExpSeedField(MatrixField):
     every point: 83 exponentials for a 41 x 41 mesh instead of 1681, in
     three calls of the batched Pade ``_expm``.
     Derivative samples use the closed form g_x = A g, g_t = B g, and the
-    connection is (A, B) itself, broadcast over the grid once the samples
-    pass the invertibility check.  Grid samples and the connection are
-    computed once per grid and returned read-only; the generators are
-    read-only copies, so the caches cannot go stale.  A seed that fails the
-    check is not cached and raises again on the next call.
+    connection is the (n, n) pair (A, B) itself, returned once the grid's
+    samples pass the invertibility check.  Grid samples are computed once
+    per grid and returned read-only, and the check runs once per grid; the
+    generators are read-only copies, so nothing cached can go stale.  A
+    grid that fails the check is not recorded and raises again on the next
+    call.
     """
 
     def __init__(self, A, B):
@@ -295,7 +315,8 @@ class ExpSeedField(MatrixField):
         self.A.setflags(write=False)
         self.B.setflags(write=False)
         self._samples: dict = {}
-        self._connections: dict = {}
+        self._checked: set = set()
+        self._connection = (self.A, self.B)
         if self.A.shape != self.B.shape:
             raise InvalidParameterError("generators must have matching shapes")
         self.n = self.A.shape[0]
@@ -333,13 +354,10 @@ class ExpSeedField(MatrixField):
         return (self.A, self.B)[axis] @ self.sample(grid)
 
     def connection(self, grid: Grid2D):
-        pair = self._connections.get(grid)
-        if pair is None:
+        if grid not in self._checked:
             _check_invertible(self.sample(grid), grid)
-            shape = (grid.nx, grid.nt) + self.A.shape
-            pair = (np.broadcast_to(self.A, shape), np.broadcast_to(self.B, shape))
-            self._connections[grid] = pair
-        return pair
+            self._checked.add(grid)
+        return self._connection
 
     def to_dict(self):
         return {
@@ -446,17 +464,35 @@ def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
     # a non-finite node is singular; the SVD behind cond would not converge on it
     finite = np.isfinite(g_samples).all(axis=(-2, -1))
     cond = np.full(finite.shape, np.inf)
-    cond[finite] = np.linalg.cond(g_samples[finite])
+    # |g|_F |g^-1|_F costs one batched LU inverse and no SVD, and maps a
+    # singular node (or a norm past the float range) to inf.  It bounds the
+    # 2-norm condition number from above, and for n <= 3 the LU inverse errs
+    # by about cond * eps, far inside a factor of 10; so only nodes whose
+    # bound passes a tenth of the limit need the exact SVD value.
+    cond[finite] = np.linalg.cond(g_samples[finite], "fro")
+    suspect = finite & (cond > _COND_LIMIT / 10)
+    if suspect.any():
+        cond[suspect] = np.linalg.cond(g_samples[suspect])
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if bad.any():
-        i, j = np.unravel_index(int(np.argmax(np.where(bad, np.inf, cond))), cond.shape)
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SingularMatrixError((grid.xs[i], grid.ts[j]))
+
+
+def _connection_tables(g: MatrixField, grid: Grid2D) -> tuple:
+    """g's connection as (nx, nt, n, n) node tables.
+
+    For the operators that difference or integrate it; an exponential
+    seed's constant pair is broadcast, not copied.
+    """
+    shape = (grid.nx, grid.nt, g.n, g.n)
+    return tuple(np.broadcast_to(c, shape) for c in g.connection(grid))
 
 
 def chiral_defect_samples(g: MatrixField, grid: Grid2D) -> np.ndarray:
     """Per-node max-entry magnitude of (g^-1 g_x)_x + (g^-1 g_t)_t."""
     _require_lattice(grid, squared=False)
-    U, V = g.connection(grid)
+    U, V = _connection_tables(g, grid)
     residual = (
         _lattice_derivative(U, grid.dx, 0) + _lattice_derivative(V, grid.dt, 1)
     )
@@ -471,15 +507,15 @@ def chiral_residual(g: MatrixField, grid: Grid2D) -> ResidualReport:
 def symmetry_residual(phi: MatrixField, g: MatrixField, grid: Grid2D) -> ResidualReport:
     """Scan of the linearized symmetry condition for Phi on the seed g."""
     _require_lattice(grid)
-    U, V = g.connection(grid)
+    # phi first: a phi on other nodes fails before the seed samples, checks
+    # and caches anything for this grid
     px = phi.d1_samples(grid, 0)
-    pt = phi.d1_samples(grid, 1)
-    residual = (
-        phi.d2_samples(grid, 0)
-        + phi.d2_samples(grid, 1)
-        + _commutator(U, px)
-        + _commutator(V, pt)
-    )
+    U, V = g.connection(grid)
+    # the terms in their usual order, summed in place: fewer tables alive
+    residual = phi.d2_samples(grid, 0) + phi.d2_samples(grid, 1)
+    residual += _commutator(U, px)
+    del px
+    residual += _commutator(V, phi.d1_samples(grid, 1))
     return report_from_values(residual, grid.mesh())
 
 
@@ -499,8 +535,14 @@ def _integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         gx = _cumulative_integral(rx, grid.dx, 0)
         gt = _cumulative_integral(rt, grid.dt, 1)
-        x_then_t = (gx[:, j0] - gx[i0, j0])[:, None] + (gt - gt[:, j0][:, None])
-        t_then_x = (gt[i0, :] - gt[i0, j0])[None, :] + (gx - gx[i0, :][None, :])
+        # each path sum is built in place on one axis integral, so no more
+        # than four node tables are alive here
+        x_leg = (gx[:, j0] - gx[i0, j0])[:, None]
+        t_leg = (gt[i0, :] - gt[i0, j0])[None, :]
+        x_then_t = np.subtract(gt, gt[:, j0][:, None], out=gt)
+        x_then_t += x_leg
+        t_then_x = np.subtract(gx, gx[i0, :][None, :], out=gx)
+        t_then_x += t_leg
         disagreement = float(np.max(np.abs(x_then_t - t_then_x)))
     if not math.isfinite(disagreement):
         raise InvalidParameterError("axis-ordered integrals overflow the float range on "
@@ -511,8 +553,10 @@ def _integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray,
         raise error(
             f"axis-ordered integrals disagree by {disagreement!r} (tolerance {tol!r}): {meaning}"
         )
-    return TabulatedField(grid, base + 0.5 * (x_then_t + t_then_x),
-                          path_disagreement=disagreement)
+    x_then_t += t_then_x
+    x_then_t *= 0.5
+    x_then_t += base
+    return TabulatedField(grid, x_then_t, path_disagreement=disagreement)
 
 
 def potential(g: MatrixField, grid: Grid2D, base=None) -> TabulatedField:
@@ -528,7 +572,7 @@ def potential(g: MatrixField, grid: Grid2D, base=None) -> TabulatedField:
     """
     _require_lattice(grid)
     base_m = _base_matrix(base, g.n)
-    U, V = g.connection(grid)
+    U, V = _connection_tables(g, grid)
     return _integrate(V, -U, grid, base_m, PathDependenceError,
                       "the seed does not solve the chiral field equation")
 
@@ -546,8 +590,8 @@ def recursion_step(phi: MatrixField, g: MatrixField, grid: Grid2D,
     if phi.n != g.n:
         raise InvalidParameterError(f"Phi is {phi.n} x {phi.n} but g is {g.n} x {g.n}")
     base_m = _base_matrix(base, g.n)
+    p = phi.sample(grid)        # phi first, as in symmetry_residual
     U, V = g.connection(grid)
-    p = phi.sample(grid)
     rx = phi.d1_samples(grid, 1) + _commutator(V, p)
     rt = -(phi.d1_samples(grid, 0) + _commutator(U, p))
     return _integrate(rx, rt, grid, base_m, IntegrabilityError,

@@ -323,6 +323,16 @@ class TestFields:
         with pytest.raises(InvalidGridError, match="nodes only"):
             call(g, item, Grid2D(nx=61, nt=61))
 
+    @pytest.mark.parametrize("operator", [recursion_step, symmetry_residual])
+    def test_phi_on_another_lattice_fails_before_the_seed_caches(self, level_2_of_1003,
+                                                                   operator):
+        g, item = level_2_of_1003
+        seed = ExpSeedField(g.A, g.B)
+        foreign = Grid2D(nx=61, nt=61)
+        with pytest.raises(InvalidGridError, match="nodes only"):
+            operator(item.phi, seed, foreign)
+        assert foreign not in seed._samples and foreign not in seed._checked
+
     def test_grids_differing_only_in_step_share_caches_and_tables(self, level_2_of_1003):
         g, item = level_2_of_1003
         stepped = Grid2D(h=1e-5)
@@ -628,12 +638,23 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _cond_kinds(calls):
+    """(Frobenius, SVD) counts among recorded ``np.linalg.cond`` calls."""
+    fro = sum(1 for args in calls if args[1:] == ("fro",))
+    return fro, len(calls) - fro
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_commutator_matches_matrix_products(n):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
     single = random_matrix(rng, n)
-    for a, b in ((stack, stack[::-1]), (single, stack), (stack, single), (single, single.T)):
+    table = rng.standard_normal((6, 8, n, n)) + 1j * rng.standard_normal((6, 8, n, n))
+    # what _lattice_derivative returns along axis 1: a moveaxis view
+    view = _lattice_derivative(table, 0.25, 1)
+    assert not view.flags.c_contiguous
+    for a, b in ((stack, stack[::-1]), (single, stack), (stack, single), (single, single.T),
+                 (single, table), (single, view)):
         np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0, atol=1e-13)
 
 
@@ -649,7 +670,8 @@ class TestConnection:
         solves = _counting(monkeypatch, chiral_recursion.np.linalg, "solve")
         for item in hierarchy(g, M, 3, GRID):
             symmetry_residual(item.phi, g, GRID)
-        assert (len(conds), len(solves)) == (1, 0)
+        # one Frobenius pass, and no SVD on a well-conditioned seed
+        assert (_cond_kinds(conds), len(solves)) == ((1, 0), 0)
 
     def test_hierarchy_and_its_scans_compare_no_node_arrays(self, monkeypatch):
         A, B, M = seed_triple(31)
@@ -660,21 +682,24 @@ class TestConnection:
             symmetry_residual(item.phi, g, GRID)
         assert calls == [[], []]
 
-    def test_exp_seed_connection_is_shared_read_only_and_exact(self):
+    def test_exp_seed_connection_is_shared_read_only_and_exact(self, monkeypatch):
         A, B, _ = seed_triple(7)
         g = ExpSeedField(A, B)
+        conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
         U, V = g.connection(GRID)
-        again = g.connection(Grid2D())
-        assert again[0] is U and again[1] is V
+        assert U is g.A and V is g.B
+        # a grid that differs only in its step has the same nodes: one check
+        assert g.connection(Grid2D(h=1e-5)) is g.connection(GRID)
+        assert _cond_kinds(conds) == (1, 0)
         for built, gen, rebuilt in zip((U, V), (A, B), MatrixField.connection(g, GRID)):
             assert not built.flags.writeable
             with pytest.raises(ValueError):
                 built[0, 0] = 0.0
-            assert built.shape == rebuilt.shape == (GRID.nx, GRID.nt, 3, 3)
-            # every node is the generator itself, bit for bit
-            assert np.array_equal(built, np.broadcast_to(gen, built.shape))
+            assert built.shape == (3, 3)
+            assert np.array_equal(built, gen)
             # g^-1 g_x solved node by node from the samples agrees
-            assert np.max(np.abs(rebuilt - built)) < 1e-12
+            assert rebuilt.shape == (GRID.nx, GRID.nt, 3, 3)
+            assert np.max(np.abs(rebuilt - np.broadcast_to(built, rebuilt.shape))) < 1e-12
 
     def test_failed_check_is_not_cached(self, monkeypatch):
         # cond(g) reaches e^40 at x = 1, beyond the invertibility limit
@@ -683,15 +708,103 @@ class TestConnection:
         for _ in range(2):
             with pytest.raises(SingularMatrixError):
                 g.connection(GRID)
-        assert len(conds) == 2
+        # each attempt takes the Frobenius pass and the SVD of the nodes it flags
+        assert _cond_kinds(conds) == (2, 2)
 
-    def test_each_grid_gets_its_own_connection(self):
+    def test_each_grid_gets_its_own_check(self, monkeypatch):
         A, B, _ = seed_triple(7)
         g = ExpSeedField(A, B)
-        U, V = g.connection(GRID)
+        conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
         small = Grid2D(nx=21, nt=17)
-        U2, V2 = g.connection(small)
-        assert U2.shape == V2.shape == (21, 17, 3, 3)
-        assert U2 is not U and V2 is not V
-        assert g.connection(GRID)[0] is U
-        assert g.connection(small)[0] is U2
+        for grid in (GRID, small, GRID, small):
+            U, V = g.connection(grid)
+            assert U is g.A and V is g.B
+        assert _cond_kinds(conds) == (2, 0)
+        assert [args[0].shape for args in conds] == [(41 * 41, 3, 3), (21 * 17, 3, 3)]
+
+
+def _svd_check(g_samples, grid):
+    """Reference conditioning check: the exact SVD condition number of every node."""
+    finite = np.isfinite(g_samples).all(axis=(-2, -1))
+    cond = np.full(finite.shape, np.inf)
+    cond[finite] = np.linalg.cond(g_samples[finite])
+    bad = ~np.isfinite(cond) | (cond > 1e12)
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(np.where(bad, np.inf, cond))), cond.shape)
+        raise SingularMatrixError((grid.xs[i], grid.ts[j]))
+
+
+def _alone(m):
+    """``m`` at node (1, 0) of a 2 x 2 lattice of identities."""
+    n = m.shape[-1]
+    stack = np.broadcast_to(np.eye(n, dtype=complex), (2, 2, n, n)).copy()
+    stack[1, 0] = m
+    return stack
+
+
+def _flagged_node(check, g_samples, grid):
+    """The point ``check`` reports as singular, or None when it passes."""
+    try:
+        check(g_samples, grid)
+    except SingularMatrixError as exc:
+        return exc.point
+    return None
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _conditioning_cases(n, seed=0):
+    """n x n matrices U diag(s) V^H over condition numbers and scales, plus
+    the degenerate nodes: zero, subnormal, rank one, inf and nan entries."""
+    rng = np.random.default_rng(seed)
+    conds = [1.0, 10.0, 1e4, 1e8, 1e15, 1e17, 1e20]
+    conds += [c * f for c in (1e11, 1e12, 1e13) for f in (0.99, 1.01)]
+    cases = []
+    # interior singular values at the top, middle or bottom of the range:
+    # at either end the Frobenius bound reads sqrt(2) times the 2-norm value
+    interiors = (0.0, 0.5, 1.0) if n > 2 else (0.0,)
+    for cond in conds:
+        for scale in (1e-150, 1e-50, 1e-8, 1.0, 1e8, 1e50, 1e150):
+            for interior in interiors:
+                s = cond ** -np.array([0.0] + [interior] * (n - 2) + [1.0])
+                cases.append((_unitary(rng, n) * (scale * s)) @ _unitary(rng, n).conj().T)
+    cases.append(np.zeros((n, n), dtype=complex))
+    cases.append(1e-310 * _unitary(rng, n))
+    cases.append(np.outer(random_matrix(rng, n)[0], random_matrix(rng, n)[0]))
+    for bad in (np.inf, np.nan):
+        m = random_matrix(rng, n)
+        m[n - 1, 0] = bad
+        cases.append(m)
+    return np.array(cases)
+
+
+SMALL = Grid2D(nx=2, nt=2)
+
+
+class TestCheckInvertible:
+    """The Frobenius-filtered check flags exactly the nodes an SVD would."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_node_gets_the_svd_verdict(self, n):
+        verdicts = []
+        for m in _conditioning_cases(n):
+            ours = _flagged_node(chiral_recursion._check_invertible, _alone(m), SMALL)
+            assert ours == _flagged_node(_svd_check, _alone(m), SMALL)
+            verdicts.append(ours is not None)
+        # both outcomes occur, on either side of the limit
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_mixed_stacks_report_the_same_first_node(self, n):
+        cases = _conditioning_cases(n)
+        rng = np.random.default_rng(n)
+        passing = np.array([m for m in cases if _flagged_node(_svd_check, _alone(m), SMALL) is None])
+        for stack in [cases[rng.permutation(len(cases))] for _ in range(20)] + [passing]:
+            grid = Grid2D(nx=len(stack), nt=2)
+            table = np.stack([stack, stack[::-1]], axis=1)
+            ours = _flagged_node(chiral_recursion._check_invertible, table, grid)
+            assert ours == _flagged_node(_svd_check, table, grid)
+            assert (ours is None) == (stack is passing)
