@@ -33,11 +33,17 @@ here uses fourth-order stencils: 5-point interior, one-sided at edges.
 Line integration is cumulative trapezoid with the Euler-Maclaurin endpoint
 correction, exact for cubic integrands; combined with the stencils this
 makes levels 0 through 3 of an exponential-seed hierarchy exact to
-rounding on the default grids.  The potential and the recursion step
-share one integrator: it always computes both axis orders, their
-disagreement is the integrability diagnostic, and it returns a
-TabulatedField that carries it as ``path_disagreement``.  The potential X
-is that field itself.
+rounding on the default grids.  Both kernels work in real arithmetic: a
+node table, with the differentiated axis moved to the front, is read as a
+(nodes, -1) float matrix through the float view of its complex entries.
+A derivative is then one real (nodes, nodes) @ (nodes, 2 * rest) product,
+not a complex product against a real matrix, three quarters of whose
+multiplies are by zero imaginary parts; the trapezoid sums, cumulative
+sum and endpoint correction run on the same matrix.  The potential and
+the recursion step share one integrator: it always computes both axis
+orders, their disagreement is the integrability diagnostic, and it
+returns a TabulatedField that carries it as ``path_disagreement``.  The
+potential X is that field itself.
 
 The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
 starts from.  For an exponential seed it is exactly the constant pair
@@ -117,11 +123,30 @@ def _diff_matrix_unit(n_nodes: int, deriv: int):
     return mat
 
 
+def _node_rows(values: np.ndarray, axis: int):
+    """``values`` as a C-contiguous (nodes, -1) float matrix, ``axis`` first.
+
+    A complex table is read through its float view, real and imaginary
+    parts interleaved, so a real stencil acts on both parts in one real
+    product.  Also returns the function that maps a matrix of that shape
+    back to the shape, axis order and kind of ``values``.
+    """
+    moved = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+    is_complex = np.iscomplexobj(moved)
+    rows = (moved.view(moved.real.dtype) if is_complex else moved).reshape(len(moved), -1)
+
+    def restore(out: np.ndarray) -> np.ndarray:
+        if is_complex:
+            out = out.view(moved.dtype)
+        return np.moveaxis(out.reshape(moved.shape), 0, axis)
+
+    return rows, restore
+
+
 def _lattice_derivative(values: np.ndarray, spacing: float, axis: int,
                         deriv: int = 1) -> np.ndarray:
-    mat = _diff_matrix_unit(values.shape[axis], deriv) / spacing ** deriv
-    moved = np.moveaxis(values, axis, 0)
-    return np.moveaxis(np.tensordot(mat, moved, axes=(1, 0)), 0, axis)
+    rows, restore = _node_rows(values, axis)
+    return restore((_diff_matrix_unit(len(rows), deriv) / spacing ** deriv) @ rows)
 
 
 def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -130,7 +155,7 @@ def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.nd
     The Euler-Maclaurin endpoint term -(spacing^2/12)(f'_m - f'_0) removes
     the leading trapezoid error, making the rule exact for cubics.
     """
-    v = np.moveaxis(values, axis, 0)
+    v, restore = _node_rows(values, axis)
     out = np.zeros_like(v)
     # in place, the same operations in the same order: fewer tables alive
     steps = v[1:] + v[:-1]
@@ -142,7 +167,7 @@ def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.nd
     deriv -= deriv[0]
     deriv *= spacing ** 2 / 12.0
     out -= deriv
-    return np.moveaxis(out, 0, axis)
+    return restore(out)
 
 
 # Pade [13/13] coefficients b_k / b_0, and the 1-norm below which it meets
@@ -226,10 +251,10 @@ class MatrixField:
         return np.asarray(self(X, T), dtype=complex)
 
     def d1_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
-        return Stencil(self, grid.mesh(), grid.h).d(axis)
+        return Stencil(self, grid.mesh(), grid.stencil_step).d(axis)
 
     def d2_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
-        return Stencil(self, grid.mesh(), grid.h).diffs(axis)[1]
+        return Stencil(self, grid.mesh(), grid.stencil_step).diffs(axis)[1]
 
     def connection(self, grid: Grid2D):
         """U = g^-1 g_x and V = g^-1 g_t on the lattice."""
@@ -476,7 +501,7 @@ def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
     bad = ~np.isfinite(cond) | (cond > _COND_LIMIT)
     if bad.any():
         i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        raise SingularMatrixError((grid.xs[i], grid.ts[j]))
+        raise SingularMatrixError((grid.xs[i], grid.ts[j]), cond=cond[i, j])
 
 
 def _connection_tables(g: MatrixField, grid: Grid2D) -> tuple:

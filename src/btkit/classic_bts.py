@@ -226,7 +226,7 @@ def _scan(grid: Grid2D, residuals: Callable, *fields) -> ResidualReport:
     X, T = grid.mesh()
     with np.errstate(all="ignore"):
         values = [magnitude(r, X.ndim)
-                  for r in residuals(*(Stencil(f, (X, T), grid.h) for f in fields))]
+                  for r in residuals(*(Stencil(f, (X, T), grid.stencil_step) for f in fields))]
     return report_from_values(np.max(values, axis=0), (X, T))
 
 

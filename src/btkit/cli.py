@@ -211,9 +211,9 @@ def _resolve_step(args) -> float:
         raise _UsageError(f"BTKIT_H is not a number: {env!r}") from exc
 
 
-def _grid2d(args, step: float) -> Grid2D:
+def _grid2d(args, step: float, lattice_only: bool = False) -> Grid2D:
     return Grid2D(args.x_min, args.x_max, args.t_min, args.t_max,
-                  args.nx, args.nt, h=step)
+                  args.nx, args.nt, h=step, lattice_only=lattice_only)
 
 
 def _resolve_omega(args) -> float:
@@ -335,7 +335,8 @@ def _run_em(args):
 
 def _run_chiral(args):
     step = _resolve_step(args)
-    grid = _grid2d(args, step)
+    # every chiral scan differences the lattice; h is only echoed
+    grid = _grid2d(args, step, lattice_only=True)
     A = _complex_matrix(args.a_re, args.a_im, "A")
     B = _complex_matrix(args.b_re, args.b_im, "B")
     g = chiral_recursion.ExpSeedField(A, B)

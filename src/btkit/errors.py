@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class BtkitError(Exception):
     """Base class for all package-specific errors."""
@@ -30,11 +32,17 @@ class NonCommutingError(BtkitError):
 
 
 class SingularMatrixError(BtkitError):
-    """A matrix field is numerically non-invertible at an evaluated point."""
+    """A matrix field is numerically non-invertible at an evaluated point.
 
-    def __init__(self, point, message=None):
+    ``cond`` is the condition number found there: inf for a singular node
+    or one with a non-finite entry.
+    """
+
+    def __init__(self, point, message=None, *, cond=math.inf):
         self.point = tuple(float(c) for c in point)
-        super().__init__(message or f"matrix field is singular near {self.point}")
+        self.cond = float(cond)
+        super().__init__(message or f"matrix field is singular near {self.point} "
+                                    f"(condition number {self.cond!r})")
 
 
 class PathDependenceError(BtkitError):

@@ -80,9 +80,13 @@ class Grid2D:
 
     A grid is its lattice: equality and hashing ignore ``h``, the
     central-difference step of the closed-form stencils (``Stencil``), which
-    moves no node.  ``h`` must stay strictly below one tenth of the smallest
-    grid spacing.  The node arrays ``xs`` and ``ts`` and the ``mesh()``
-    arrays are built once per grid and read-only, shared by every caller.
+    moves no node.  ``h`` must be finite and positive, and strictly below
+    one tenth of the smallest grid spacing.  A ``lattice_only`` grid serves
+    the chiral lattice operators, which difference nodes and never read
+    ``h``: its ``h`` is checked against the spacing only when a closed-form
+    stencil asks for it (``stencil_step``).  The node arrays ``xs`` and
+    ``ts`` and the ``mesh()`` arrays are built once per grid and read-only,
+    shared by every caller.
     """
 
     x_min: float = -1.0
@@ -92,11 +96,19 @@ class Grid2D:
     nx: int = 41
     nt: int = 41
     h: float = field(default=DEFAULT_STEP, compare=False)
+    lattice_only: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         dx = _check_axis("x", self.x_min, self.x_max, self.nx)
         dt = _check_axis("t", self.t_min, self.t_max, self.nt)
-        _check_step(self.h, min(dx, dt), "smallest")
+        _check_step(self.h, math.inf if self.lattice_only else min(dx, dt), "smallest")
+
+    @property
+    def stencil_step(self) -> float:
+        """``h`` for a closed-form stencil, checked against the spacing."""
+        if self.lattice_only:
+            _check_step(self.h, min(self.dx, self.dt), "smallest")
+        return self.h
 
     @property
     def dx(self) -> float:
@@ -322,17 +334,17 @@ def curl(d):
 def magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
     """Reduce a residual array to one non-negative number per grid point.
 
-    Complex parts are compared separately (max of |Re| and |Im|), then the
-    maximum is taken over any trailing component axes.
+    The largest absolute value among the point's entries, where a complex
+    array is read through its float view, so that its real and imaginary
+    parts are entries of their own: the max of |Re| and |Im| over every
+    component, taken by one ``abs`` and one ``max``.  A non-finite entry
+    in either part makes the point's value non-finite.
     """
-    arr = np.asarray(values)
+    arr = np.ascontiguousarray(values)
+    points = arr.shape[:point_ndim]
     if np.iscomplexobj(arr):
-        arr = np.maximum(np.abs(arr.real), np.abs(arr.imag))
-    else:
-        arr = np.abs(arr)
-    while arr.ndim > point_ndim:
-        arr = arr.max(axis=-1)
-    return arr
+        arr = arr.view(arr.real.dtype)
+    return np.abs(arr.reshape(points + (-1,))).max(axis=-1)
 
 
 def report_from_values(values: np.ndarray, meshes) -> ResidualReport:

@@ -119,6 +119,115 @@ class TestLatticeCalculus:
             _lattice_derivative(np.zeros(5), 0.1, axis=0, deriv=1)
 
 
+def _complex_derivative(values, spacing, axis, deriv=1):
+    """The complex-product lattice derivative the float-view kernel replaced."""
+    mat = chiral_recursion._diff_matrix_unit(values.shape[axis], deriv) / spacing ** deriv
+    moved = np.moveaxis(values, axis, 0)
+    return np.moveaxis(np.tensordot(mat, moved, axes=(1, 0)), 0, axis)
+
+
+def _complex_cumulative_integral(values, spacing, axis):
+    """The complex-arithmetic cumulative integral the float-view kernel replaced."""
+    v = np.moveaxis(values, axis, 0)
+    out = np.zeros_like(v)
+    steps = v[1:] + v[:-1]
+    steps *= 0.5
+    steps *= spacing
+    np.cumsum(steps, axis=0, out=out[1:])
+    del steps
+    deriv = _complex_derivative(v, spacing, 0)
+    deriv -= deriv[0]
+    deriv *= spacing ** 2 / 12.0
+    out -= deriv
+    return np.moveaxis(out, 0, axis)
+
+
+def _stencil_terms(values, spacing, axis, deriv):
+    """Sum of |weight| |value| over each node's stencil: the scale of its rounding.
+
+    Where the terms cancel, as on a constant table, two summation orders
+    agree only to a few ulps of this sum, not of the result.
+    """
+    weights = np.abs(chiral_recursion._diff_matrix_unit(values.shape[axis], deriv))
+    moved = np.moveaxis(np.abs(values), axis, 0)
+    return np.moveaxis(np.tensordot(weights / spacing ** deriv, moved, axes=(1, 0)), 0, axis)
+
+
+def _integral_terms(values, spacing, axis):
+    """The same scale for the corrected trapezoid sums."""
+    moved = np.moveaxis(np.abs(values), axis, 0)
+    terms = np.zeros_like(moved)
+    terms[1:] = np.cumsum(moved[1:] + moved[:-1], axis=0) * (0.5 * spacing)
+    slopes = np.moveaxis(_stencil_terms(values, spacing, axis, 1), axis, 0)
+    terms += spacing ** 2 / 12.0 * (slopes + slopes[0])
+    return np.moveaxis(terms, 0, axis)
+
+
+def _kernel_table(nodes, n, is_complex, layout):
+    """A (nodes, other, n, n) table in the layouts the lattice kernels receive."""
+    other = 6 if nodes > 6 else 41
+    shape = (nodes, other, n, n)
+    rng = np.random.default_rng(nodes * 100 + n * 10 + is_complex)
+
+    def draw(size):
+        return rng.standard_normal(size) + (1j * rng.standard_normal(size) if is_complex else 0)
+
+    if layout == "contiguous":
+        return draw(shape)
+    if layout == "moveaxis":
+        view = np.moveaxis(draw((other, nodes, n, n)), 0, 1)
+        assert not view.flags.c_contiguous
+        return view
+    # zero-stride and read-only, as _connection_tables broadcasts a connection
+    source = draw((n, n)) if layout == "constant" else draw((nodes, 1, n, n))
+    table = np.broadcast_to(source, shape)
+    assert not table.flags.writeable and 0 in table.strides
+    return table
+
+
+class TestFloatViewKernels:
+    """The real-arithmetic kernels against the complex-product ones they replaced."""
+
+    @staticmethod
+    def assert_close(got, want, terms):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        scale = np.maximum(1.0, np.maximum(np.abs(want), terms))
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "moveaxis", "constant", "varying-rows"])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("nodes", [6, 7, 41])
+    def test_kernels_match_the_complex_reference(self, nodes, n, is_complex, layout):
+        table = _kernel_table(nodes, n, is_complex, layout)
+        before = table.copy()
+        for axis in (0, 1):
+            spacing = 2.0 / (table.shape[axis] - 1)
+            for deriv in (1, 2):
+                self.assert_close(_lattice_derivative(table, spacing, axis, deriv),
+                                  _complex_derivative(table, spacing, axis, deriv),
+                                  _stencil_terms(table, spacing, axis, deriv))
+            self.assert_close(_cumulative_integral(table, spacing, axis),
+                              _complex_cumulative_integral(table, spacing, axis),
+                              _integral_terms(table, spacing, axis))
+        np.testing.assert_array_equal(table, before)
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_kernels_take_tables_of_any_rank(self, is_complex):
+        # a vector per node and a bare column of nodes, as the lattice tests use
+        rng = np.random.default_rng(5)
+        for shape in ((41,), (7, 9, 3)):
+            table = rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
+                                                  if is_complex else 0)
+            for axis in range(min(2, len(shape))):
+                self.assert_close(_lattice_derivative(table, 0.05, axis, 2),
+                                  _complex_derivative(table, 0.05, axis, 2),
+                                  _stencil_terms(table, 0.05, axis, 2))
+                self.assert_close(_cumulative_integral(table, 0.05, axis),
+                                  _complex_cumulative_integral(table, 0.05, axis),
+                                  _integral_terms(table, 0.05, axis))
+
+
 def _relative_error(got, want):
     """Per-matrix max-entry error, relative to the largest entry of ``want``."""
     return np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
@@ -379,6 +488,9 @@ class TestChiralResidual:
         with pytest.raises(SingularMatrixError) as excinfo:
             chiral_residual(g, GRID)
         assert excinfo.value.point[0] == pytest.approx(0.0, abs=1e-12)
+        # the node x = 0 is exactly singular: its condition number is inf
+        assert excinfo.value.cond == np.inf
+        assert str(excinfo.value).endswith("(condition number inf)")
 
     def test_small_grid_rejected(self, exp_setup):
         _, _, _, g = exp_setup
@@ -396,6 +508,18 @@ class TestChiralResidual:
         with pytest.raises(SingularMatrixError) as excinfo:
             chiral_residual(TabulatedField(GRID, values), GRID)
         assert excinfo.value.point == pytest.approx((GRID.xs[12], GRID.ts[30]))
+        assert excinfo.value.cond == np.inf
+        assert str(excinfo.value) == (f"matrix field is singular near "
+                                      f"{excinfo.value.point} (condition number inf)")
+
+    def test_ill_conditioned_node_reports_its_condition_number(self):
+        # cond(g) = e^(40 |x|) first passes 1e12 at the node x = -1
+        g = ExpSeedField(np.diag([20.0, -20.0]), np.zeros((2, 2)))
+        with pytest.raises(SingularMatrixError) as excinfo:
+            chiral_residual(g, GRID)
+        assert excinfo.value.point == (-1.0, -1.0)
+        assert excinfo.value.cond == pytest.approx(np.exp(40.0), rel=1e-9)
+        assert f"(condition number {excinfo.value.cond!r})" in str(excinfo.value)
 
     def test_perturbed_tabulated_seed_fails(self):
         # an exp seed's connection is exactly (A, B), so the field-equation

@@ -604,6 +604,41 @@ class TestStepOverrides:
         assert "BTKIT_H" in err
 
 
+class TestLatticeFinerThanTenSteps:
+    # dx = 1e-3 is exactly ten default steps: the closed-form stencils need
+    # h < spacing/10, the chiral lattice operators never read h
+    FINE = ("--x-min", "0", "--x-max", "0.01", "--nx", "11")
+    CHIRAL = {
+        "residual": (),
+        "potential": (),
+        "hierarchy": ("--m-re", M_RE, "--levels", "2"),
+    }
+
+    @pytest.mark.parametrize("sub", list(CHIRAL))
+    def test_chiral_runs_accept_it_and_echo_the_step(self, capsys, sub):
+        code, out, err = run(capsys, "chiral", sub, "--a-re", A_RE, "--b-re", B_RE,
+                             *self.CHIRAL[sub], *self.FINE, "--verify")
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["grid"]["h"] == 1e-4 and doc["grid"]["nx"] == 11
+        assert doc["verify"]["passed"] is True
+
+    @pytest.mark.parametrize("verify", [("--verify",), ()], ids=["verify", "no-verify"])
+    @pytest.mark.parametrize("sub", ["laplace", "liouville", "sine-gordon"])
+    def test_classic_runs_keep_refusing_it(self, capsys, sub, verify):
+        code, out, err = run(capsys, "classic", sub, *self.FINE, *verify)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == ("btkit: error: stencil step 0.0001 too coarse for smallest "
+                       "spacing 0.001: need h < spacing/10\n")
+
+    @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
+    def test_chiral_step_must_still_be_finite_and_positive(self, capsys, step):
+        code, out, err = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
+                             *self.FINE, "--h", step)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err.startswith("btkit: error: stencil step must be finite and positive")
+
+
 class TestFileOutputs:
     def test_json_and_csv_files(self, capsys, tmp_path):
         out_json = tmp_path / "run.json"

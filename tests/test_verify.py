@@ -17,6 +17,7 @@ from btkit.verify import (
     Stencil,
     curl,
     divergence,
+    magnitude,
     report_from_values,
 )
 
@@ -271,6 +272,63 @@ class TestResidualScan:
         assert report.n_points == 5 ** 4
 
 
+def _reference_magnitude(values, point_ndim):
+    """The |Re| / |Im| reduction that ``magnitude`` replaced, as the oracle."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        arr = np.maximum(np.abs(arr.real), np.abs(arr.imag))
+    else:
+        arr = np.abs(arr)
+    while arr.ndim > point_ndim:
+        arr = arr.max(axis=-1)
+    return arr
+
+
+def _residual_table(rng, points, components, is_complex):
+    shape = points + components
+    values = rng.standard_normal(shape) * np.exp(rng.uniform(-30, 30, shape))
+    values[..., :1] *= -0.0     # signed zeros in either part
+    if is_complex:
+        values = values + 1j * rng.standard_normal(shape)
+        values.imag[::2] *= 1e20
+    return values
+
+
+class TestMagnitude:
+    @pytest.mark.parametrize("components", [(), (3,), (2, 2), (3, 3)],
+                             ids=["scalar", "vector", "matrix-2", "matrix-3"])
+    @pytest.mark.parametrize("points", [(9, 7), (3, 4, 2, 5)], ids=["2d", "4d"])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+    def test_matches_the_reference_bit_for_bit(self, components, points, is_complex,
+                                               layout):
+        rng = np.random.default_rng(len(points) * 10 + len(components))
+        values = _residual_table(rng, points, components, is_complex)
+        if layout == "transposed":
+            values = np.asfortranarray(values)
+        got = magnitude(values, len(points))
+        want = _reference_magnitude(values, len(points))
+        assert got.shape == want.shape == points and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("components", [(), (3,), (2, 2)], ids=["scalar", "vector", "matrix"])
+    def test_non_finite_entry_in_either_part_is_singular(self, bad, part, components):
+        rng = np.random.default_rng(3)
+        values = _residual_table(rng, (9, 7), components, True)
+        getattr(values, part)[(4, 2) + (0,) * len(components)] = bad
+        getattr(values, part)[(6, 1) + (-1,) * len(components)] = bad
+        got = magnitude(values, 2)
+        want = _reference_magnitude(values, 2)
+        assert got.tobytes() == want.tobytes()
+        assert not np.isfinite(got[4, 2]) and not np.isfinite(got[6, 1])
+        grid = Grid2D(nx=9, nt=7)
+        report = report_from_values(values, grid.mesh())
+        assert report.n_singular == 2 and report.n_points == 9 * 7 - 2
+        assert report.max_abs == float(np.max(np.delete(want.ravel(), [4 * 7 + 2, 6 * 7 + 1])))
+
+
 class TestGrids:
     def test_default_grid_matches_documented_defaults(self):
         grid = Grid2D()
@@ -305,7 +363,8 @@ class TestGrids:
     @pytest.mark.parametrize("used_kwargs, fresh_kwargs", [
         (dict(nx=9), dict(nx=9)),
         (dict(h=1e-5), dict()),
-    ], ids=["cached-mesh", "other-step"])
+        (dict(h=0.01, lattice_only=True), dict()),
+    ], ids=["cached-mesh", "other-step", "lattice-only"])
     def test_cached_nodes_leave_equality_and_hash_alone(self, used_kwargs, fresh_kwargs):
         used, fresh = Grid2D(**used_kwargs), Grid2D(**fresh_kwargs)
         used.mesh()
@@ -313,6 +372,19 @@ class TestGrids:
         assert {fresh: "cached"}[used] == "cached"
         assert used.to_dict() == {**fresh.to_dict(), "h": used.h}
         assert used != Grid2D(nx=11)
+
+    def test_lattice_only_grid_checks_its_step_when_a_stencil_asks(self):
+        # 10 h = 0.1 > spacing 0.05: refused by the closed-form stencils only
+        coarse = Grid2D(h=0.01, lattice_only=True)
+        with pytest.raises(InvalidGridError, match=r"too coarse for smallest spacing 0\.05"):
+            coarse.stencil_step
+        with pytest.raises(InvalidGridError, match="too coarse"):
+            classic_bts.laplace_residual(classic_bts.harmonic_conjugate_match(1, 0, 0)[0],
+                                         coarse)
+        assert Grid2D(h=1e-3, lattice_only=True).stencil_step == Grid2D(h=1e-3).stencil_step
+        for h in (0.0, -1e-4, math.nan, math.inf):
+            with pytest.raises(InvalidGridError, match="finite and positive"):
+                Grid2D(h=h, lattice_only=True)
 
     def test_mesh_is_built_once_per_grid_and_read_only(self):
         grid = Grid2D(nx=9, nt=7)
