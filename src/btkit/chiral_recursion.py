@@ -28,7 +28,7 @@ Numerics
 Hierarchy fields live on the grid lattice: each recursion output is a
 TabulatedField defined on the nodes of its Grid2D and nowhere else (other
 nodes raise InvalidGridError), so no interpolant's kinks are differenced,
-and the closed-form step ``h`` plays no part.  Every lattice derivative
+and no field is differenced by a small step.  Every lattice derivative
 here uses fourth-order stencils: 5-point interior, one-sided at edges.
 Line integration is cumulative trapezoid with the Euler-Maclaurin endpoint
 correction, exact for cubic integrands; combined with the stencils this
@@ -82,7 +82,7 @@ from .errors import (
     PathDependenceError,
     SingularMatrixError,
 )
-from .verify import Grid2D, ResidualReport, Stencil, magnitude, report_from_values
+from .verify import Grid2D, ResidualReport, _exact_scale, magnitude, report_from_values
 
 _MIN_NODES = 6          # one-sided second-derivative stencils need 6 nodes
 _COMMUTE_TOL = 1e-12
@@ -234,27 +234,14 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --- matrix field families ------------------------------------------------
 
 class MatrixField:
-    """Square-matrix-valued field of (x, t); evaluators broadcast.
+    """Square-matrix-valued field of (x, t) on the nodes of a grid.
 
-    Derivative samples default to small-step central differences of the
-    evaluator.  Tabulated data has no evaluator: it samples its own table
-    and differences it with lattice stencils.
+    Each family supplies its node table ``sample`` and its derivative
+    tables ``d1_samples`` and ``d2_samples``: closed forms exactly, tabulated
+    data by the lattice stencils.
     """
 
     n: int
-
-    def __call__(self, x, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample(self, grid: Grid2D) -> np.ndarray:
-        X, T = grid.mesh()
-        return np.asarray(self(X, T), dtype=complex)
-
-    def d1_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
-        return Stencil(self, grid.mesh(), grid.stencil_step).d(axis)
-
-    def d2_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
-        return Stencil(self, grid.mesh(), grid.stencil_step).diffs(axis)[1]
 
     def connection(self, grid: Grid2D):
         """U = g^-1 g_x and V = g^-1 g_t on the lattice."""
@@ -304,6 +291,9 @@ class ConstantField(MatrixField):
         shape = np.broadcast(np.asarray(x), np.asarray(t)).shape
         return np.broadcast_to(self.M, shape + self.M.shape).copy()
 
+    def sample(self, grid: Grid2D) -> np.ndarray:
+        return self(*grid.mesh())
+
     def d1_samples(self, grid, axis):
         return np.zeros((grid.nx, grid.nt, self.n, self.n), dtype=complex)
 
@@ -325,13 +315,13 @@ class ExpSeedField(MatrixField):
     evaluation exponentiates each distinct x and each distinct t once, not
     every point: 83 exponentials for a 41 x 41 mesh instead of 1681, in
     three calls of the batched Pade ``_expm``.
-    Derivative samples use the closed form g_x = A g, g_t = B g, and the
-    connection is the (n, n) pair (A, B) itself, returned once the grid's
-    samples pass the invertibility check.  Grid samples are computed once
-    per grid and returned read-only, and the check runs once per grid; the
-    generators are read-only copies, so nothing cached can go stale.  A
-    grid that fails the check is not recorded and raises again on the next
-    call.
+    Derivative samples use the closed forms g_x = A g and g_xx = A (A g)
+    (B in t), and the connection is the (n, n) pair (A, B) itself, returned
+    once the grid's samples pass the invertibility check.  Grid samples are
+    computed once per grid and returned read-only, and the check runs once
+    per grid; the generators are read-only copies, so nothing cached can go
+    stale.  A grid that fails the check is not recorded and raises again on
+    the next call.
     """
 
     def __init__(self, A, B):
@@ -345,10 +335,15 @@ class ExpSeedField(MatrixField):
         if self.A.shape != self.B.shape:
             raise InvalidParameterError("generators must have matching shapes")
         self.n = self.A.shape[0]
-        comm = _commutator(self.A, self.B)
-        scale = max(1.0, float(np.max(np.abs(self.A))) * float(np.max(np.abs(self.B))))
-        defect = float(np.max(np.abs(comm)))
-        if defect > _COMMUTE_TOL * scale:
+        # |[A, B]| > tol max(1, |A| |B|) on A / sa and B / sb for powers of two,
+        # whose products cannot overflow: the same digits where A B is in range.
+        # Divided as floats: numpy's complex quotient by a subnormal overflows.
+        sa, sb = (_exact_scale(float(np.max(np.abs(m)))) for m in (self.A, self.B))
+        a, b = ((m.view(float) / s).view(complex) for m, s in ((self.A, sa), (self.B, sb)))
+        scaled = float(np.max(np.abs(_commutator(a, b))))
+        defect = scaled * (sa * sb)
+        peak = float(np.max(np.abs(a))) * float(np.max(np.abs(b)))
+        if scaled > _COMMUTE_TOL * peak and defect > _COMMUTE_TOL:
             raise NonCommutingError(
                 f"seed generators do not commute: max |[A, B]| = {defect!r}"
             )
@@ -370,13 +365,16 @@ class ExpSeedField(MatrixField):
     def sample(self, grid: Grid2D) -> np.ndarray:
         values = self._samples.get(grid)
         if values is None:
-            values = super().sample(grid)
+            values = self(*grid.mesh())
             values.setflags(write=False)
             self._samples[grid] = values
         return values
 
     def d1_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
         return (self.A, self.B)[axis] @ self.sample(grid)
+
+    def d2_samples(self, grid: Grid2D, axis: int) -> np.ndarray:
+        return (self.A, self.B)[axis] @ self.d1_samples(grid, axis)
 
     def connection(self, grid: Grid2D):
         if grid not in self._checked:

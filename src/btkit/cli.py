@@ -14,8 +14,8 @@ floats with 17 significant digits.  CSV always carries a header row and a
 default finite-difference step; an explicit --h flag wins over it.
 
 Exit codes: 0 success; 1 precondition rejected by the library (the message
-names the violated constraint); 2 a --verify scan exceeded its documented
-tolerance; 64 usage error.
+names the violated constraint) or a grid too large to allocate; 2 a
+--verify scan exceeded its documented tolerance; 64 usage error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import classic_bts, chiral_recursion, maxwell_conductor, maxwell_vacuum
 from .chiral_recursion import _matrix_pair
 from .errors import BtkitError, InvalidParameterError
 from .media import EPSILON0, MU0, MediumParams, VACUUM
-from .verify import DEFAULT_STEP, Grid2D, Grid4D, report_from_values
+from .verify import DEFAULT_STEP, Grid2D, Grid4D, finite_step, report_from_values
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -211,9 +211,8 @@ def _resolve_step(args) -> float:
         raise _UsageError(f"BTKIT_H is not a number: {env!r}") from exc
 
 
-def _grid2d(args, step: float, lattice_only: bool = False) -> Grid2D:
-    return Grid2D(args.x_min, args.x_max, args.t_min, args.t_max,
-                  args.nx, args.nt, h=step, lattice_only=lattice_only)
+def _grid2d(args) -> Grid2D:
+    return Grid2D(args.x_min, args.x_max, args.t_min, args.t_max, args.nx, args.nt)
 
 
 def _resolve_omega(args) -> float:
@@ -256,15 +255,17 @@ def _verify_block(scans: dict, tolerance: float):
 
 def _run_classic(args):
     step = _resolve_step(args)
-    grid = _grid2d(args, step)
+    grid = _grid2d(args)
+    # checked up front, so a step the scans would refuse fails without --verify too
+    grid.check_step(step)
     if args.sub == "laplace":
         u, v = classic_bts.harmonic_conjugate_match(args.alpha, args.beta, args.gamma)
         params = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
         result = {"u": u.to_dict(), "v": v.to_dict()}
         scans = {
-            "cauchy_riemann": classic_bts.bt_residual_cr(u, v, grid),
-            "laplace_u": classic_bts.laplace_residual(u, grid),
-            "laplace_v": classic_bts.laplace_residual(v, grid),
+            "cauchy_riemann": classic_bts.bt_residual_cr(u, v, grid, step),
+            "laplace_u": classic_bts.laplace_residual(u, grid, step),
+            "laplace_v": classic_bts.laplace_residual(v, grid, step),
         } if args.verify else {}
         fields = [("u", u), ("v", v)]
     elif args.sub == "liouville":
@@ -273,8 +274,8 @@ def _run_classic(args):
         params = {"C": args.C}
         result = {"field": u.to_dict()}
         scans = {
-            "pde": classic_bts.liouville_residual(u, grid),
-            "bt": classic_bts.bt_residual_liouville(u, v, grid),
+            "pde": classic_bts.liouville_residual(u, grid, step),
+            "bt": classic_bts.bt_residual_liouville(u, v, grid, step),
         } if args.verify else {}
         fields = [("u", u)]
     else:
@@ -283,8 +284,8 @@ def _run_classic(args):
         params = {"a": args.a, "C": args.C}
         result = {"field": u.to_dict()}
         scans = {
-            "pde": classic_bts.sine_gordon_residual(u, grid),
-            "bt": classic_bts.bt_residual_sine_gordon(u, v, args.a, grid),
+            "pde": classic_bts.sine_gordon_residual(u, grid, step),
+            "bt": classic_bts.bt_residual_sine_gordon(u, v, args.a, grid, step),
         } if args.verify else {}
         fields = [("u", u)]
 
@@ -294,7 +295,7 @@ def _run_classic(args):
         X, T = grid.mesh()
         return _grid_table((X, T), *(f(X, T) for _, f in fields))
 
-    return params, grid.to_dict(), result, scans, (columns, rows)
+    return params, {**grid.to_dict(), "h": step}, result, scans, (columns, rows)
 
 
 _EM_COLUMNS = ["x", "y", "z", "t"] + _complex_columns(f + c for f in "EB" for c in "xyz")
@@ -335,8 +336,9 @@ def _run_em(args):
 
 def _run_chiral(args):
     step = _resolve_step(args)
-    # every chiral scan differences the lattice; h is only echoed
-    grid = _grid2d(args, step, lattice_only=True)
+    grid = _grid2d(args)
+    # every chiral scan differences the lattice; the step is only echoed
+    grid_dict = {**grid.to_dict(), "h": finite_step(step)}
     A = _complex_matrix(args.a_re, args.a_im, "A")
     B = _complex_matrix(args.b_re, args.b_im, "B")
     g = chiral_recursion.ExpSeedField(A, B)
@@ -349,7 +351,7 @@ def _run_chiral(args):
         result = {"seed": g.to_dict(), "report": report.to_dict()}
         scans = {"chiral": report} if args.verify else {}
         table = (["x", "t", "residual"], lambda: _grid_table((X, T), values))
-        return params, grid.to_dict(), result, scans, table
+        return params, grid_dict, result, scans, table
 
     if args.sub == "potential":
         base = None
@@ -367,7 +369,7 @@ def _run_chiral(args):
         scans = {"chiral": chiral_recursion.chiral_residual(g, grid)} if args.verify else {}
         table = (["x", "t"] + _entry_columns("X", g.n),
                  lambda: _grid_table((X, T), pot.values))
-        return params, grid.to_dict(), result, scans, table
+        return params, grid_dict, result, scans, table
 
     M = _complex_matrix(args.m_re, args.m_im, "M")
     params["M"] = _matrix_pair(M)
@@ -393,7 +395,7 @@ def _run_chiral(args):
                                       item.phi.sample(grid), item.q_samples(grid))
                           for item in levels])
 
-    return params, grid.to_dict(), result, scans, (columns, rows)
+    return params, grid_dict, result, scans, (columns, rows)
 
 
 # --- verify spec files -------------------------------------------------------
@@ -532,8 +534,9 @@ def main(argv=None) -> int:
             _write(itertools.chain([",".join(columns) + "\n"],
                                    (row % tuple(cells.tolist()) for cells in table)),
                    args.csv_output)
-    except (_UsageError, BtkitError) as exc:
-        print(f"btkit: error: {exc}", file=sys.stderr)
+    except (_UsageError, BtkitError, MemoryError) as exc:
+        # a MemoryError is a grid too large to allocate; numpy names the array
+        print(f"btkit: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, _UsageError) else EXIT_PRECONDITION
     return EXIT_OK if passed else EXIT_VERIFY
 

@@ -121,6 +121,8 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
             f"epsilon * omega underflows to 0 (epsilon={eps}, omega={omega})")
     loss_tangent = sigma / (eps * omega)
     k = omega * math.sqrt(eps * mu) * math.sqrt((1.0 + math.hypot(1.0, loss_tangent)) / 2.0)
+    if k * k == 0.0:
+        raise InvalidParameterError(f"k * k underflows to 0 (k={k}, omega={omega})")
     s = mu * sigma * omega / (2.0 * k)
     phi = math.atan2(s, k)
 

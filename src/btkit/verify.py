@@ -5,10 +5,9 @@ claimed solution is swept over a sample grid and the defining equations are
 evaluated at every sample with central differences.  This module owns the
 grid descriptions, the report type that the rest of the package returns,
 and ``Stencil``, the one small-step difference core: the classic and
-Maxwell scans and the generic ``MatrixField`` derivatives all difference
-their closed-form evaluators through it, on whole grids at once.  The
-chiral lattice stencils in ``chiral_recursion`` are separate: they are
-fourth order and act on tabulated data, not on an evaluator.
+Maxwell scans difference their closed-form evaluators through it, on whole
+grids at once.  The fourth-order chiral lattice stencils in
+``chiral_recursion`` share nothing with it: they act on node tables.
 
 Stencils are second order:
 
@@ -18,13 +17,14 @@ Stencils are second order:
 
 The stencil step ``h`` is independent of the grid spacing and must stay an
 order of magnitude below it, so the stencil never aliases the sampling
-lattice.
+lattice.  A ``Grid2D`` is its lattice alone: the classic scans take ``h``
+as an argument (``Grid2D.check_step``); a ``Grid4D`` carries its steps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -43,9 +43,15 @@ def _check_axis(name: str, lo: float, hi: float, n: int) -> float:
     return (hi - lo) / (n - 1)
 
 
-def _check_step(h: float, spacing: float, axis: str) -> None:
+def finite_step(h: float) -> float:
+    """``h`` itself, once checked to be a finite, positive stencil step."""
     if not (h > 0.0 and math.isfinite(h)):
         raise InvalidGridError(f"stencil step must be finite and positive, got {h}")
+    return h
+
+
+def _check_step(h: float, spacing: float, axis: str) -> None:
+    finite_step(h)
     if not h * 10.0 < spacing:
         raise InvalidGridError(
             f"stencil step {h} too coarse for {axis} spacing {spacing}: need h < spacing/10"
@@ -78,15 +84,9 @@ def _frozen_mesh(*axes) -> tuple:
 class Grid2D:
     """Rectangular sample grid for fields of two variables (x, t).
 
-    A grid is its lattice: equality and hashing ignore ``h``, the
-    central-difference step of the closed-form stencils (``Stencil``), which
-    moves no node.  ``h`` must be finite and positive, and strictly below
-    one tenth of the smallest grid spacing.  A ``lattice_only`` grid serves
-    the chiral lattice operators, which difference nodes and never read
-    ``h``: its ``h`` is checked against the spacing only when a closed-form
-    stencil asks for it (``stencil_step``).  The node arrays ``xs`` and
-    ``ts`` and the ``mesh()`` arrays are built once per grid and read-only,
-    shared by every caller.
+    A grid is its lattice, its bounds and node counts, and nothing else.
+    The node arrays ``xs`` and ``ts`` and the ``mesh()`` arrays are built
+    once per grid and read-only, shared by every caller.
     """
 
     x_min: float = -1.0
@@ -95,20 +95,14 @@ class Grid2D:
     t_max: float = 1.0
     nx: int = 41
     nt: int = 41
-    h: float = field(default=DEFAULT_STEP, compare=False)
-    lattice_only: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
-        dx = _check_axis("x", self.x_min, self.x_max, self.nx)
-        dt = _check_axis("t", self.t_min, self.t_max, self.nt)
-        _check_step(self.h, math.inf if self.lattice_only else min(dx, dt), "smallest")
+        _check_axis("x", self.x_min, self.x_max, self.nx)
+        _check_axis("t", self.t_min, self.t_max, self.nt)
 
-    @property
-    def stencil_step(self) -> float:
-        """``h`` for a closed-form stencil, checked against the spacing."""
-        if self.lattice_only:
-            _check_step(self.h, min(self.dx, self.dt), "smallest")
-        return self.h
+    def check_step(self, h: float) -> None:
+        """Reject a stencil step ``h`` unless finite, positive and below spacing/10."""
+        _check_step(h, min(self.dx, self.dt), "smallest")
 
     @property
     def dx(self) -> float:
@@ -138,11 +132,7 @@ class Grid2D:
         return math.hypot(self.x_max - self.x_min, self.t_max - self.t_min)
 
     def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min, "x_max": self.x_max,
-            "t_min": self.t_min, "t_max": self.t_max,
-            "nx": self.nx, "nt": self.nt, "h": self.h,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ def _raises(exc_type, fn):
 def test_criterion_1_classical_bt_suite():
     checks = []
 
-    grid_l = Grid2D(-0.5, 0.5, -0.5, 0.5, 41, 41, h=1e-4)
+    grid_l = Grid2D(-0.5, 0.5, -0.5, 0.5, 41, 41)
     start = time.perf_counter()
     u_l = liouville_from_trivial(2.0)
     pde_l = liouville_residual(u_l, grid_l)
@@ -94,7 +94,7 @@ def test_criterion_1_classical_bt_suite():
     checks.append(("liouville_bt<1e-6", bt_l.max_abs < 1e-6))
     checks.append(("liouville_runtime<2s", elapsed_l < 2.0))
 
-    grid_sg = Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41, h=1e-4)
+    grid_sg = Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41)
     start = time.perf_counter()
     u_sg = sine_gordon_from_vacuum(1.0, 1.0)
     pde_sg = sine_gordon_residual(u_sg, grid_sg)

@@ -11,6 +11,7 @@ integrator).  Degree growth is measured by least-squares polynomial
 fitting, not by the recursion's own bookkeeping.
 """
 
+import itertools
 import re
 import warnings
 
@@ -42,7 +43,7 @@ from btkit.errors import (
     PathDependenceError,
     SingularMatrixError,
 )
-from btkit.verify import Grid2D
+from btkit.verify import DEFAULT_STEP, Grid2D, Stencil
 from helpers import polynomial_degree, random_commuting_pair, random_matrix
 
 GRID = Grid2D()
@@ -346,18 +347,26 @@ class TestFields:
         scattered = np.array([expm(x * A + t * B) for x, t in zip(xs, ts)])
         assert np.max(np.abs(g(xs, ts) - scattered)) < 1e-12 * np.max(np.abs(scattered))
 
-    def test_exp_seed_derivatives_are_generator_products(self):
+    @pytest.mark.parametrize("h", [DEFAULT_STEP, 1e-3])
+    def test_exp_seed_derivatives_are_generator_products(self, h):
         A, B, _ = seed_triple(7)
         g = ExpSeedField(A, B)
         grid = Grid2D(nx=21, nt=17)
         gs = g.sample(grid)
         for axis, gen in ((0, A), (1, B)):
-            exact = g.d1_samples(grid, axis)
-            np.testing.assert_allclose(exact, gen @ gs, rtol=1e-14, atol=1e-14)
-            # the generic central difference agrees to its error h^2 |g'''| / 6
-            differenced = MatrixField.d1_samples(g, grid, axis)
-            scale = np.max(np.abs(gen @ gen @ gen @ gs))
-            assert np.max(np.abs(differenced - exact)) < 0.2 * grid.h ** 2 * scale + 1e-10
+            d1, d2 = g.d1_samples(grid, axis), g.d2_samples(grid, axis)
+            np.testing.assert_allclose(d1, gen @ gs, rtol=1e-14, atol=1e-14)
+            assert np.array_equal(d2, gen @ (gen @ gs))
+            np.testing.assert_allclose(d2, gen @ gen @ gs, rtol=1e-14, atol=1e-14)
+            # central differences of the evaluator, as the reference, agree to
+            # their truncation errors h^2 |g'''| / 6 and h^2 |g''''| / 12, plus
+            # rounding, a few eps |g| / h and eps |g| / h^2
+            ref_d1, ref_d2 = Stencil(g, grid.mesh(), h).diffs(axis)
+            g3 = np.max(np.abs(gen @ gen @ gen @ gs))
+            g4 = np.max(np.abs(gen @ gen @ gen @ gen @ gs))
+            rounding = 16 * np.finfo(float).eps * np.max(np.abs(gs))
+            assert np.max(np.abs(ref_d1 - d1)) < 1.05 * h ** 2 * g3 / 6 + rounding / h
+            assert np.max(np.abs(ref_d2 - d2)) < 1.05 * h ** 2 * g4 / 12 + rounding / h ** 2
 
     def test_exp_seed_samples_once_per_grid_read_only(self):
         A, B, _ = seed_triple(7)
@@ -388,6 +397,45 @@ class TestFields:
         B = np.array([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(NonCommutingError):
             ExpSeedField(A, B)
+
+    def test_overflowing_commutator_is_still_non_commuting(self):
+        # [A, B] reads about 2e400: unscaled it overflowed to nan, which
+        # compared false against the tolerance and accepted the pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonCommutingError, match=r"max \|\[A, B\]\| = inf"):
+                ExpSeedField([[1e200, 1e200], [1e200, 1e200]], [[1e200, 0.0], [0.0, -1e200]])
+            g = ExpSeedField(1e200 * np.eye(2), 2e200 * np.eye(2))
+            # subnormal generators scale by subnormal powers of two
+            ExpSeedField(np.diag([1e-320, 1e-315]), np.diag([1.0, 2.0]))
+            with pytest.raises(NonCommutingError):
+                ExpSeedField([[0.0, 1e-310], [0.0, 0.0]], [[1e300, 0.0], [0.0, 0.0]])
+        assert g.n == 2
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-150, 1e-6, 1.0, 1e6, 1e150])
+    def test_commutation_verdict_and_message_match_the_unscaled_test(self, scale):
+        # the unscaled test, as the reference, where its products stay in range
+        def reference(A, B):
+            defect = float(np.max(np.abs(_commutator(A, B))))
+            peak = max(1.0, float(np.max(np.abs(A))) * float(np.max(np.abs(B))))
+            return defect > 1e-12 * peak, defect
+
+        rng = np.random.default_rng(int(-np.log10(scale)) + 200)
+        verdicts = set()
+        for n, b_scale in itertools.product((1, 2, 3), (min(1.0 / scale, 1e300), scale)):
+            for bump in (0.0, 1e-14, 1e-13, 3e-13, 1e-12, 3e-12, 1e-11, 1e-9, 1.0):
+                A, B = random_commuting_pair(rng, n)
+                A, B = scale * A, b_scale * (B + bump * random_matrix(rng, n))
+                rejects, defect = reference(A, B)
+                verdicts.add(rejects)
+                if rejects:
+                    with pytest.raises(NonCommutingError) as excinfo:
+                        ExpSeedField(A, B)
+                    assert str(excinfo.value) == ("seed generators do not commute: "
+                                                  f"max |[A, B]| = {defect!r}")
+                else:
+                    ExpSeedField(A, B)
+        assert verdicts == {False, True}
 
     def test_exp_seed_rejects_shape_mismatch(self):
         with pytest.raises(InvalidParameterError):
@@ -442,16 +490,17 @@ class TestFields:
             operator(item.phi, seed, foreign)
         assert foreign not in seed._samples and foreign not in seed._checked
 
-    def test_grids_differing_only_in_step_share_caches_and_tables(self, level_2_of_1003):
+    def test_equal_grids_share_caches_and_tables(self, level_2_of_1003):
         g, item = level_2_of_1003
-        stepped = Grid2D(h=1e-5)
-        assert g.sample(stepped) is g.sample(GRID)
-        assert g.connection(stepped) is g.connection(GRID)
+        equal = Grid2D()
+        assert equal is not GRID
+        assert g.sample(equal) is g.sample(GRID)
+        assert g.connection(equal) is g.connection(GRID)
         a = TabulatedField(GRID, g.sample(GRID))
-        b = TabulatedField(stepped, g.sample(GRID))
+        b = TabulatedField(equal, g.sample(GRID))
         np.testing.assert_array_equal((a + b).values, 2.0 * a.values)
         own = symmetry_residual(item.phi, g, GRID).max_abs
-        assert symmetry_residual(item.phi, g, stepped).max_abs == own
+        assert symmetry_residual(item.phi, g, equal).max_abs == own
 
     def test_tabulated_validation(self):
         grid = Grid2D(nx=7, nt=7)
@@ -584,7 +633,7 @@ class TestPotential:
         # X = B x reads about 2e311: the integrals overflowed to inf, their
         # disagreement read nan, and nan passed the tolerance
         g = ExpSeedField([[1e-152]], [[1e160]])
-        grid = Grid2D(-2e151, 2e151, -1e-300, 1e-300, h=1e-304)
+        grid = Grid2D(-2e151, 2e151, -1e-300, 1e-300)
         with pytest.raises(InvalidParameterError, match="integrals overflow"):
             potential(g, grid)
 
@@ -812,8 +861,8 @@ class TestConnection:
         conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
         U, V = g.connection(GRID)
         assert U is g.A and V is g.B
-        # a grid that differs only in its step has the same nodes: one check
-        assert g.connection(Grid2D(h=1e-5)) is g.connection(GRID)
+        # an equal grid has the same nodes: one check
+        assert g.connection(Grid2D()) is g.connection(GRID)
         assert _cond_kinds(conds) == (1, 0)
         for built, gen, rebuilt in zip((U, V), (A, B), MatrixField.connection(g, GRID)):
             assert not built.flags.writeable

@@ -20,10 +20,10 @@ from btkit.classic_bts import (
     xy_family_match,
     zero_field,
 )
-from btkit.errors import InvalidParameterError
-from btkit.verify import Grid2D
+from btkit.errors import InvalidGridError, InvalidParameterError
+from btkit.verify import DEFAULT_STEP, Grid2D
 
-GRID = Grid2D()  # [-1, 1]^2, 41 x 41, h = 1e-4
+GRID = Grid2D()  # [-1, 1]^2, 41 x 41
 
 
 class TestHarmonicConjugates:
@@ -91,14 +91,14 @@ class TestXYFamily:
 class TestLiouville:
     def test_generated_solution_satisfies_equation(self):
         u = liouville_from_trivial(2.0)
-        grid = Grid2D(-0.5, 0.5, -0.5, 0.5, 41, 41, h=1e-4)
+        grid = Grid2D(-0.5, 0.5, -0.5, 0.5, 41, 41)
         report = liouville_residual(u, grid)
         assert report.max_abs < 1e-6
         assert report.n_singular == 0
 
     def test_generated_solution_satisfies_system_with_trivial_seed(self):
         u = liouville_from_trivial(2.0)
-        grid = Grid2D(-0.5, 0.5, -0.5, 0.5, 41, 41, h=1e-4)
+        grid = Grid2D(-0.5, 0.5, -0.5, 0.5, 41, 41)
         report = bt_residual_liouville(u, zero_field(), grid)
         assert report.max_abs < 1e-6
 
@@ -123,7 +123,7 @@ class TestLiouville:
         assert report.n_points + report.n_singular == 41 * 41
         # accuracy degrades only next to the blow-up line; away from it the
         # equation is still met tightly
-        safe = Grid2D(-1.0, 0.0, -1.0, 0.0, 21, 21, h=1e-4)
+        safe = Grid2D(-1.0, 0.0, -1.0, 0.0, 21, 21)
         assert liouville_residual(u, safe).max_abs < 1e-6
 
     def test_domain_evaluates_to_nan_outside(self):
@@ -141,12 +141,12 @@ class TestSineGordon:
 
     def test_kink_solves_equation(self):
         u = sine_gordon_from_vacuum(1.0, 1.0)
-        grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41, h=1e-4)
+        grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41)
         assert sine_gordon_residual(u, grid).max_abs < 1e-6
 
     def test_kink_satisfies_system_with_vacuum_seed(self):
         u = sine_gordon_from_vacuum(1.0, 1.0)
-        grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41, h=1e-4)
+        grid = Grid2D(-2.0, 2.0, -2.0, 2.0, 41, 41)
         assert bt_residual_sine_gordon(u, zero_field(), 1.0, grid).max_abs < 1e-6
 
     @pytest.mark.parametrize("a,C", [(0.5, 2.0), (-1.0, 1.0), (2.0, 0.3)])
@@ -204,3 +204,38 @@ class TestSerialization:
     def test_non_finite_parameter_is_rejected(self, make, value):
         with pytest.raises(InvalidParameterError, match="must be finite"):
             make(value)
+
+
+# each scan as (grid, h=...) -> report, on fields the CLI gives it
+_U, _V = harmonic_conjugate_match(1.0, 0.5, -0.3)
+_LIOUVILLE = liouville_from_trivial(2.0)
+_KINK = sine_gordon_from_vacuum(1.0, 1.0)
+SCANS = {
+    "bt_residual_cr": lambda grid, **kw: bt_residual_cr(_U, _V, grid, **kw),
+    "bt_residual_liouville":
+        lambda grid, **kw: bt_residual_liouville(_LIOUVILLE, zero_field(), grid, **kw),
+    "bt_residual_sine_gordon":
+        lambda grid, **kw: bt_residual_sine_gordon(_KINK, zero_field(), 1.0, grid, **kw),
+    "laplace_residual": lambda grid, **kw: laplace_residual(_U, grid, **kw),
+    "liouville_residual": lambda grid, **kw: liouville_residual(_LIOUVILLE, grid, **kw),
+    "sine_gordon_residual": lambda grid, **kw: sine_gordon_residual(_KINK, grid, **kw),
+}
+
+
+class TestStencilStep:
+    @pytest.mark.parametrize("scan", SCANS.values(), ids=SCANS.keys())
+    def test_default_step_is_the_documented_one(self, scan):
+        assert scan(GRID) == scan(GRID, h=DEFAULT_STEP)
+        assert scan(GRID) != scan(GRID, h=1e-3)
+
+    @pytest.mark.parametrize("scan", SCANS.values(), ids=SCANS.keys())
+    def test_step_not_below_a_tenth_of_the_spacing_is_refused(self, scan):
+        fine = Grid2D(0.0, 0.01, -1.0, 1.0, 11, 41)     # dx = 1e-3, ten default steps
+        with pytest.raises(InvalidGridError) as excinfo:
+            scan(fine)
+        assert str(excinfo.value) == ("stencil step 0.0001 too coarse for smallest "
+                                      "spacing 0.001: need h < spacing/10")
+        assert scan(fine, h=9e-5).n_points > 0
+        for h in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidGridError, match="finite and positive"):
+                scan(GRID, h=h)

@@ -147,8 +147,11 @@ class TestExitCodes:
           "--sigma", "1"], "epsilon * omega underflows to 0"),
         (["em", "conductor", "--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300",
           "--sigma", "0"], "epsilon * omega underflows to 0"),
+        (["em", "conductor", "--omega", "1e-154", "--epsilon-rel", "1e-154"],
+         "k * k underflows to 0"),
     ], ids=["medium-overflow", "medium-underflow", "conductor-underflow",
-            "eps-omega-underflow-conducting", "eps-omega-underflow-non-conducting"])
+            "eps-omega-underflow-conducting", "eps-omega-underflow-non-conducting",
+            "k-squared-underflow"])
     def test_unrepresentable_medium_is_one_error_line(self, argv, message):
         # eps * mu over- or underflows although each factor is finite and
         # positive; or eps * mu = 1 but eps * omega underflows to 0, where the
@@ -181,9 +184,11 @@ class TestExitCodes:
         (["chiral", "hierarchy", "--a-re", "[[0]]", "--b-re", "[[0]]", "--m-re", "[[1]]",
           "--x-min", "-1e160", "--x-max", "1e160", "--verify"],
          "lattice spacing dx = 5e+158 is too wide to square"),
+        (["chiral", "residual", "--a-re", "[[1e200, 1e200], [1e200, 1e200]]",
+          "--b-re", "[[1e200, 0], [0, -1e200]]"], "seed generators do not commute"),
     ], ids=["longitudinal-1e200", "partner-overflow-json", "partner-overflow-csv",
             "normalization-overflow", "potential-overflow", "potential-wide-lattice",
-            "hierarchy-wide-lattice"])
+            "hierarchy-wide-lattice", "commutator-overflow"])
     def test_overflowing_input_is_one_error_line(self, argv, message):
         # each once passed wrongly, wrote nan cells or ended in a traceback,
         # with a RuntimeWarning ahead of it
@@ -192,6 +197,28 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("btkit: error: " + message)
         assert proc.stderr.count("\n") == 1
+
+    def test_grid_too_large_to_allocate_is_one_error_line(self):
+        # a 3000^4 mesh is 589 TiB: no 64-bit address space maps it, so the
+        # allocator refuses at once
+        proc = run_cli("em", "vacuum", "--omega", "1e9", "--samples", "3000", "--verify")
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("btkit: error: Unable to allocate 589. TiB for an array")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("no room for the mesh"), "no room for the mesh"),
+    ], ids=["bare", "with-message"])
+    def test_memory_error_in_a_runner_is_one_error_line(self, capsys, monkeypatch, error,
+                                                         message):
+        def runner(args):
+            raise error
+        monkeypatch.setitem(cli._RUNNERS, "chiral", runner)
+        code, out, err = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE)
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == f"btkit: error: {message}\n"
 
     def test_non_finite_json_value_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setitem(cli._RUNNERS, "classic", lambda args: (
@@ -630,6 +657,28 @@ class TestLatticeFinerThanTenSteps:
         assert (code, out) == (EXIT_PRECONDITION, "")
         assert err == ("btkit: error: stencil step 0.0001 too coarse for smallest "
                        "spacing 0.001: need h < spacing/10\n")
+
+    @pytest.mark.parametrize("step", ["1e308", "0.5"])
+    def test_chiral_runs_accept_any_finite_positive_step(self, capsys, step):
+        code, out, err = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
+                             "--h", step, "--verify")
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["grid"]["h"] == float(step)
+        assert list(doc["grid"]) == ["x_min", "x_max", "t_min", "t_max", "nx", "nt", "h"]
+
+    @pytest.mark.parametrize("group", [
+        ("classic", "laplace"),
+        ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE),
+    ], ids=["classic", "chiral"])
+    def test_step_errors_come_after_usage_and_grid_errors(self, capsys, monkeypatch, group):
+        monkeypatch.setenv("BTKIT_H", "tiny")
+        code, _, err = run(capsys, *group, "--nx", "1")
+        assert code == EXIT_USAGE and "BTKIT_H" in err
+        monkeypatch.delenv("BTKIT_H")
+        code, _, err = run(capsys, *group, "--nx", "1", "--h", "0")
+        assert (code, err) == (EXIT_PRECONDITION,
+                               "btkit: error: x needs at least 2 samples, got 1\n")
 
     @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
     def test_chiral_step_must_still_be_finite_and_positive(self, capsys, step):

@@ -100,6 +100,11 @@ class TestDispersion:
             # loss tangent sigma / (eps omega) is undefined
             with pytest.raises(InvalidParameterError, match=r"epsilon \* omega underflows"):
                 dispersion_solve(MediumParams(1e-300, 1e300, sigma), 1e-30)
+        # eps * omega is subnormal but not 0, and k ~ 3.3e-240 squares to 0,
+        # which the self-check divides by
+        for sigma in (0.0, 1e-300):
+            with pytest.raises(InvalidParameterError, match=r"k \* k underflows to 0"):
+                dispersion_solve(MediumParams(EPSILON0 * 1e-154, MU0, sigma), 1e-154)
 
     def test_solution_invariants_enforced(self):
         with pytest.raises(InvalidParameterError):

@@ -11,12 +11,14 @@ from btkit.maxwell_conductor import conjugate_conducting, modified_wave_residual
 from btkit.maxwell_vacuum import FieldPair, conjugate_vacuum, maxwell_residual, wave_residual
 from btkit.media import MediumParams
 from btkit.verify import (
+    DEFAULT_STEP,
     Grid2D,
     Grid4D,
     ResidualReport,
     Stencil,
     curl,
     divergence,
+    finite_step,
     magnitude,
     report_from_values,
 )
@@ -209,7 +211,7 @@ def _scan(residual, grid) -> ResidualReport:
 
 class TestResidualScan:
     def test_zero_residual_reports_zero(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 10, 10, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 10, 10)
         report = _scan(lambda x, t: 0.0 * x, grid)
         assert report.max_abs == 0.0
         assert report.rms == 0.0
@@ -217,21 +219,21 @@ class TestResidualScan:
         assert report.n_singular == 0
 
     def test_constant_residual_reports_its_value(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2)
         report = _scan(lambda x, t: 2.0 + 0.0 * x, grid)
         assert report.max_abs == pytest.approx(2.0)
         assert report.rms == pytest.approx(2.0)
         assert report.n_points == 4
 
     def test_worst_point_location(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 11, 11, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 11, 11)
         report = _scan(lambda x, t: x + 2.0 * t, grid)
         assert report.worst_point == (1.0, 1.0)
         assert report.max_abs == pytest.approx(3.0)
         assert report.rms < report.max_abs
 
     def test_nan_region_counted_singular(self):
-        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 21, 21, h=1e-3)
+        grid = Grid2D(-1.0, 1.0, -1.0, 1.0, 21, 21)
         residual = lambda x, t: np.where(x > 0.55, np.nan, 1.0 + 0.0 * t)
         report = _scan(residual, grid)
         assert report.n_singular == 5 * 21  # the columns x = 0.6 ... 1.0
@@ -239,25 +241,25 @@ class TestResidualScan:
         assert report.max_abs == pytest.approx(1.0)
 
     def test_all_singular_raises_empty_domain(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
         with np.errstate(invalid="ignore"):
             values = np.log(-1.0 - grid.mesh()[0] ** 2)
         with pytest.raises(EmptyDomainError):
             report_from_values(values, grid.mesh())
 
     def test_rms_of_huge_residuals_is_finite(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2)
         report = report_from_values(np.full((2, 2), 1e200), grid.mesh())
         assert report.max_abs == report.rms == 1e200
 
     def test_rms_of_residuals_near_the_float_limit_is_finite(self):
         # the scale 2^1024 of a peak at or above 2^1023 raised OverflowError
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 2, 2)
         report = report_from_values(np.full((2, 2), 1.7976931348623157e308), grid.mesh())
         assert report.max_abs == report.rms == 1.7976931348623157e308
 
     def test_scaled_rms_is_bit_identical_where_unscaled_is_finite(self):
-        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 7, h=1e-3)
+        grid = Grid2D(0.0, 1.0, 0.0, 1.0, 9, 7)
         rng = np.random.default_rng(7)
         for scale in (1e-150, 1e-12, 1.0, 3.7e5, 1e150):
             values = scale * rng.random((9, 7))
@@ -334,7 +336,7 @@ class TestGrids:
         grid = Grid2D()
         assert (grid.x_min, grid.x_max) == (-1.0, 1.0)
         assert grid.nx == grid.nt == 41
-        assert grid.h == 1e-4
+        assert DEFAULT_STEP == 1e-4
 
     @pytest.mark.parametrize("kwargs", [
         dict(x_min=1.0, x_max=-1.0),
@@ -346,8 +348,11 @@ class TestGrids:
         dict(h=0.005),  # boundary case is rejected: need strict inequality
     ])
     def test_bad_grid_rejected(self, kwargs):
+        # the step h is checked against the grid by the code that uses it
+        grid_kwargs = dict(kwargs)
+        h = grid_kwargs.pop("h", DEFAULT_STEP)
         with pytest.raises(InvalidGridError):
-            Grid2D(**kwargs)
+            Grid2D(**grid_kwargs).check_step(h)
 
     def test_node_arrays_are_built_once_and_read_only(self):
         grid = Grid2D(nx=9, nt=7)
@@ -358,33 +363,35 @@ class TestGrids:
             with pytest.raises(ValueError):
                 nodes[0] = 0.0
 
-    # a grid is its nodes: neither its cached arrays nor the closed-form
-    # step h, which moves no node, set two lattices apart
+    # a grid is its nodes: its cached arrays do not set two lattices apart
     @pytest.mark.parametrize("used_kwargs, fresh_kwargs", [
         (dict(nx=9), dict(nx=9)),
-        (dict(h=1e-5), dict()),
-        (dict(h=0.01, lattice_only=True), dict()),
-    ], ids=["cached-mesh", "other-step", "lattice-only"])
+        (dict(x_min=-1.0, nt=41), dict()),
+    ], ids=["cached-mesh", "explicit-defaults"])
     def test_cached_nodes_leave_equality_and_hash_alone(self, used_kwargs, fresh_kwargs):
         used, fresh = Grid2D(**used_kwargs), Grid2D(**fresh_kwargs)
         used.mesh()
         assert used == fresh and hash(used) == hash(fresh)
         assert {fresh: "cached"}[used] == "cached"
-        assert used.to_dict() == {**fresh.to_dict(), "h": used.h}
+        assert used.to_dict() == fresh.to_dict()
+        assert list(used.to_dict()) == ["x_min", "x_max", "t_min", "t_max", "nx", "nt"]
         assert used != Grid2D(nx=11)
 
-    def test_lattice_only_grid_checks_its_step_when_a_stencil_asks(self):
-        # 10 h = 0.1 > spacing 0.05: refused by the closed-form stencils only
-        coarse = Grid2D(h=0.01, lattice_only=True)
+    def test_step_is_checked_apart_from_the_grid(self):
+        # 10 h = 0.1 > spacing 0.05: refused against this grid only
+        grid = Grid2D()
         with pytest.raises(InvalidGridError, match=r"too coarse for smallest spacing 0\.05"):
-            coarse.stencil_step
+            grid.check_step(0.01)
         with pytest.raises(InvalidGridError, match="too coarse"):
             classic_bts.laplace_residual(classic_bts.harmonic_conjugate_match(1, 0, 0)[0],
-                                         coarse)
-        assert Grid2D(h=1e-3, lattice_only=True).stencil_step == Grid2D(h=1e-3).stencil_step
+                                         grid, h=0.01)
+        grid.check_step(1e-3)
+        assert finite_step(0.01) == 0.01 and finite_step(1e308) == 1e308
         for h in (0.0, -1e-4, math.nan, math.inf):
             with pytest.raises(InvalidGridError, match="finite and positive"):
-                Grid2D(h=h, lattice_only=True)
+                finite_step(h)
+            with pytest.raises(InvalidGridError, match="finite and positive"):
+                grid.check_step(h)
 
     def test_mesh_is_built_once_per_grid_and_read_only(self):
         grid = Grid2D(nx=9, nt=7)
