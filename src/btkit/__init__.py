@@ -8,6 +8,8 @@ finite-difference verification layer that certifies every generated
 object against the PDE it claims to solve.
 """
 
+from types import ModuleType as _ModuleType
+
 from .chiral_recursion import (
     ConstantField,
     ExpSeedField,
@@ -78,67 +80,7 @@ from .verify import (
     report_from_values,
 )
 
-__all__ = [
-    "BtkitError",
-    "CONSTANTS",
-    "ConductorWavePair",
-    "ConstantField",
-    "DEFAULT_STEP",
-    "DispersionSolution",
-    "EPSILON0",
-    "EmptyDomainError",
-    "ExpSeedField",
-    "FieldPair",
-    "Grid2D",
-    "Grid4D",
-    "IntegrabilityError",
-    "InvalidGridError",
-    "InvalidParameterError",
-    "MU0",
-    "MatrixField",
-    "MediumParams",
-    "NonCommutingError",
-    "NormalizationError",
-    "PathDependenceError",
-    "PhysicalConstants",
-    "ResidualReport",
-    "ScalarField2D",
-    "SingularMatrixError",
-    "SymmetryCharacteristic",
-    "TabulatedField",
-    "TransversalityError",
-    "VACUUM",
-    "VacuumWaveSpec",
-    "WavePair",
-    "XYMatchResult",
-    "bt_residual_cr",
-    "bt_residual_liouville",
-    "bt_residual_sine_gordon",
-    "chiral_defect_samples",
-    "chiral_residual",
-    "conjugate_conducting",
-    "conjugate_vacuum",
-    "dispersion_solve",
-    "harmonic_conjugate_match",
-    "harmonic_conjugate_quadratic",
-    "harmonic_quadratic",
-    "hierarchy",
-    "laplace_residual",
-    "liouville_from_trivial",
-    "liouville_residual",
-    "maxwell_residual",
-    "modified_wave_residual",
-    "monomial_xy",
-    "plane_wave",
-    "potential",
-    "real_fields_conducting",
-    "real_fields_vacuum",
-    "recursion_step",
-    "report_from_values",
-    "sine_gordon_from_vacuum",
-    "sine_gordon_residual",
-    "symmetry_residual",
-    "wave_residual",
-    "xy_family_match",
-    "zero_field",
-]
+# __all__ is derived, not listed: every global bound above that is neither
+# private nor a submodule, so each public name is stated once, in its import
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -82,7 +82,7 @@ from .errors import (
     PathDependenceError,
     SingularMatrixError,
 )
-from .verify import Grid2D, ResidualReport, _exact_scale, magnitude, report_from_values
+from .verify import Grid2D, ResidualReport, _scaled, magnitude, report_from_values
 
 _MIN_NODES = 6          # one-sided second-derivative stencils need 6 nodes
 _COMMUTE_TOL = 1e-12
@@ -336,10 +336,8 @@ class ExpSeedField(MatrixField):
             raise InvalidParameterError("generators must have matching shapes")
         self.n = self.A.shape[0]
         # |[A, B]| > tol max(1, |A| |B|) on A / sa and B / sb for powers of two,
-        # whose products cannot overflow: the same digits where A B is in range.
-        # Divided as floats: numpy's complex quotient by a subnormal overflows.
-        sa, sb = (_exact_scale(float(np.max(np.abs(m)))) for m in (self.A, self.B))
-        a, b = ((m.view(float) / s).view(complex) for m, s in ((self.A, sa), (self.B, sb)))
+        # whose products cannot overflow: the same digits where A B is in range
+        (a, sa), (b, sb) = _scaled(self.A), _scaled(self.B)
         scaled = float(np.max(np.abs(_commutator(a, b))))
         defect = scaled * (sa * sb)
         peak = float(np.max(np.abs(a))) * float(np.max(np.abs(b)))

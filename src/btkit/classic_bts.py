@@ -49,14 +49,6 @@ from .verify import DEFAULT_STEP, Grid2D, ResidualReport, Stencil, magnitude, re
 
 _SQRT2 = math.sqrt(2.0)
 
-HARMONIC_QUADRATIC = "harmonic_quadratic"
-HARMONIC_CONJUGATE_QUADRATIC = "harmonic_conjugate_quadratic"
-MONOMIAL_XY = "monomial_xy"
-LIOUVILLE_SOLITON = "liouville_soliton"
-SINE_GORDON_KINK = "sine_gordon_kink"
-ZERO = "zero"
-
-
 def _harmonic_quadratic(p, x, t):
     return p["alpha"] * (x * x - t * t) + p["beta"] * x + p["gamma"] * t
 
@@ -88,12 +80,12 @@ def _zero(p, x, t):
 
 
 _FAMILIES = {
-    HARMONIC_QUADRATIC: _harmonic_quadratic,
-    HARMONIC_CONJUGATE_QUADRATIC: _harmonic_conjugate_quadratic,
-    MONOMIAL_XY: _monomial_xy,
-    LIOUVILLE_SOLITON: _liouville_soliton,
-    SINE_GORDON_KINK: _sine_gordon_kink,
-    ZERO: _zero,
+    "harmonic_quadratic": _harmonic_quadratic,
+    "harmonic_conjugate_quadratic": _harmonic_conjugate_quadratic,
+    "monomial_xy": _monomial_xy,
+    "liouville_soliton": _liouville_soliton,
+    "sine_gordon_kink": _sine_gordon_kink,
+    "zero": _zero,
 }
 
 
@@ -125,23 +117,22 @@ class ScalarField2D:
 
 def harmonic_quadratic(alpha: float, beta: float, gamma: float) -> ScalarField2D:
     """u(x, t) = alpha (x^2 - t^2) + beta x + gamma t, harmonic for any parameters."""
-    return ScalarField2D(HARMONIC_QUADRATIC, {"alpha": alpha, "beta": beta, "gamma": gamma})
+    return ScalarField2D("harmonic_quadratic", {"alpha": alpha, "beta": beta, "gamma": gamma})
 
 
 def harmonic_conjugate_quadratic(alpha: float, beta: float, gamma: float) -> ScalarField2D:
     """The conjugate partner 2 alpha x t - gamma x + beta t of harmonic_quadratic."""
-    return ScalarField2D(
-        HARMONIC_CONJUGATE_QUADRATIC, {"alpha": alpha, "beta": beta, "gamma": gamma}
-    )
+    return ScalarField2D("harmonic_conjugate_quadratic",
+                         {"alpha": alpha, "beta": beta, "gamma": gamma})
 
 
 def monomial_xy(coefficient: float) -> ScalarField2D:
     """u(x, t) = c x t; harmonic, but conjugate to no nonzero member of itself."""
-    return ScalarField2D(MONOMIAL_XY, {"coefficient": coefficient})
+    return ScalarField2D("monomial_xy", {"coefficient": coefficient})
 
 
 def zero_field() -> ScalarField2D:
-    return ScalarField2D(ZERO, {})
+    return ScalarField2D("zero", {})
 
 
 def harmonic_conjugate_match(alpha: float, beta: float, gamma: float):
@@ -198,7 +189,7 @@ def liouville_from_trivial(C: float) -> ScalarField2D:
 
     u = -2 ln(C - (x + t)/sqrt(2)); the constant C places the singular line.
     """
-    return ScalarField2D(LIOUVILLE_SOLITON, {"C": float(C)})
+    return ScalarField2D("liouville_soliton", {"C": float(C)})
 
 
 def sine_gordon_from_vacuum(a: float, C: float) -> ScalarField2D:
@@ -209,7 +200,7 @@ def sine_gordon_from_vacuum(a: float, C: float) -> ScalarField2D:
     """
     if a == 0.0:
         raise InvalidParameterError("sine-Gordon parameter a must be nonzero")
-    return ScalarField2D(SINE_GORDON_KINK, {"a": float(a), "C": float(C)})
+    return ScalarField2D("sine_gordon_kink", {"a": float(a), "C": float(C)})
 
 
 # --- residual evaluators -------------------------------------------------

@@ -38,11 +38,11 @@ class SingularMatrixError(BtkitError):
     or one with a non-finite entry.
     """
 
-    def __init__(self, point, message=None, *, cond=math.inf):
+    def __init__(self, point, *, cond=math.inf):
         self.point = tuple(float(c) for c in point)
         self.cond = float(cond)
-        super().__init__(message or f"matrix field is singular near {self.point} "
-                                    f"(condition number {self.cond!r})")
+        super().__init__(f"matrix field is singular near {self.point} "
+                         f"(condition number {self.cond!r})")
 
 
 class PathDependenceError(BtkitError):

@@ -41,7 +41,7 @@ k + i s: ``ConductorWavePair`` is the ``WavePair`` that supplies k, s and B0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,13 +97,7 @@ class DispersionSolution:
         return math.hypot(self.k, self.s) / self.omega
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "s": self.s,
-            "phi": self.phi,
-            "omega": self.omega,
-            "skin_depth": self.skin_depth,
-        }
+        return {**asdict(self), "skin_depth": self.skin_depth}
 
 
 def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:

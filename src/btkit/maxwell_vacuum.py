@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
 from .media import VACUUM, MediumParams
-from .verify import (Grid4D, ResidualReport, Stencil, _exact_scale, curl, divergence,
-                     magnitude, report_from_values)
+from .verify import (Grid4D, ResidualReport, Stencil, _scaled, curl, divergence, magnitude,
+                     report_from_values)
 
 _UNIT_TOL = 1e-12
 
@@ -52,7 +52,7 @@ def _as_vec3(value, name: str, dtype=complex) -> np.ndarray:
 
 
 def _check_direction(tau: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(tau))
+    norm = _norm(tau)
     if abs(norm - 1.0) > _UNIT_TOL:
         raise NormalizationError(
             f"propagation direction must be unit length: |tau| = {norm!r}"
@@ -60,17 +60,8 @@ def _check_direction(tau: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _scaled(vector: np.ndarray):
-    """``vector`` divided by a power of two near its largest part, and that power.
-
-    Sums of squares of the quotient cannot overflow, and wherever the plain
-    ones neither overflow nor underflow, scaling back is bit-identical.
-    """
-    scale = _exact_scale(float(magnitude(vector, 0)))
-    return vector / scale, scale
-
-
 def _norm(vector: np.ndarray) -> float:
+    """|vector| from its scaled parts: np.linalg.norm's digits where no square leaves range."""
     unit, scale = _scaled(vector)
     return scale * float(np.linalg.norm(unit))
 
@@ -86,7 +77,7 @@ def _check_transverse(tau: np.ndarray, E0: np.ndarray) -> None:
     unit, scale = _scaled(E0)
     dot = complex(np.dot(tau, unit))
     norm = float(np.linalg.norm(unit))
-    if abs(dot) > _UNIT_TOL * max(norm, 1e-300 / scale):
+    if abs(dot) > _UNIT_TOL * norm:
         dot = complex(dot.real * scale, dot.imag * scale)
         raise TransversalityError(
             f"amplitude is not transverse: tau . E0 = {dot!r} (|E0| = {norm * scale!r}); "

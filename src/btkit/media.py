@@ -8,7 +8,7 @@ is the sigma = 0 case and the vacuum is just one particular such medium.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidParameterError
 
@@ -71,7 +71,7 @@ class MediumParams:
         return cls(epsilon_rel * EPSILON0, mu_rel * MU0, sigma)
 
     def to_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "mu": self.mu, "sigma": self.sigma}
+        return asdict(self)
 
 
 VACUUM = MediumParams(EPSILON0, MU0, 0.0)

@@ -217,15 +217,7 @@ class Grid4D:
         )
 
     def to_dict(self) -> dict:
-        h = self.h if np.isscalar(self.h) else list(self.steps)
-        return {
-            "x_min": self.x_min, "x_max": self.x_max,
-            "y_min": self.y_min, "y_max": self.y_max,
-            "z_min": self.z_min, "z_max": self.z_max,
-            "t_min": self.t_min, "t_max": self.t_max,
-            "nx": self.nx, "ny": self.ny, "nz": self.nz, "nt": self.nt,
-            "h": h,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -250,13 +242,7 @@ class ResidualReport:
         return self.max_abs < tolerance
 
     def to_dict(self) -> dict:
-        return {
-            "max_abs": self.max_abs,
-            "rms": self.rms,
-            "n_points": self.n_points,
-            "worst_point": list(self.worst_point),
-            "n_singular": self.n_singular,
-        }
+        return asdict(self)
 
 
 class Stencil:
@@ -337,6 +323,21 @@ def magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
     return np.abs(arr.reshape(points + (-1,))).max(axis=-1)
 
 
+def _scaled(values: np.ndarray):
+    """``values / scale`` and ``scale``, the ``_exact_scale`` of their largest part.
+
+    Squares and products of the quotient's parts stay below 4, so sums of
+    them cannot overflow.  A complex array is divided through its float
+    view, part by part: the quotient is then exact for a subnormal scale
+    too, where numpy's complex division by one overflows.
+    """
+    arr = np.ascontiguousarray(values)
+    scale = _exact_scale(float(magnitude(arr, 0)))
+    if np.iscomplexobj(arr):
+        return (arr.view(arr.real.dtype) / scale).view(arr.dtype), scale
+    return arr / scale, scale
+
+
 def report_from_values(values: np.ndarray, meshes) -> ResidualReport:
     """Build a ResidualReport from per-point residual magnitudes.
 
@@ -353,16 +354,13 @@ def report_from_values(values: np.ndarray, meshes) -> ResidualReport:
     flat = np.where(finite, vals, -np.inf).ravel()
     idx = int(np.argmax(flat))
     worst = tuple(float(m.ravel()[idx]) for m in meshes)
-    kept = vals[finite]
-    peak = float(flat[idx])
     # RMS scaled by a power of two near the peak: squaring cannot overflow,
     # and wherever v*v neither overflows nor underflows the result is
     # bit-identical to sqrt(mean(v*v))
-    scale = _exact_scale(peak)
-    scaled = kept / scale
+    kept, scale = _scaled(vals[finite])
     return ResidualReport(
-        max_abs=peak,
-        rms=scale * float(np.sqrt(np.mean(scaled * scaled))),
+        max_abs=float(flat[idx]),
+        rms=scale * float(np.sqrt(np.mean(kept * kept))),
         n_points=int(kept.size),
         worst_point=worst,
         n_singular=n_singular,

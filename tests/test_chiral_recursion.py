@@ -570,6 +570,14 @@ class TestChiralResidual:
         assert excinfo.value.cond == pytest.approx(np.exp(40.0), rel=1e-9)
         assert f"(condition number {excinfo.value.cond!r})" in str(excinfo.value)
 
+    def test_singular_matrix_error_message_is_its_point_and_condition_number(self):
+        err = SingularMatrixError((0.5, np.float64(-1.0)), cond=2e12)
+        assert (err.point, err.cond) == ((0.5, -1.0), 2e12)
+        assert str(err) == ("matrix field is singular near (0.5, -1.0) "
+                            "(condition number 2000000000000.0)")
+        with pytest.raises(TypeError):
+            SingularMatrixError((0.5, -1.0), "a message of its own")
+
     def test_perturbed_tabulated_seed_fails(self):
         # an exp seed's connection is exactly (A, B), so the field-equation
         # scan has something to find only in tabulated seeds, whose

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 import btkit
-from btkit import classic_bts, cli
+from btkit import classic_bts, cli, maxwell_conductor, maxwell_vacuum
 from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_defect_samples,
                                     chiral_residual, hierarchy, potential)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
 from btkit.maxwell_vacuum import conjugate_vacuum
-from btkit.verify import Grid2D, Grid4D
+from btkit.media import VACUUM, MediumParams
+from btkit.verify import Grid2D, Grid4D, ResidualReport
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 A_RE = '[[0.1, 0.2], [0.0, -0.1]]'
@@ -193,6 +194,37 @@ class TestExitCodes:
         # each once passed wrongly, wrote nan cells or ended in a traceback,
         # with a RuntimeWarning ahead of it
         proc = run_cli(*argv)
+        assert proc.returncode == EXIT_PRECONDITION
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("btkit: error: " + message)
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("e0", [["1e-320", "0", "0"], ["1e-310", "1e-310", "0"],
+                                    ["0", "0", "0"]], ids=["1e-320", "1e-310-pair", "zero"])
+    def test_tiny_transverse_amplitude_verifies_without_warnings(self, e0):
+        # at 1e-320 four RuntimeWarnings once came ahead of a wrong exit-1
+        # line that blamed a nan normalization scale
+        proc = run_cli("em", "vacuum", "--omega", "1e9", "--e0-re", *e0, "--verify")
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["verify"]["passed"] is True
+        if e0[0] == "1e-320":
+            assert payload["result"]["B0"] == {"re": [0, 0, 0], "im": [0, 0, 0]}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--e0-re", "1e-320", "0", "1e-320"], "amplitude is not transverse: "
+         "tau . E0 = (1e-320+0j)"),
+        (["--e0-re", "1e-302", "0", "1e-302"], "amplitude is not transverse: "
+         "tau . E0 = (1e-302+0j)"),
+        (["--tau", "1e200", "0", "1e200"],
+         "propagation direction must be unit length: |tau| = 1.414213562373095e+200\n"),
+        (["--tau", "0", "0", "1e300"],
+         "propagation direction must be unit length: |tau| = 1e+300\n"),
+    ], ids=["longitudinal-1e-320", "longitudinal-1e-302", "tau-1e200", "tau-1e300"])
+    def test_extreme_wave_input_is_one_error_line(self, argv, message):
+        # the huge directions once printed numpy's overflow warning first
+        proc = run_cli("em", "vacuum", "--omega", "1e9", *argv, "--verify")
         assert proc.returncode == EXIT_PRECONDITION
         assert proc.stdout == ""
         assert proc.stderr.startswith("btkit: error: " + message)
@@ -473,6 +505,50 @@ class TestCsv:
         rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:-1]])
         assert rows.shape == expected.shape
         np.testing.assert_array_equal(rows, expected)
+
+
+# The records' hand-written dicts from before they serialized with
+# dataclasses.asdict, kept as the reference for the JSON bytes.
+def _reference_report(r):
+    return {"max_abs": r.max_abs, "rms": r.rms, "n_points": r.n_points,
+            "worst_point": list(r.worst_point), "n_singular": r.n_singular}
+
+
+def _reference_grid4d(g):
+    h = g.h if np.isscalar(g.h) else list(g.steps)
+    return {"x_min": g.x_min, "x_max": g.x_max, "y_min": g.y_min, "y_max": g.y_max,
+            "z_min": g.z_min, "z_max": g.z_max, "t_min": g.t_min, "t_max": g.t_max,
+            "nx": g.nx, "ny": g.ny, "nz": g.nz, "nt": g.nt, "h": h}
+
+
+def _reference_medium(m):
+    return {"epsilon": m.epsilon, "mu": m.mu, "sigma": m.sigma}
+
+
+def _reference_dispersion(d):
+    return {"k": d.k, "s": d.s, "phi": d.phi, "omega": d.omega, "skin_depth": d.skin_depth}
+
+
+def _records():
+    pair = conjugate_vacuum([1.0, 0.5j, 0.0], [0.0, 0.0, 1.0], 1e9)
+    grid = pair.default_grid(5)
+    yield _reference_report, maxwell_vacuum.maxwell_residual(pair, grid)
+    yield _reference_report, classic_bts.liouville_residual(
+        classic_bts.liouville_from_trivial(0.5), Grid2D(nx=9, nt=9))
+    yield _reference_report, ResidualReport(1.0, 0.5, 4, (0.0, 0.0), 2)
+    yield _reference_grid4d, grid
+    yield _reference_grid4d, Grid4D(0, 1, 0, 2, 0, 3, -1, 1, 5, 6, 7, 8, h=1e-3)
+    yield _reference_grid4d, Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, h=[1e-3, 1e-3, 1e-3, 1e-12])
+    yield _reference_grid4d, Grid4D(0, 1, 0, 1, 0, 1, 0, 1, h=(1e-3, 1e-3, 2e-3, np.float64(1e-2)))
+    for medium in (VACUUM, MediumParams.relative(2.25, 1.0, 4.0), MediumParams(3, 1, 0)):
+        yield _reference_medium, medium
+        yield _reference_dispersion, maxwell_conductor.dispersion_solve(medium, 1e9)
+
+
+class TestRecordJson:
+    @pytest.mark.parametrize("reference, record", list(_records()))
+    def test_record_json_bytes_match_the_hand_written_dicts(self, reference, record):
+        assert cli._emit_json(record.to_dict()) == cli._emit_json(reference(record))
 
 
 class TestJsonOnlyRuns:

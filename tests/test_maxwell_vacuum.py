@@ -1,6 +1,7 @@
 """Plane-wave conjugation and field-equation scans in non-conducting media."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from btkit.errors import (
 )
 from btkit.maxwell_vacuum import (
     FieldPair,
+    _norm,
     conjugate_vacuum,
     maxwell_residual,
     plane_wave,
@@ -122,6 +124,50 @@ class TestConjugation:
         assert abs(np.dot(tau, E0)) < 1e-12 * pair.e_scale
         assert abs(np.dot(tau, pair.B0)) < 1e-12 * pair.b_scale
         assert abs(np.dot(E0, pair.B0)) < 1e-12 * pair.e_scale * pair.b_scale
+
+
+class TestExtremeInputs:
+    """Amplitudes near the bottom of the float range, directions near the top."""
+
+    @pytest.mark.parametrize("E0", [(1e-320, 0.0, 0.0), (1e-310, 1e-310, 0.0), (0.0, 0.0, 0.0),
+                                    (1e-305, 0.0, 1e-318)],
+                             ids=["1e-320", "1e-310-pair", "zero", "1e-305-share-1e-13"])
+    def test_tiny_transverse_amplitude_passes(self, E0):
+        # at 1e-320 the scale is subnormal, and the complex quotient by it
+        # read nan, which named the normalization scale as the fault
+        pair = conjugate_vacuum(E0, [0.0, 0.0, 1.0], 1e9)
+        assert pair.e_scale == pytest.approx(math.hypot(*E0), rel=1e-3)
+        assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
+
+    def test_subnormal_amplitude_has_the_rounded_partner(self):
+        pair = conjugate_vacuum([1e-320, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        # |E0| / c is below the smallest subnormal
+        assert not pair.B0.any()
+
+    @pytest.mark.parametrize("E0", [(1e-320, 0.0, 1e-320), (1e-302, 0.0, 1e-302),
+                                    (1e-305, 0.0, 1e-316)],
+                             ids=["1e-320", "1e-302", "1e-305-share-1e-11"])
+    def test_tiny_longitudinal_amplitude_rejected(self, E0):
+        # the tolerance once had the absolute floor 1e-12 * 1e-300: it let a
+        # longitudinal share up to 1e-12 * 1e-300 / |E0| through below
+        # |E0| = 1e-300, and any share below about 1e-312
+        with pytest.raises(TransversalityError, match=r"amplitude is not transverse"):
+            conjugate_vacuum(E0, [0.0, 0.0, 1.0], 1e9)
+
+    @pytest.mark.parametrize("tau, norm", [
+        ((1e200, 0.0, 1e200), "1.414213562373095e+200"),
+        ((0.0, 0.0, 1e300), "1e+300"),
+    ])
+    def test_huge_direction_rejected_with_its_length(self, tau, norm):
+        with pytest.raises(NormalizationError, match=re.escape(f"|tau| = {norm}")):
+            conjugate_vacuum([1.0, 0.0, 0.0], tau, 1e9)
+
+    @pytest.mark.parametrize("decade", [-150, -20, 0, 20, 150])
+    def test_norm_is_numpys_where_no_square_leaves_range(self, decade):
+        rng = np.random.default_rng(decade + 300)
+        for _ in range(50):
+            vector = 10.0 ** decade * rng.standard_normal(3)
+            assert _norm(vector) == float(np.linalg.norm(vector))
 
 
 class TestResiduals:

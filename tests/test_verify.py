@@ -16,6 +16,8 @@ from btkit.verify import (
     Grid4D,
     ResidualReport,
     Stencil,
+    _exact_scale,
+    _scaled,
     curl,
     divergence,
     finite_step,
@@ -329,6 +331,54 @@ class TestMagnitude:
         report = report_from_values(values, grid.mesh())
         assert report.n_singular == 2 and report.n_points == 9 * 7 - 2
         assert report.max_abs == float(np.max(np.delete(want.ravel(), [4 * 7 + 2, 6 * 7 + 1])))
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestScaled:
+    """``_scaled``, the package's one overflow-safe quotient."""
+
+    @pytest.mark.parametrize("decade", [-320, -310, -300, -150, 0, 150, 300, 307])
+    def test_real_quotient_is_the_plain_division_bit_for_bit(self, decade):
+        rng = np.random.default_rng(decade + 400)
+        values = 10.0 ** decade * rng.standard_normal(40)
+        values[:3] = (0.0, -0.0, 10.0 ** decade * 1e-9)
+        quotient, scale = _scaled(values)
+        assert scale == _exact_scale(float(np.max(np.abs(values))))
+        assert np.array_equal(_bits(quotient), _bits(values / scale))
+
+    @pytest.mark.parametrize("decade", [-300, -150, 0, 150, 300])
+    def test_complex_quotient_is_numpys_where_the_scale_is_normal(self, decade):
+        rng = np.random.default_rng(decade + 500)
+        values = 10.0 ** decade * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        values[:2] = (1e-9 * values[2], 1e-300 * values[3])   # quotients down to subnormal
+        quotient, scale = _scaled(values)
+        assert scale == _exact_scale(float(magnitude(values, 0)))
+        assert math.ldexp(1.0, -1022) <= scale
+        assert quotient.dtype == values.dtype
+        assert np.array_equal(quotient, values / scale)
+
+    @pytest.mark.parametrize("values", [
+        [1e-320 + 0j, 0j, 0j],
+        [1e-320 + 3e-322j, -5e-324j, 0j],
+        [1e-310 + 1e-310j, 1e-310 + 0j, -0j],
+    ])
+    def test_complex_quotient_is_exact_for_subnormal_input(self, values):
+        # numpy's complex quotient by a subnormal scale reads inf + nan j
+        values = np.asarray(values)
+        quotient, scale = _scaled(values)
+        assert scale < math.ldexp(1.0, -1022)
+        assert 1.0 <= float(magnitude(quotient, 0)) < 2.0
+        assert np.array_equal(_bits(quotient.view(float) * scale), _bits(values.view(float)))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_input(self, dtype):
+        quotient, scale = _scaled(np.zeros(3, dtype=dtype))
+        assert scale == 0.5
+        assert quotient.dtype == dtype
+        assert not quotient.any()
 
 
 class TestGrids:
