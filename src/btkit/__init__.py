@@ -4,8 +4,8 @@ Closed-form solution generators for the classical transformation pairs
 (Cauchy-Riemann, Liouville, sine-Gordon), conjugate electromagnetic
 plane-wave construction in vacuum, linear media, and conductors, a
 recursion operator for matrix chiral-field symmetries, and a
-finite-difference verification layer that certifies every generated
-object against the PDE it claims to solve.
+verification layer (exact derivatives of closed forms, lattice stencils
+for tables) that certifies every generated object against its PDE.
 """
 
 from types import ModuleType as _ModuleType
@@ -72,13 +72,7 @@ from .maxwell_vacuum import (
     wave_residual,
 )
 from .media import CONSTANTS, EPSILON0, MU0, VACUUM, MediumParams, PhysicalConstants
-from .verify import (
-    DEFAULT_STEP,
-    Grid2D,
-    Grid4D,
-    ResidualReport,
-    report_from_values,
-)
+from .verify import Grid2D, Grid4D, ResidualReport, report_from_values
 
 # __all__ is derived, not listed: every global bound above that is neither
 # private nor a submodule, so each public name is stated once, in its import

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError
-from .verify import DEFAULT_STEP, Grid2D, ResidualReport, Stencil, magnitude, report_from_values
+from .verify import Grid2D, ResidualReport, Taylor, magnitude, report_from_values
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -62,21 +62,17 @@ def _monomial_xy(p, x, t):
 
 
 def _liouville_soliton(p, x, t):
-    arg = p["C"] - (np.asarray(x) + np.asarray(t)) / _SQRT2
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(arg > 0.0, -2.0 * np.log(np.where(arg > 0.0, arg, 1.0)), np.nan)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return -2.0 * np.log(p["C"] - (x + t) / _SQRT2)
 
 
 def _sine_gordon_kink(p, x, t):
     with np.errstate(over="ignore"):
-        return 4.0 * np.arctan(p["C"] * np.exp(p["a"] * np.asarray(x) + np.asarray(t) / p["a"]))
+        return 4.0 * np.arctan(p["C"] * np.exp(p["a"] * x + t / p["a"]))
 
 
 def _zero(p, x, t):
-    return np.zeros(np.broadcast(np.asarray(x), np.asarray(t)).shape)
+    return 0.0 * (x + t)
 
 
 _FAMILIES = {
@@ -93,9 +89,9 @@ _FAMILIES = {
 class ScalarField2D:
     """A closed-form scalar field u(x, t) from a named family.
 
-    Evaluators broadcast over numpy arrays.  Points outside a family's
-    domain (the Liouville soliton blows up on a line) evaluate to NaN, which
-    residual scans record as singular samples.
+    Evaluators broadcast over numpy arrays and the scans' jets.  Points
+    outside a family's domain (the Liouville soliton blows up on a line)
+    evaluate to NaN or inf, which residual scans record as singular samples.
     """
 
     family: str
@@ -205,59 +201,55 @@ def sine_gordon_from_vacuum(a: float, C: float) -> ScalarField2D:
 
 # --- residual evaluators -------------------------------------------------
 #
-# All scans difference the closed-form evaluators with the central-difference
-# step h, which must stay below a tenth of the grid spacing; domain
-# violations at any stencil point surface as NaN and are excluded by the scan.
+# All scans differentiate the closed-form evaluators exactly, on Taylor jets;
+# domain violations surface as NaN and are excluded by the scan.
 
-def _scan(grid: Grid2D, h: float, residuals: Callable, *fields) -> ResidualReport:
+def _scan(grid: Grid2D, residuals: Callable, *fields) -> ResidualReport:
     """Report the pointwise max over the residual arrays ``residuals`` returns.
 
-    ``residuals`` receives one Stencil of step ``h`` per field, all on the grid's mesh.
+    ``residuals`` receives one ``Taylor`` per field, all on the grid's mesh;
+    a field that breaks Taylor's evaluator contract raises TypeError.
     """
-    grid.check_step(h)
     X, T = grid.mesh()
     with np.errstate(all="ignore"):
         values = [magnitude(r, X.ndim)
-                  for r in residuals(*(Stencil(f, (X, T), h) for f in fields))]
+                  for r in residuals(*(Taylor(f, (X, T)) for f in fields))]
     return report_from_values(np.max(values, axis=0), (X, T))
 
 
-def bt_residual_cr(u: Callable, v: Callable, grid: Grid2D,
-                   h: float = DEFAULT_STEP) -> ResidualReport:
+def bt_residual_cr(u: Callable, v: Callable, grid: Grid2D) -> ResidualReport:
     """Max residual of the Cauchy-Riemann pair u_x = v_t, u_t = -v_x."""
-    return _scan(grid, h, lambda u, v: (u.d(0) - v.d(1), u.d(1) + v.d(0)), u, v)
+    return _scan(grid, lambda u, v: (u.d(0) - v.d(1), u.d(1) + v.d(0)), u, v)
 
 
-def bt_residual_liouville(u: Callable, v: Callable, grid: Grid2D,
-                          h: float = DEFAULT_STEP) -> ResidualReport:
+def bt_residual_liouville(u: Callable, v: Callable, grid: Grid2D) -> ResidualReport:
     """Max residual of the Liouville system over both coupled equations."""
-    return _scan(grid, h, lambda u, v: (
+    return _scan(grid, lambda u, v: (
         u.d(0) + v.d(0) - _SQRT2 * np.exp((u.center - v.center) / 2.0),
         u.d(1) - v.d(1) - _SQRT2 * np.exp((u.center + v.center) / 2.0),
     ), u, v)
 
 
-def bt_residual_sine_gordon(u: Callable, v: Callable, a: float, grid: Grid2D,
-                            h: float = DEFAULT_STEP) -> ResidualReport:
+def bt_residual_sine_gordon(u: Callable, v: Callable, a: float, grid: Grid2D) -> ResidualReport:
     """Max residual of the parametric sine-Gordon system over both equations."""
     if a == 0.0:
         raise InvalidParameterError("sine-Gordon parameter a must be nonzero")
-    return _scan(grid, h, lambda u, v: (
+    return _scan(grid, lambda u, v: (
         0.5 * (u.d(0) + v.d(0)) - a * np.sin((u.center - v.center) / 2.0),
         0.5 * (u.d(1) - v.d(1)) - (1.0 / a) * np.sin((u.center + v.center) / 2.0),
     ), u, v)
 
 
-def laplace_residual(u: Callable, grid: Grid2D, h: float = DEFAULT_STEP) -> ResidualReport:
+def laplace_residual(u: Callable, grid: Grid2D) -> ResidualReport:
     """Residual of u_xx + u_tt = 0."""
-    return _scan(grid, h, lambda u: (u.diffs(0)[1] + u.diffs(1)[1],), u)
+    return _scan(grid, lambda u: (u.diffs(0)[1] + u.diffs(1)[1],), u)
 
 
-def liouville_residual(u: Callable, grid: Grid2D, h: float = DEFAULT_STEP) -> ResidualReport:
+def liouville_residual(u: Callable, grid: Grid2D) -> ResidualReport:
     """Residual of u_xt = exp(u)."""
-    return _scan(grid, h, lambda u: (u.dxy(0, 1) - np.exp(u.center),), u)
+    return _scan(grid, lambda u: (u.dxy(0, 1) - np.exp(u.center),), u)
 
 
-def sine_gordon_residual(u: Callable, grid: Grid2D, h: float = DEFAULT_STEP) -> ResidualReport:
+def sine_gordon_residual(u: Callable, grid: Grid2D) -> ResidualReport:
     """Residual of u_xt = sin(u)."""
-    return _scan(grid, h, lambda u: (u.dxy(0, 1) - np.sin(u.center),), u)
+    return _scan(grid, lambda u: (u.dxy(0, 1) - np.sin(u.center),), u)

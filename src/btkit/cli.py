@@ -10,8 +10,8 @@ Subcommand grammar::
 All flags are long-form.  Output is JSON (default), CSV, or both; JSON is
 byte-identical for identical argv: keys are emitted in fixed order and
 floats with 17 significant digits.  CSV always carries a header row and a
-``.`` decimal point.  The environment variable BTKIT_H overrides the
-default finite-difference step; an explicit --h flag wins over it.
+``.`` decimal point.  No scan reads a step: ``--h``, else the environment
+variable BTKIT_H, else 1e-4, is only checked and echoed as ``grid.h``.
 
 Exit codes: 0 success; 1 precondition rejected by the library (the message
 names the violated constraint) or a grid too large to allocate; 2 a
@@ -35,12 +35,14 @@ from . import classic_bts, chiral_recursion, maxwell_conductor, maxwell_vacuum
 from .chiral_recursion import _matrix_pair
 from .errors import BtkitError, InvalidParameterError
 from .media import EPSILON0, MU0, MediumParams, VACUUM
-from .verify import DEFAULT_STEP, Grid2D, Grid4D, finite_step, report_from_values
+from .verify import Grid2D, Grid4D, report_from_values
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_VERIFY = 2
 EXIT_USAGE = 64
+
+_ECHOED_STEP = 1e-4   # grid.h when neither --h nor BTKIT_H gives one
 
 # documented per-subcommand scan tolerances (normalized residuals)
 TOLERANCES = {
@@ -137,7 +139,7 @@ def _add_output_flags(parser) -> None:
     parser.add_argument("--verify", action="store_true",
                         help="run residual scans; exit 2 if any exceeds tolerance")
     parser.add_argument("--h", type=float, default=None,
-                        help="finite-difference step (beats BTKIT_H)")
+                        help="step echoed as grid.h, read by no scan (beats BTKIT_H)")
 
 
 def _add_grid2d_flags(parser) -> None:
@@ -204,7 +206,7 @@ def _resolve_step(args) -> float:
         return args.h
     env = os.environ.get("BTKIT_H")
     if env is None:
-        return DEFAULT_STEP
+        return _ECHOED_STEP
     try:
         return float(env)
     except ValueError as exc:
@@ -213,12 +215,6 @@ def _resolve_step(args) -> float:
 
 def _grid2d(args) -> Grid2D:
     return Grid2D(args.x_min, args.x_max, args.t_min, args.t_max, args.nx, args.nt)
-
-
-def _resolve_omega(args) -> float:
-    if args.omega is not None:
-        return args.omega
-    return 2.0 * math.pi * args.freq
 
 
 def _absolute(args, name: str, unit: float) -> float:
@@ -254,18 +250,15 @@ def _verify_block(scans: dict, tolerance: float):
 
 
 def _run_classic(args):
-    step = _resolve_step(args)
     grid = _grid2d(args)
-    # checked up front, so a step the scans would refuse fails without --verify too
-    grid.check_step(step)
     if args.sub == "laplace":
         u, v = classic_bts.harmonic_conjugate_match(args.alpha, args.beta, args.gamma)
         params = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
         result = {"u": u.to_dict(), "v": v.to_dict()}
         scans = {
-            "cauchy_riemann": classic_bts.bt_residual_cr(u, v, grid, step),
-            "laplace_u": classic_bts.laplace_residual(u, grid, step),
-            "laplace_v": classic_bts.laplace_residual(v, grid, step),
+            "cauchy_riemann": classic_bts.bt_residual_cr(u, v, grid),
+            "laplace_u": classic_bts.laplace_residual(u, grid),
+            "laplace_v": classic_bts.laplace_residual(v, grid),
         } if args.verify else {}
         fields = [("u", u), ("v", v)]
     elif args.sub == "liouville":
@@ -274,8 +267,8 @@ def _run_classic(args):
         params = {"C": args.C}
         result = {"field": u.to_dict()}
         scans = {
-            "pde": classic_bts.liouville_residual(u, grid, step),
-            "bt": classic_bts.bt_residual_liouville(u, v, grid, step),
+            "pde": classic_bts.liouville_residual(u, grid),
+            "bt": classic_bts.bt_residual_liouville(u, v, grid),
         } if args.verify else {}
         fields = [("u", u)]
     else:
@@ -284,8 +277,8 @@ def _run_classic(args):
         params = {"a": args.a, "C": args.C}
         result = {"field": u.to_dict()}
         scans = {
-            "pde": classic_bts.sine_gordon_residual(u, grid, step),
-            "bt": classic_bts.bt_residual_sine_gordon(u, v, args.a, grid, step),
+            "pde": classic_bts.sine_gordon_residual(u, grid),
+            "bt": classic_bts.bt_residual_sine_gordon(u, v, args.a, grid),
         } if args.verify else {}
         fields = [("u", u)]
 
@@ -295,35 +288,29 @@ def _run_classic(args):
         X, T = grid.mesh()
         return _grid_table((X, T), *(f(X, T) for _, f in fields))
 
-    return params, {**grid.to_dict(), "h": step}, result, scans, (columns, rows)
+    return params, grid.to_dict(), result, scans, (columns, rows)
 
 
 _EM_COLUMNS = ["x", "y", "z", "t"] + _complex_columns(f + c for f in "EB" for c in "xyz")
 
 
 def _run_em(args):
-    step = _resolve_step(args)
-    omega = _resolve_omega(args)
+    omega = args.omega if args.omega is not None else 2.0 * math.pi * args.freq
     conducting = args.sub == "conductor"
-    if args.sub == "vacuum":
-        medium = VACUUM
-    else:
-        medium = _resolve_medium(args, omega, conducting)
+    medium = VACUUM if args.sub == "vacuum" else _resolve_medium(args, omega, conducting)
     E0 = np.asarray(args.e0_re, dtype=float) + 1j * np.asarray(args.e0_im, dtype=float)
     if conducting:
-        pair = maxwell_conductor.conjugate_conducting(
-            E0, args.tau, medium, omega, alpha=args.alpha
-        )
+        pair = maxwell_conductor.conjugate_conducting(E0, args.tau, medium, omega,
+                                                      alpha=args.alpha)
         wavenumber = {"dispersion": pair.dispersion.to_dict()}
     else:
-        pair = maxwell_vacuum.conjugate_vacuum(
-            E0, args.tau, omega, medium=medium, alpha=args.alpha
-        )
+        pair = maxwell_vacuum.conjugate_vacuum(E0, args.tau, omega, medium=medium,
+                                               alpha=args.alpha)
         wavenumber = {"k": pair.k}
     result = {"spec": pair.spec.to_dict(), "medium": medium.to_dict(), **wavenumber,
               "B0": _matrix_pair(pair.B0)}
     params = pair.spec.to_dict()
-    grid = Grid4D.for_wave(pair.k, omega, samples=args.samples, step_scale=step)
+    grid = Grid4D.for_wave(pair.k, omega, samples=args.samples)
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
 
     def rows():
@@ -335,10 +322,8 @@ def _run_em(args):
 
 
 def _run_chiral(args):
-    step = _resolve_step(args)
     grid = _grid2d(args)
-    # every chiral scan differences the lattice; the step is only echoed
-    grid_dict = {**grid.to_dict(), "h": finite_step(step)}
+    grid_dict = grid.to_dict()
     A = _complex_matrix(args.a_re, args.a_im, "A")
     B = _complex_matrix(args.b_re, args.b_im, "B")
     g = chiral_recursion.ExpSeedField(A, B)
@@ -354,12 +339,9 @@ def _run_chiral(args):
         return params, grid_dict, result, scans, table
 
     if args.sub == "potential":
-        base = None
-        if args.base_re is not None:
-            base = _complex_matrix(args.base_re, args.base_im, "base")
-            params["base"] = _matrix_pair(base)
-        else:
-            params["base"] = None
+        base = (None if args.base_re is None
+                else _complex_matrix(args.base_re, args.base_im, "base"))
+        params["base"] = None if base is None else _matrix_pair(base)
         pot = chiral_recursion.potential(g, grid, base=base)
         result = {
             "seed": g.to_dict(),
@@ -521,10 +503,14 @@ def main(argv=None) -> int:
         if args.group == "verify":
             return main(_argv_from_spec(args.spec_file))
         name = f"{args.group} {args.sub}"
+        step = _resolve_step(args)
         params, grid_dict, result, scans, (columns, rows) = _RUNNERS[args.group](args)
+        # no scan reads the step: every group checks it here, last, and echoes it
+        if not (step > 0.0 and math.isfinite(step)):
+            raise InvalidParameterError(f"stencil step must be finite and positive, got {step}")
         block, passed = _verify_block(scans, TOLERANCES[name]) if args.verify else (None, True)
-        payload = {"command": name, "params": params, "grid": grid_dict, "result": result,
-                   "verify": block}
+        payload = {"command": name, "params": params, "grid": {**grid_dict, "h": step},
+                   "result": result, "verify": block}
         if args.format in ("json", "both"):
             _write([_emit_json(payload), "\n"], args.output)
         if args.format in ("csv", "both"):

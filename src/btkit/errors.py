@@ -12,7 +12,7 @@ class InvalidParameterError(BtkitError):
 
 
 class InvalidGridError(BtkitError):
-    """Grid bounds, sample counts, or stencil step are inconsistent."""
+    """Grid bounds or sample counts are inconsistent, or too few for an operator."""
 
 
 class EmptyDomainError(BtkitError):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
 from .media import VACUUM, MediumParams
-from .verify import (Grid4D, ResidualReport, Stencil, _scaled, curl, divergence, magnitude,
+from .verify import (Grid4D, ResidualReport, Taylor, _scaled, curl, divergence, magnitude,
                      report_from_values)
 
 _UNIT_TOL = 1e-12
@@ -153,9 +153,7 @@ class WavePair:
         return _norm(self.B0)
 
     def _carrier(self, r, t) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        phase = r @ self.k_vector - self.spec.omega * np.asarray(t)
-        wave = np.exp(1j * phase)
+        wave = np.exp(1j * (r @ self.k_vector - self.spec.omega * t))
         if self.s:
             wave = np.exp(-self.s * (r @ self.spec.tau)) * wave
         return wave
@@ -182,6 +180,9 @@ class FieldPair:
     Used to probe fields that were not produced by a conjugate constructor,
     e.g. deliberately mismatched pairs in separation tests.  ``medium`` is
     the medium whose equations ``maxwell_residual`` checks the pair against.
+    ``E`` and ``B`` follow the evaluator contract of ``verify.Taylor``: they
+    compute with r and t, which the scans pass as jets, and never coerce
+    them; a scan raises TypeError on a result that is not a jet.
     """
 
     E: Callable
@@ -215,18 +216,21 @@ def plane_wave(F0, k_vector, omega: float) -> Callable:
     k_vector = np.asarray(k_vector, dtype=float)
 
     def evaluate(r, t):
-        phase = np.asarray(r, dtype=float) @ k_vector - omega * np.asarray(t)
-        return np.exp(1j * phase)[..., None] * F0
+        return np.exp(1j * (r @ k_vector - omega * t))[..., None] * F0
 
     return evaluate
 
 
-def _stencil(F: Callable, meshes, steps) -> Stencil:
-    """Stencil of an evaluator F(r, t) over an (x, y, z, t) mesh."""
-    return Stencil(lambda x, y, z, t: F(np.stack((x, y, z), axis=-1), t), meshes, steps)
+_SPACETIME_AXES = tuple(zip(np.eye(3), (0.0,) * 3)) + ((np.zeros(3), 1.0),)
 
 
-def _div_curl(F: Stencil):
+def _taylors(meshes, *fields) -> list:
+    """Exact partials of each F(r, t) over an (x, y, z, t) mesh, r moved by _SPACETIME_AXES."""
+    coords = (np.stack(meshes[:3], axis=-1), meshes[3])
+    return [Taylor(F, coords, _SPACETIME_AXES) for F in fields]
+
+
+def _div_curl(F: Taylor):
     d = [F.d(axis) for axis in range(3)]
     return divergence(d), curl(d)
 
@@ -239,6 +243,7 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     equation is normalized by the natural scale of its leading term (|E0| k
     or |B0| k) so reports are comparable across units and frequencies; a
     scale that overflows the float range raises InvalidParameterError.
+    The evaluators follow the contract of ``FieldPair``.
     """
     k = pair.k
     e_scale = max(pair.e_scale, 1e-300) * k
@@ -250,7 +255,7 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
                                         "the float range")
     medium = pair.medium
     meshes = grid.mesh()
-    E, B = (_stencil(F, meshes, grid.steps) for F in (pair.E, pair.B))
+    E, B = _taylors(meshes, pair.E, pair.B)
 
     div_e, curl_e = _div_curl(E)
     div_b, curl_b = _div_curl(B)
@@ -272,9 +277,9 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
 def _wave_terms(F: Callable, grid: Grid4D):
     """Mesh, vector Laplacian, F_t and F_tt of an evaluator F(r, t) on ``grid``."""
     meshes = grid.mesh()
-    stencil = _stencil(F, meshes, grid.steps)
-    lap = stencil.diffs(0)[1] + stencil.diffs(1)[1] + stencil.diffs(2)[1]
-    return (meshes, lap) + stencil.diffs(3)
+    taylor, = _taylors(meshes, F)
+    lap = taylor.diffs(0)[1] + taylor.diffs(1)[1] + taylor.diffs(2)[1]
+    return (meshes, lap) + taylor.diffs(3)
 
 
 def wave_residual(F: Callable, speed: float, grid: Grid4D,
@@ -282,9 +287,9 @@ def wave_residual(F: Callable, speed: float, grid: Grid4D,
     """Scan the d'Alembertian lap F - F_tt / speed^2 of a vector field.
 
     ``scale`` divides the raw residual; pass |F0| k^2 to make plane-wave
-    reports dimensionless.  Second-derivative stencils hit their rounding
-    floor sooner than first-derivative ones: for grid steps, a natural-units
-    value near 5e-4 balances truncation against cancellation noise.
+    reports dimensionless.  The second partials are exact, so a genuine
+    wave reads rounding level; ``F`` follows the evaluator contract of
+    ``FieldPair``.
     """
     if not speed > 0.0:
         raise InvalidParameterError(f"wave speed must be positive, got {speed}")

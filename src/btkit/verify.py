@@ -1,24 +1,13 @@
-"""Finite-difference verification layer.
+"""Verification layer: grids, exact derivatives and residual reports.
 
 Every solution generator in this package is certified numerically: the
-claimed solution is swept over a sample grid and the defining equations are
-evaluated at every sample with central differences.  This module owns the
-grid descriptions, the report type that the rest of the package returns,
-and ``Stencil``, the one small-step difference core: the classic and
-Maxwell scans difference their closed-form evaluators through it, on whole
-grids at once.  The fourth-order chiral lattice stencils in
-``chiral_recursion`` share nothing with it: they act on node tables.
-
-Stencils are second order:
-
-    f_x   ~ (f(p + h e) - f(p - h e)) / (2 h)
-    f_xx  ~ (f(p + h e) - 2 f(p) + f(p - h e)) / h**2
-    f_xt  ~ (f(++) - f(+-) - f(-+) + f(--)) / (4 h**2)
-
-The stencil step ``h`` is independent of the grid spacing and must stay an
-order of magnitude below it, so the stencil never aliases the sampling
-lattice.  A ``Grid2D`` is its lattice alone: the classic scans take ``h``
-as an argument (``Grid2D.check_step``); a ``Grid4D`` carries its steps.
+claimed solution is swept over a sample grid and its defining equations are
+evaluated at every sample.  ``Taylor`` differentiates the classic and
+Maxwell closed-form evaluators exactly, on whole grids, by forward-mode
+Taylor arithmetic on ``Jet`` arguments (Griewank and Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008): no step, first and second partials to
+rounding.  The chiral lattice stencils in ``chiral_recursion`` are btkit's
+only finite differences; they act on node tables.
 """
 
 from __future__ import annotations
@@ -26,36 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyDomainError, InvalidGridError
 
-DEFAULT_STEP = 1e-4
 
-
-def _check_axis(name: str, lo: float, hi: float, n: int) -> float:
+def _check_axis(name: str, lo: float, hi: float, n: int) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise InvalidGridError(f"{name} bounds must satisfy min < max, got [{lo}, {hi}]")
     if n < 2:
         raise InvalidGridError(f"{name} needs at least 2 samples, got {n}")
-    return (hi - lo) / (n - 1)
-
-
-def finite_step(h: float) -> float:
-    """``h`` itself, once checked to be a finite, positive stencil step."""
-    if not (h > 0.0 and math.isfinite(h)):
-        raise InvalidGridError(f"stencil step must be finite and positive, got {h}")
-    return h
-
-
-def _check_step(h: float, spacing: float, axis: str) -> None:
-    finite_step(h)
-    if not h * 10.0 < spacing:
-        raise InvalidGridError(
-            f"stencil step {h} too coarse for {axis} spacing {spacing}: need h < spacing/10"
-        )
 
 
 def _exact_scale(peak: float) -> float:
@@ -100,10 +71,6 @@ class Grid2D:
         _check_axis("x", self.x_min, self.x_max, self.nx)
         _check_axis("t", self.t_min, self.t_max, self.nt)
 
-    def check_step(self, h: float) -> None:
-        """Reject a stencil step ``h`` unless finite, positive and below spacing/10."""
-        _check_step(h, min(self.dx, self.dt), "smallest")
-
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.nx - 1)
@@ -139,10 +106,8 @@ class Grid2D:
 class Grid4D:
     """Spacetime sample grid (x, y, z, t) for vector fields.
 
-    ``h`` may be a single step or one step per axis.  Electromagnetic fields
-    in SI units vary on metres in space but on fractions of a nanosecond in
-    time, so a per-axis step keeps the stencil matched to each scale.  The
-    ``axes()`` and ``mesh()`` arrays are built once per grid and read-only.
+    Like a ``Grid2D``, it is its lattice alone.  The ``axes()`` and
+    ``mesh()`` arrays are built once per grid and read-only.
     """
 
     x_min: float
@@ -157,31 +122,14 @@ class Grid4D:
     ny: int = 9
     nz: int = 9
     nt: int = 9
-    h: float | tuple = DEFAULT_STEP
 
     def __post_init__(self):
-        for name, lo, hi, n, step in zip(
-            "xyzt", *zip(*self._axis_specs()), self.steps
-        ):
-            spacing = _check_axis(name, lo, hi, n)
-            _check_step(step, spacing, name)
+        for name, spec in zip("xyzt", self._axis_specs()):
+            _check_axis(name, *spec)
 
     def _axis_specs(self):
-        return (
-            (self.x_min, self.x_max, self.nx),
-            (self.y_min, self.y_max, self.ny),
-            (self.z_min, self.z_max, self.nz),
-            (self.t_min, self.t_max, self.nt),
-        )
-
-    @property
-    def steps(self) -> tuple:
-        if np.isscalar(self.h):
-            return (float(self.h),) * 4
-        h = tuple(float(v) for v in self.h)
-        if len(h) != 4:
-            raise InvalidGridError(f"per-axis step needs 4 entries, got {len(h)}")
-        return h
+        return tuple((getattr(self, f"{a}_min"), getattr(self, f"{a}_max"), getattr(self, f"n{a}"))
+                     for a in "xyzt")
 
     @cached_property
     def _axes(self) -> tuple:
@@ -198,22 +146,15 @@ class Grid4D:
         return self._mesh
 
     @classmethod
-    def for_wave(cls, wavenumber: float, omega: float, samples: int = 9,
-                 step_scale: float = DEFAULT_STEP) -> "Grid4D":
-        """Grid spanning one wavelength per spatial axis and one period.
-
-        The stencil step is ``step_scale`` in the wave's own units: 1/k in
-        space and 1/omega in time.
-        """
+    def for_wave(cls, wavenumber: float, omega: float, samples: int = 9) -> "Grid4D":
+        """Grid spanning one wavelength per spatial axis and one period."""
         if not wavenumber > 0 or not omega > 0:
             raise InvalidGridError("for_wave needs positive wavenumber and omega")
         wavelength = 2.0 * math.pi / wavenumber
         period = 2.0 * math.pi / omega
-        hs = step_scale / wavenumber
         return cls(
             0.0, wavelength, 0.0, wavelength, 0.0, wavelength, 0.0, period,
             samples, samples, samples, samples,
-            h=(hs, hs, hs, step_scale / omega),
         )
 
     def to_dict(self) -> dict:
@@ -245,20 +186,105 @@ class ResidualReport:
         return asdict(self)
 
 
-class Stencil:
-    """Central differences of ``f`` around broadcastable coordinates.
+def _linear(ufunc, x, y) -> list:
+    n = max(len(x), len(y))
+    return [ufunc(a, b) for a, b in zip(x + (0.0,) * (n - len(x)), y + (0.0,) * (n - len(y)))]
 
-    ``coords`` are the arguments of ``f`` (arrays that broadcast, or
-    scalars); ``h`` is one step or one step per axis.  Every shifted
-    evaluation is reduced as soon as it is made; only the center value is
-    kept, evaluated at most once and only when a second difference or a
-    caller asks for it.
+
+def _bilinear(ufunc, x, y) -> list:
+    """Part k of a product sums x[i] y[j] over disjoint bit sets i, j with i | j = k."""
+    terms = [[ufunc(x[i], y[k ^ i]) for i in range(len(x)) if i & k == i and k ^ i < len(y)]
+             for k in range(max(len(x), len(y)))]
+    return [sum(t[1:], t[0]) for t in terms]
+
+
+# f(v) -> (f'(v), f''(v)), given f = f(v), for the ufuncs a Jet follows
+_RULES = {
+    np.reciprocal: lambda v, f: (-f * f, 2.0 * f * f * f),
+    np.exp: lambda v, f: (f, f),
+    np.log: lambda v, f: (1.0 / v, -1.0 / (v * v)),
+    np.sin: lambda v, f: (np.cos(v), -f),
+    np.cos: lambda v, f: (-np.sin(v), -f),
+    np.arctan: lambda v, f: (1.0 / (1.0 + v * v), -2.0 * v / (1.0 + v * v) ** 2),
+}
+
+
+def _chain(ufunc, x) -> list:
+    f = ufunc(x[0])
+    d1, d2 = _RULES[ufunc](x[0], f)
+    out = [f] + [d1 * p for p in x[1:]]
+    if len(x) == 4:
+        out[3] = out[3] + d2 * x[1] * x[2]
+    return out
+
+
+# a Jet divisor is a reciprocal factor: the others divide part by part
+_ARITHMETIC = {np.add: _linear, np.subtract: _linear, np.multiply: _bilinear,
+               np.matmul: _bilinear, np.true_divide: _bilinear}
+
+
+def _operators(ufunc):
+    return (lambda self, other: ufunc(self, other), lambda self, other: ufunc(other, self))
+
+
+class Jet:
+    """A value with its exact partials along one or two seeded directions.
+
+    ``parts`` are (f, f_a) or (f, f_a, f_b, f_ab), part i the coefficient of
+    the infinitesimals whose bits i sets.  Arithmetic, ``@``, indexing,
+    ``.real`` and the ufuncs of ``_RULES`` carry every part, other ufuncs
+    refuse a Jet, and other numpy functions see its value (``__array__``).
     """
 
-    def __init__(self, f: Callable, coords, h: float | Sequence[float]):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+
+    def __array__(self, dtype=None, copy=None):
+        return (np.array if copy else np.asarray)(self.parts[0], dtype=dtype)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.true_divide and isinstance(inputs[1], Jet):
+            return np.multiply(inputs[0], np.reciprocal(inputs[1]))
+        rule = _ARITHMETIC.get(ufunc, _chain if ufunc in _RULES else None)
+        if method != "__call__" or kwargs or rule is None:
+            return NotImplemented
+        return Jet(rule(ufunc, *(x.parts if isinstance(x, Jet) else (x,) for x in inputs)))
+
+    __add__, __radd__ = _operators(np.add)
+    __sub__, __rsub__ = _operators(np.subtract)
+    __mul__, __rmul__ = _operators(np.multiply)
+    __truediv__, __rtruediv__ = _operators(np.true_divide)
+    __matmul__, __rmatmul__ = _operators(np.matmul)
+
+    def __neg__(self):
+        return Jet(-p for p in self.parts)
+
+    def __getitem__(self, key):
+        return Jet(p[key] for p in self.parts)
+
+    @property
+    def real(self):
+        return Jet(p.real for p in self.parts)
+
+
+class Taylor:
+    """Exact partials of an evaluator ``f`` around broadcastable coordinates.
+
+    ``axes[k]`` holds the tangent of axis k, one per argument of ``f`` (by
+    default axis k moves argument k alone).  ``d``, ``diffs`` and ``dxy``
+    each evaluate ``f`` once, on ``Jet`` arguments seeded along their axes,
+    and ``center`` once, at ``coords``, when a scan first asks for it.  The
+    evaluator contract: ``f`` computes with its arguments and returns the
+    result.  Coercing them (``np.asarray``) or building a fresh array drops
+    the derivatives, so a result that is not a ``Jet`` raises TypeError.
+    """
+
+    def __init__(self, f: Callable, coords, axes=None):
         self.f = f
-        self.coords = tuple(coords)
-        self.h = (h,) * len(self.coords) if np.isscalar(h) else tuple(h)
+        self.coords = tuple(np.asarray(c) for c in coords)
+        self.axes = np.eye(len(self.coords)) if axes is None else axes
         self._center = None
 
     @property
@@ -267,30 +293,27 @@ class Stencil:
             self._center = self.f(*self.coords)
         return self._center
 
-    def _at(self, *shifts):
-        coords = list(self.coords)
-        for axis, delta in shifts:
-            coords[axis] = coords[axis] + delta
-        return self.f(*coords)
+    def _parts(self, *axes) -> list:
+        seeds = [[np.asarray(self.axes[k][i]) for k in axes] for i in range(len(self.coords))]
+        out = self.f(*(Jet([c, *s] + [0.0 * s[0]] * (len(s) - 1))
+                       for c, s in zip(self.coords, seeds)))
+        if not isinstance(out, Jet):
+            raise TypeError(f"evaluator {self.f!r} returned {type(out).__name__}, not a Jet: "
+                            "it must compute with its arguments, not coerce them")
+        return [np.broadcast_to(p, np.shape(out.parts[0])) for p in out.parts]
 
     def d(self, axis: int):
-        """First partial along ``axis`` by the 2-point stencil."""
-        h = self.h[axis]
-        return (self._at((axis, h)) - self._at((axis, -h))) / (2.0 * h)
+        """First partial along ``axis``."""
+        return self._parts(axis)[1]
 
     def diffs(self, axis: int):
-        """First and second partials along ``axis`` from one +-h pair."""
-        h = self.h[axis]
-        plus, minus = self._at((axis, h)), self._at((axis, -h))
-        return (plus - minus) / (2.0 * h), (plus - 2.0 * self.center + minus) / (h * h)
+        """First and second partials along ``axis``."""
+        parts = self._parts(axis, axis)
+        return parts[1], parts[3]
 
     def dxy(self, a: int, b: int):
-        """Mixed second partial by the 4-point cross stencil."""
-        ha, hb = self.h[a], self.h[b]
-        return (
-            self._at((a, ha), (b, hb)) - self._at((a, ha), (b, -hb))
-            - self._at((a, -ha), (b, hb)) + self._at((a, -ha), (b, -hb))
-        ) / (4.0 * ha * hb)
+        """Mixed second partial along axes ``a`` and ``b``."""
+        return self._parts(a, b)[3]
 
 
 def divergence(d):

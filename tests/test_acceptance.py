@@ -174,7 +174,7 @@ def test_criterion_3_vacuum_maxwell():
     k = omega / CONSTANTS.c
     E_eval = plane_wave(E0, k * tau, omega)
     B_eval = plane_wave(B0, k * tau, omega)
-    wave_grid = Grid4D.for_wave(k, omega, 9, step_scale=5e-4)
+    wave_grid = Grid4D.for_wave(k, omega, 9)
     wave_e = wave_residual(E_eval, CONSTANTS.c, wave_grid, scale=np.linalg.norm(E0))
     wave_b = wave_residual(B_eval, CONSTANTS.c, wave_grid, scale=np.linalg.norm(B0))
     mismatched = FieldPair(

@@ -18,7 +18,6 @@ PUBLIC_API = [
     "CONSTANTS",
     "ConductorWavePair",
     "ConstantField",
-    "DEFAULT_STEP",
     "DispersionSolution",
     "EPSILON0",
     "EmptyDomainError",
@@ -81,7 +80,7 @@ PUBLIC_API = [
 
 class TestPublicApi:
     def test_all_matches_the_snapshot(self):
-        assert len(PUBLIC_API) == 62
+        assert len(PUBLIC_API) == 61
         assert sorted(btkit.__all__) == PUBLIC_API
 
     def test_every_name_resolves(self):

@@ -43,7 +43,7 @@ from btkit.errors import (
     PathDependenceError,
     SingularMatrixError,
 )
-from btkit.verify import DEFAULT_STEP, Grid2D, Stencil
+from btkit.verify import Grid2D
 from helpers import polynomial_degree, random_commuting_pair, random_matrix
 
 GRID = Grid2D()
@@ -347,7 +347,7 @@ class TestFields:
         scattered = np.array([expm(x * A + t * B) for x, t in zip(xs, ts)])
         assert np.max(np.abs(g(xs, ts) - scattered)) < 1e-12 * np.max(np.abs(scattered))
 
-    @pytest.mark.parametrize("h", [DEFAULT_STEP, 1e-3])
+    @pytest.mark.parametrize("h", [1e-4, 1e-3])
     def test_exp_seed_derivatives_are_generator_products(self, h):
         A, B, _ = seed_triple(7)
         g = ExpSeedField(A, B)
@@ -361,7 +361,10 @@ class TestFields:
             # central differences of the evaluator, as the reference, agree to
             # their truncation errors h^2 |g'''| / 6 and h^2 |g''''| / 12, plus
             # rounding, a few eps |g| / h and eps |g| / h^2
-            ref_d1, ref_d2 = Stencil(g, grid.mesh(), h).diffs(axis)
+            X, T = grid.mesh()
+            plus, minus = (g(X + s, T) if axis == 0 else g(X, T + s) for s in (h, -h))
+            ref_d1 = (plus - minus) / (2.0 * h)
+            ref_d2 = (plus - 2.0 * g(X, T) + minus) / (h * h)
             g3 = np.max(np.abs(gen @ gen @ gen @ gs))
             g4 = np.max(np.abs(gen @ gen @ gen @ gen @ gs))
             rounding = 16 * np.finfo(float).eps * np.max(np.abs(gs))

@@ -20,8 +20,9 @@ from btkit.classic_bts import (
     xy_family_match,
     zero_field,
 )
-from btkit.errors import InvalidGridError, InvalidParameterError
-from btkit.verify import DEFAULT_STEP, Grid2D
+from btkit.classic_bts import ScalarField2D
+from btkit.errors import EmptyDomainError, InvalidParameterError
+from btkit.verify import Grid2D
 
 GRID = Grid2D()  # [-1, 1]^2, 41 x 41
 
@@ -206,36 +207,82 @@ class TestSerialization:
             make(value)
 
 
-# each scan as (grid, h=...) -> report, on fields the CLI gives it
+# each scan as grid -> report, on fields the CLI gives it
 _U, _V = harmonic_conjugate_match(1.0, 0.5, -0.3)
 _LIOUVILLE = liouville_from_trivial(2.0)
 _KINK = sine_gordon_from_vacuum(1.0, 1.0)
 SCANS = {
-    "bt_residual_cr": lambda grid, **kw: bt_residual_cr(_U, _V, grid, **kw),
-    "bt_residual_liouville":
-        lambda grid, **kw: bt_residual_liouville(_LIOUVILLE, zero_field(), grid, **kw),
+    "bt_residual_cr": lambda grid: bt_residual_cr(_U, _V, grid),
+    "bt_residual_liouville": lambda grid: bt_residual_liouville(_LIOUVILLE, zero_field(), grid),
     "bt_residual_sine_gordon":
-        lambda grid, **kw: bt_residual_sine_gordon(_KINK, zero_field(), 1.0, grid, **kw),
-    "laplace_residual": lambda grid, **kw: laplace_residual(_U, grid, **kw),
-    "liouville_residual": lambda grid, **kw: liouville_residual(_LIOUVILLE, grid, **kw),
-    "sine_gordon_residual": lambda grid, **kw: sine_gordon_residual(_KINK, grid, **kw),
+        lambda grid: bt_residual_sine_gordon(_KINK, zero_field(), 1.0, grid),
+    "laplace_residual": lambda grid: laplace_residual(_U, grid),
+    "liouville_residual": lambda grid: liouville_residual(_LIOUVILLE, grid),
+    "sine_gordon_residual": lambda grid: sine_gordon_residual(_KINK, grid),
 }
 
 
-class TestStencilStep:
-    @pytest.mark.parametrize("scan", SCANS.values(), ids=SCANS.keys())
-    def test_default_step_is_the_documented_one(self, scan):
-        assert scan(GRID) == scan(GRID, h=DEFAULT_STEP)
-        assert scan(GRID) != scan(GRID, h=1e-3)
+def _cubic_defect(eps):
+    """1000 (x^2 - t^2) plus eps x^3: harmonic only for eps = 0."""
+    u = harmonic_quadratic(1000.0, 0.0, 0.0)
+    return lambda x, t: u(x, t) + eps * x * x * x
 
+
+class TestExactDerivatives:
     @pytest.mark.parametrize("scan", SCANS.values(), ids=SCANS.keys())
-    def test_step_not_below_a_tenth_of_the_spacing_is_refused(self, scan):
-        fine = Grid2D(0.0, 0.01, -1.0, 1.0, 11, 41)     # dx = 1e-3, ten default steps
-        with pytest.raises(InvalidGridError) as excinfo:
-            scan(fine)
-        assert str(excinfo.value) == ("stencil step 0.0001 too coarse for smallest "
-                                      "spacing 0.001: need h < spacing/10")
-        assert scan(fine, h=9e-5).n_points > 0
-        for h in (0.0, math.nan, math.inf):
-            with pytest.raises(InvalidGridError, match="finite and positive"):
-                scan(GRID, h=h)
+    def test_genuine_fields_read_rounding_level_on_any_lattice(self, scan):
+        # dx = 1e-3 once was refused: the step had to stay below spacing/10
+        for grid in (GRID, Grid2D(0.0, 0.01, -1.0, 1.0, 11, 41), Grid2D(nx=2001, nt=6)):
+            report = scan(grid)
+            assert report.max_abs < 1e-13
+            assert report.n_points == grid.nx * grid.nt
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (1000.0, 0.0, 0.0), (1e7, 3.0, -2.0), (1e200, 0.0, 0.0)])
+    def test_large_harmonic_pairs_read_exactly_zero(self, alpha, beta, gamma):
+        # a 1e-4 central difference read 6.8e-5, 0.75 and 5.8e92 here
+        u, v = harmonic_conjugate_match(alpha, beta, gamma)
+        for report in (bt_residual_cr(u, v, GRID), laplace_residual(u, GRID),
+                       laplace_residual(v, GRID)):
+            assert report.max_abs == 0.0
+
+    def test_second_derivative_that_overflows_is_singular(self):
+        u, _ = harmonic_conjugate_match(1e308, 0.0, 0.0)     # u_xx = 2e308
+        with pytest.raises(EmptyDomainError):
+            laplace_residual(u, GRID)
+
+    def test_liouville_soliton_up_to_its_blow_up_line(self):
+        # the step's stencil straddled the line and read 0.98
+        report = liouville_residual(liouville_from_trivial(1.0), GRID)
+        assert report.max_abs < 1e-10
+        assert report.n_singular == 78
+
+    @pytest.mark.parametrize("eps, low, high", [(1e-6, 5e-6, 7e-6), (1e-3, 5e-3, 7e-3)])
+    def test_a_cubic_defect_reads_itself(self, eps, low, high):
+        # u_xx + u_tt = 6 eps x, largest at |x| = 1
+        report = laplace_residual(_cubic_defect(eps), GRID)
+        assert low < report.max_abs < high
+        assert abs(report.worst_point[0]) == 1.0
+
+    @pytest.mark.parametrize("evaluator", [
+        lambda x, t: np.asarray(x) * np.asarray(t),
+        lambda x, t: np.zeros(np.broadcast(x, t).shape),
+        lambda x, t: np.sum(np.asarray(x)),
+    ], ids=["coerces", "fresh-array", "reduced"])
+    def test_an_evaluator_that_drops_the_jet_is_a_type_error(self, evaluator):
+        with pytest.raises(TypeError, match="not a Jet"):
+            laplace_residual(evaluator, GRID)
+        with pytest.raises(TypeError, match="not a Jet"):
+            bt_residual_cr(_U, evaluator, GRID)
+
+    def test_every_family_evaluates_on_jets(self):
+        fields = [ScalarField2D(name, params) for name, params in [
+            ("harmonic_quadratic", {"alpha": 1.0, "beta": 2.0, "gamma": 3.0}),
+            ("harmonic_conjugate_quadratic", {"alpha": 1.0, "beta": 2.0, "gamma": 3.0}),
+            ("monomial_xy", {"coefficient": 2.0}),
+            ("liouville_soliton", {"C": 2.0}),
+            ("sine_gordon_kink", {"a": 1.0, "C": 1.0}),
+            ("zero", {}),
+        ]]
+        for u in fields:
+            assert laplace_residual(u, GRID).n_points == 41 * 41

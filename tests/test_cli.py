@@ -39,6 +39,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _scale_family(monkeypatch, family: str, factor: float) -> None:
+    """Make the classic generator of ``family`` return ``factor`` times its field."""
+    original = classic_bts._FAMILIES[family]
+    monkeypatch.setitem(classic_bts._FAMILIES, family,
+                        lambda p, x, t: factor * original(p, x, t))
+
+
 def run_python(source: str):
     """Run ``source`` in a fresh interpreter that imports this btkit."""
     env = dict(os.environ)
@@ -98,18 +105,28 @@ class TestExitCodes:
         assert code == EXIT_PRECONDITION
         assert "commute" in err
 
-    def test_failing_scan_exits_two(self, capsys):
-        # C=1 puts the blow-up line inside the default grid: honest failure
-        code, out, _ = run(capsys, "classic", "liouville", "--C", "1", "--verify")
-        assert code == EXIT_VERIFY
+    def test_failing_scan_exits_two(self, capsys, monkeypatch):
+        # a generator that returns 1.5 u, which solves neither equation
+        _scale_family(monkeypatch, "liouville_soliton", 1.5)
+        code, out, err = run(capsys, "classic", "liouville", "--C", "2", "--verify")
+        assert (code, err) == (EXIT_VERIFY, "")
         payload = json.loads(out)
         assert payload["verify"]["passed"] is False
 
     def test_huge_residual_is_a_verify_failure_not_a_traceback(self):
-        # residuals near 1e188 overflowed sqrt(mean(v*v)) to inf
+        # residuals near 1e188 overflowed sqrt(mean(v*v)) to inf; the pair
+        # gains cubic defects 1e-6 alpha x^3 and 1e-6 alpha t^3, which every
+        # scan reads (about 6e194 here)
         proc = run_python("""
             import sys
+            from btkit import classic_bts
             from btkit.cli import main
+            u = classic_bts._FAMILIES["harmonic_quadratic"]
+            v = classic_bts._FAMILIES["harmonic_conjugate_quadratic"]
+            classic_bts._FAMILIES.update(
+                harmonic_quadratic=lambda p, x, t: u(p, x, t) + 1e-6 * p["alpha"] * x * x * x,
+                harmonic_conjugate_quadratic=lambda p, x, t: (
+                    v(p, x, t) + 1e-6 * p["alpha"] * t * t * t))
             sys.exit(main(["classic", "laplace", "--alpha", "1e200", "--verify"]))
         """)
         assert proc.returncode == EXIT_VERIFY
@@ -515,10 +532,9 @@ def _reference_report(r):
 
 
 def _reference_grid4d(g):
-    h = g.h if np.isscalar(g.h) else list(g.steps)
     return {"x_min": g.x_min, "x_max": g.x_max, "y_min": g.y_min, "y_max": g.y_max,
             "z_min": g.z_min, "z_max": g.z_max, "t_min": g.t_min, "t_max": g.t_max,
-            "nx": g.nx, "ny": g.ny, "nz": g.nz, "nt": g.nt, "h": h}
+            "nx": g.nx, "ny": g.ny, "nz": g.nz, "nt": g.nt}
 
 
 def _reference_medium(m):
@@ -537,9 +553,8 @@ def _records():
         classic_bts.liouville_from_trivial(0.5), Grid2D(nx=9, nt=9))
     yield _reference_report, ResidualReport(1.0, 0.5, 4, (0.0, 0.0), 2)
     yield _reference_grid4d, grid
-    yield _reference_grid4d, Grid4D(0, 1, 0, 2, 0, 3, -1, 1, 5, 6, 7, 8, h=1e-3)
-    yield _reference_grid4d, Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, h=[1e-3, 1e-3, 1e-3, 1e-12])
-    yield _reference_grid4d, Grid4D(0, 1, 0, 1, 0, 1, 0, 1, h=(1e-3, 1e-3, 2e-3, np.float64(1e-2)))
+    yield _reference_grid4d, Grid4D(0, 1, 0, 2, 0, 3, -1, 1, 5, 6, 7, 8)
+    yield _reference_grid4d, Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9)
     for medium in (VACUUM, MediumParams.relative(2.25, 1.0, 4.0), MediumParams(3, 1, 0)):
         yield _reference_medium, medium
         yield _reference_dispersion, maxwell_conductor.dispersion_solve(medium, 1e9)
@@ -707,14 +722,62 @@ class TestStepOverrides:
         assert "BTKIT_H" in err
 
 
-class TestLatticeFinerThanTenSteps:
-    # dx = 1e-3 is exactly ten default steps: the closed-form stencils need
-    # h < spacing/10, the chiral lattice operators never read h
+class TestExactScans:
+    """Genuine inputs that a 1e-4 central-difference step once failed."""
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["classic", "laplace", "--alpha", "1000"], 0.0),          # read 6.8e-5
+        (["classic", "laplace", "--alpha", "1e7", "--beta", "3", "--gamma", "-2"], 0.0),  # 0.75
+        (["classic", "laplace", "--alpha", "1e200"], 0.0),         # 5.8e92
+        (["classic", "laplace", "--nx", "2001", "--nt", "6"], 0.0),  # refused: h < dx/10
+        (["classic", "liouville", "--C", "1"], 1e-11),             # 0.98
+        (["classic", "sine-gordon", "--a", "1", "--C", "1"], 1e-15),
+        (["em", "vacuum", "--omega", "1e308", "--samples", "10"], 1e-15),  # all singular
+        (["em", "conductor", "--epsilon-rel", "3", "--mu-rel", "1", "--sigma-over-eps-omega",
+          "20", "--omega", "1e9", "--tau", "-0.6", "-0.8", "0", "--e0-re", "0", "0", "1"],
+         1e-11),                                                   # 1.16e-5
+    ], ids=["alpha-1e3", "alpha-1e7", "alpha-1e200", "nx-2001", "liouville-C-1",
+            "sine-gordon", "vacuum-omega-1e308", "conductor-growing-envelope"])
+    def test_genuine_solution_passes_at_rounding_level(self, argv, bound):
+        proc = run_cli(*argv, "--verify")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        block = json.loads(proc.stdout)["verify"]
+        assert block["passed"] is True
+        for scan in block["scans"].values():
+            assert scan["max_abs"] <= bound
+        if "liouville" in argv:
+            assert {scan["n_singular"] for scan in block["scans"].values()} == {78}
+
+    def test_second_derivative_past_the_float_range_is_singular(self, capsys):
+        # u_xx = 2e308 is not representable: every node of laplace_u is singular
+        code, out, err = run(capsys, "classic", "laplace", "--alpha", "1e308", "--verify")
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "btkit: error: all grid points were singular\n"
+
+    def test_a_cubic_defect_fails_at_the_unchanged_tolerance(self, capsys, monkeypatch):
+        u = classic_bts._FAMILIES["harmonic_quadratic"]
+        monkeypatch.setitem(classic_bts._FAMILIES, "harmonic_quadratic",
+                            lambda p, x, t: u(p, x, t) + 1e-6 * x * x * x)
+        code, out, _ = run(capsys, "classic", "laplace", "--alpha", "1000", "--verify")
+        assert code == EXIT_VERIFY
+        scans = json.loads(out)["verify"]["scans"]
+        assert 5e-6 < scans["laplace_u"]["max_abs"] < 7e-6       # 6 * 1e-6 * |x|
+        assert scans["laplace_v"]["max_abs"] == 0.0
+
+
+class TestEchoedStep:
+    # no scan reads the step: dx = 1e-3, exactly ten default steps, once
+    # made every classic command exit 1 ("need h < spacing/10")
     FINE = ("--x-min", "0", "--x-max", "0.01", "--nx", "11")
     CHIRAL = {
         "residual": (),
         "potential": (),
         "hierarchy": ("--m-re", M_RE, "--levels", "2"),
+    }
+    GROUPS = {
+        "classic": ("classic", "laplace"),
+        "em": ("em", "vacuum", "--omega", "1e9"),
+        "chiral": ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE),
     }
 
     @pytest.mark.parametrize("sub", list(CHIRAL))
@@ -726,22 +789,32 @@ class TestLatticeFinerThanTenSteps:
         assert doc["grid"]["h"] == 1e-4 and doc["grid"]["nx"] == 11
         assert doc["verify"]["passed"] is True
 
-    @pytest.mark.parametrize("verify", [("--verify",), ()], ids=["verify", "no-verify"])
     @pytest.mark.parametrize("sub", ["laplace", "liouville", "sine-gordon"])
-    def test_classic_runs_keep_refusing_it(self, capsys, sub, verify):
-        code, out, err = run(capsys, "classic", sub, *self.FINE, *verify)
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert err == ("btkit: error: stencil step 0.0001 too coarse for smallest "
-                       "spacing 0.001: need h < spacing/10\n")
+    def test_classic_runs_accept_it_and_echo_the_step(self, capsys, sub):
+        code, out, err = run(capsys, "classic", sub, *self.FINE, "--verify")
+        assert (code, err) == (EXIT_OK, "")
+        doc = json.loads(out)
+        assert doc["grid"]["h"] == 1e-4 and doc["grid"]["nx"] == 11
+        assert doc["verify"]["passed"] is True
+        for scan in doc["verify"]["scans"].values():
+            assert scan["max_abs"] < 1e-12
 
     @pytest.mark.parametrize("step", ["1e308", "0.5"])
-    def test_chiral_runs_accept_any_finite_positive_step(self, capsys, step):
-        code, out, err = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
-                             "--h", step, "--verify")
+    @pytest.mark.parametrize("group", list(GROUPS))
+    def test_runs_accept_any_finite_positive_step(self, capsys, group, step):
+        code, out, err = run(capsys, *self.GROUPS[group], "--h", step, "--verify")
         assert (code, err) == (EXIT_OK, "")
         doc = json.loads(out)
         assert doc["grid"]["h"] == float(step)
-        assert list(doc["grid"]) == ["x_min", "x_max", "t_min", "t_max", "nx", "nt", "h"]
+        assert list(doc["grid"])[-1] == "h"
+        assert doc["verify"]["passed"] is True
+
+    def test_em_echoes_the_scalar_step_after_its_lattice(self, capsys):
+        _, out, _ = run(capsys, *self.GROUPS["em"])
+        assert list(json.loads(out)["grid"]) == [
+            "x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "t_min", "t_max",
+            "nx", "ny", "nz", "nt", "h"]
+        assert json.loads(out)["grid"]["h"] == 1e-4
 
     @pytest.mark.parametrize("group", [
         ("classic", "laplace"),
@@ -757,11 +830,11 @@ class TestLatticeFinerThanTenSteps:
                                "btkit: error: x needs at least 2 samples, got 1\n")
 
     @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
-    def test_chiral_step_must_still_be_finite_and_positive(self, capsys, step):
-        code, out, err = run(capsys, "chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
-                             *self.FINE, "--h", step)
+    @pytest.mark.parametrize("group", list(GROUPS))
+    def test_step_must_still_be_finite_and_positive(self, capsys, group, step):
+        code, out, err = run(capsys, *self.GROUPS[group], "--h", step)
         assert (code, out) == (EXIT_PRECONDITION, "")
-        assert err.startswith("btkit: error: stencil step must be finite and positive")
+        assert err == f"btkit: error: stencil step must be finite and positive, got {float(step)}\n"
 
 
 class TestFileOutputs:
@@ -854,12 +927,14 @@ class TestVerifySpecFiles:
         assert code == EXIT_USAGE
         assert "command" in err
 
-    def test_failing_spec_exits_two(self, capsys, tmp_path):
+    def test_failing_spec_exits_two(self, capsys, tmp_path, monkeypatch):
+        # a generator that returns 1.5 u, which solves neither equation
+        _scale_family(monkeypatch, "liouville_soliton", 1.5)
         spec = tmp_path / "fail.json"
         spec.write_text(json.dumps({"command": ["classic", "liouville"],
-                                    "params": {"C": 1.0}}))
-        code, _, _ = run(capsys, "verify", str(spec))
-        assert code == EXIT_VERIFY
+                                    "params": {"C": 2.0}}))
+        code, _, err = run(capsys, "verify", str(spec))
+        assert (code, err) == (EXIT_VERIFY, "")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"'], ids=["list", "number", "string"])
     def test_top_level_not_an_object_is_one_error_line(self, tmp_path, text):

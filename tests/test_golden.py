@@ -7,6 +7,7 @@ shows what moved.
 
 import importlib.util
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,12 @@ def test_a_residual_on_its_floor_may_move_within_the_bound():
     assert regen.compare(record, moved) == []
     report["max_abs"] = 2e-9
     assert regen.compare(record, moved) != []
+
+
+def test_the_readme_cases_are_the_readme_examples():
+    text = (GOLDEN.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("### Examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.strip() for line in block.replace("\\\n", " ").splitlines())
+    examples = [shlex.split(line)[1:] for line in lines if line and not line.startswith("#")]
+    recorded = [[a for a in argv if a not in ("--format", "both")] for argv in examples]
+    assert recorded == list(regen.README_EXAMPLES.values())

@@ -196,7 +196,7 @@ class TestFieldScans:
         omega = 1.0e8
         medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
         pair = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], medium, omega)
-        grid = Grid4D.for_wave(pair.k, omega, step_scale=5e-4)
+        grid = Grid4D.for_wave(pair.k, omega)
         assert modified_wave_residual(
             pair.E, medium, grid, pair.e_scale * pair.k ** 2
         ).max_abs < 1e-5

@@ -194,7 +194,7 @@ class TestResiduals:
 
     def test_components_satisfy_wave_equation_at_c(self):
         pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
-        grid = Grid4D.for_wave(pair.k, OMEGA, step_scale=5e-4)
+        grid = Grid4D.for_wave(pair.k, OMEGA)
         scale = pair.e_scale * pair.k ** 2
         assert wave_residual(pair.E, C, grid, scale).max_abs < 1e-6
         scale_b = pair.b_scale * pair.k ** 2
@@ -225,7 +225,7 @@ class TestResiduals:
             b_scale=float(np.linalg.norm(B0)),
             medium=VACUUM,
         )
-        wave_grid = Grid4D.for_wave(k, OMEGA, step_scale=5e-4)
+        wave_grid = Grid4D.for_wave(k, OMEGA)
         assert wave_residual(pair.E, C, wave_grid, pair.e_scale * k ** 2).max_abs < 1e-6
         assert wave_residual(pair.B, C, wave_grid, pair.b_scale * k ** 2).max_abs < 1e-6
         assert maxwell_residual(pair, Grid4D.for_wave(k, OMEGA)).max_abs > 0.1
@@ -250,12 +250,11 @@ class TestResiduals:
         assert pair.e_scale == math.inf
 
         def E(r, t):
-            static = np.zeros(np.shape(r), dtype=complex)
-            static[..., 2] = 1e300 * np.asarray(r)[..., 2]
-            return pair.E(r, t) + static
+            # in r's own arithmetic, so the scan's jets carry its derivatives
+            return pair.E(r, t) + 1e300 * (r * np.array([0.0, 0.0, 1.0]))
 
         witness = FieldPair(E, pair.B, pair.k, pair.e_scale, pair.b_scale)
-        grid = Grid4D(0.0, 1e5, 0.0, 1e5, 0.0, 1e5, 0.0, 1.0, h=(1e3, 1e3, 1e3, 1e-4))
+        grid = Grid4D(0.0, 1e5, 0.0, 1e5, 0.0, 1e5, 0.0, 1.0)
         for fields in (pair, witness):
             with pytest.raises(InvalidParameterError, match=r"\|E0\| k = inf overflows"):
                 maxwell_residual(fields, grid)
@@ -268,7 +267,7 @@ class TestResiduals:
         k = OMEGA / C
         pair = FieldPair(
             E=plane_wave(E0, [0.0, 0.0, k], OMEGA),
-            B=lambda r, t: np.zeros(np.shape(np.asarray(r))),
+            B=lambda r, t: 0.0 * r,
             k=k,
             e_scale=1.0,
             b_scale=1.0 / C,
@@ -276,6 +275,17 @@ class TestResiduals:
         )
         report = maxwell_residual(pair, Grid4D.for_wave(k, OMEGA))
         assert report.max_abs == pytest.approx(1.0, rel=1e-4)
+
+
+    def test_an_evaluator_that_coerces_is_a_type_error(self):
+        # np.asarray(r) is the jet's value alone: its derivatives would read 0
+        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
+        coerced = FieldPair(pair.E, lambda r, t: pair.B(np.asarray(r), np.asarray(t)),
+                            pair.k, pair.e_scale, pair.b_scale)
+        with pytest.raises(TypeError, match="not a Jet"):
+            maxwell_residual(coerced, pair.default_grid(5))
+        with pytest.raises(TypeError, match="not a Jet"):
+            wave_residual(coerced.B, C, pair.default_grid(5))
 
 
 class TestNonConductingMedium:

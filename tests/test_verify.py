@@ -1,4 +1,4 @@
-"""Stencil accuracy, scan bookkeeping, and grid validation."""
+"""Exact derivatives, scan bookkeeping, and grid validation."""
 
 import math
 
@@ -8,19 +8,19 @@ import pytest
 from btkit import classic_bts, cli
 from btkit.errors import EmptyDomainError, InvalidGridError
 from btkit.maxwell_conductor import conjugate_conducting, modified_wave_residual
-from btkit.maxwell_vacuum import FieldPair, conjugate_vacuum, maxwell_residual, wave_residual
+from btkit.maxwell_vacuum import (FieldPair, _taylors, conjugate_vacuum, maxwell_residual,
+                                  wave_residual)
 from btkit.media import MediumParams
 from btkit.verify import (
-    DEFAULT_STEP,
     Grid2D,
     Grid4D,
+    Jet,
     ResidualReport,
-    Stencil,
+    Taylor,
     _exact_scale,
     _scaled,
     curl,
     divergence,
-    finite_step,
     magnitude,
     report_from_values,
 )
@@ -30,122 +30,148 @@ def quadratic(x, t):
     return 0.5 + 1.5 * x - 2.0 * t + 3.0 * x * x + x * t - t * t
 
 
-class TestStencils:
-    def test_first_derivative_of_quadratic_is_exact(self):
+class TestTaylor:
+    def test_partials_of_quadratic_are_exact(self):
         # at (0.7, -0.3): f_x = 1.5 + 6x + t = 5.4, f_t = -2 + x - 2t = -0.7
-        stencil = Stencil(quadratic, (0.7, -0.3), 1e-4)
-        assert stencil.d(0) == pytest.approx(5.4, rel=1e-10)
-        assert stencil.d(1) == pytest.approx(-0.7, rel=1e-10)
+        taylor = Taylor(quadratic, (0.7, -0.3))
+        assert taylor.d(0) == pytest.approx(5.4, rel=1e-15)
+        assert taylor.d(1) == pytest.approx(-0.7, rel=1e-15)
+        f_x, f_xx = taylor.diffs(0)
+        assert f_x == pytest.approx(5.4, rel=1e-15)
+        assert (f_xx, taylor.diffs(1)[1], taylor.dxy(0, 1)) == (6.0, -2.0, 1.0)
+        assert taylor.center == quadratic(0.7, -0.3)
 
-    def test_second_differences_of_quadratic_are_exact(self):
-        stencil = Stencil(quadratic, (0.7, -0.3), 1e-4)
-        f_x, f_xx = stencil.diffs(0)
-        # rounding floor for 3-point stencils is ~4 eps |f| / h^2
-        assert f_x == pytest.approx(5.4, rel=1e-10)
-        assert f_xx == pytest.approx(6.0, rel=1e-6)
-        assert stencil.diffs(1)[1] == pytest.approx(-2.0, rel=1e-6)
-        assert stencil.dxy(0, 1) == pytest.approx(1.0, rel=1e-6)
-
-    def test_sin_derivative_matches_analytic_cosine(self):
+    def test_transcendental_partials_match_their_closed_forms(self):
         xs = np.array([0.0, 0.9])
-        d = Stencil(lambda x, t: np.sin(x), (xs, 0.0), 1e-4).d(0)
-        np.testing.assert_allclose(d, np.cos(xs), atol=1e-8)
-
-    def test_cross_difference_matches_analytic(self):
+        np.testing.assert_array_equal(Taylor(lambda x, t: np.sin(x), (xs, 0.0)).d(0),
+                                      np.cos(xs))
         f = lambda x, t: np.sin(x) * np.cos(t)
-        expected = -math.cos(0.4) * math.sin(0.8)
-        assert Stencil(f, (0.4, 0.8), 1e-3).dxy(0, 1) == pytest.approx(expected, abs=1e-6)
+        assert Taylor(f, (0.4, 0.8)).dxy(0, 1) == pytest.approx(
+            -math.cos(0.4) * math.sin(0.8), rel=1e-15)
 
-    @pytest.mark.parametrize("order,axis", [(1, 0), (2, 0), (1, 1)])
-    def test_halving_step_quarters_the_error(self, order, axis):
-        f = lambda x, t: np.sin(x) * np.exp(t)
-        point = (0.5, 0.3)
-        exact = {
-            (1, 0): math.cos(0.5) * math.exp(0.3),
-            (2, 0): -math.sin(0.5) * math.exp(0.3),
-            (1, 1): math.sin(0.5) * math.exp(0.3),
-        }[(order, axis)]
-        e1, e2 = (abs(Stencil(f, point, h).diffs(axis)[order - 1] - exact)
-                  for h in (1e-2, 5e-3))
-        assert 3.0 < e1 / e2 < 5.0
+    @pytest.mark.parametrize("f, f_x, f_xx", [
+        (lambda x: np.exp(2.0 * x), lambda x: 2 * math.exp(2 * x), lambda x: 4 * math.exp(2 * x)),
+        (lambda x: np.log(x), lambda x: 1 / x, lambda x: -1 / x ** 2),
+        (lambda x: np.arctan(x), lambda x: 1 / (1 + x * x), lambda x: -2 * x / (1 + x * x) ** 2),
+        (lambda x: np.cos(x), lambda x: -math.sin(x), lambda x: -math.cos(x)),
+        (lambda x: 1.0 / x, lambda x: -1 / x ** 2, lambda x: 2 / x ** 3),
+        (lambda x: (x * x + 1.0) / (x - 3.0), lambda x: (x * x - 6 * x - 1) / (x - 3) ** 2,
+         lambda x: 20 / (x - 3) ** 3),
+        (lambda x: -x * x - (2.0 - x), lambda x: 1 - 2 * x, lambda x: -2.0),
+    ], ids=["exp", "log", "arctan", "cos", "reciprocal", "quotient", "negation"])
+    def test_each_rule_gives_first_and_second_partials(self, f, f_x, f_xx):
+        for x in (0.3, 1.7):
+            got_x, got_xx = Taylor(lambda x, t: f(x), (x, 0.0)).diffs(0)
+            assert got_x == pytest.approx(f_x(x), rel=1e-14)
+            assert got_xx == pytest.approx(f_xx(x), rel=1e-14)
+
+    def test_a_jet_is_its_value_to_numpy(self):
+        value = np.array([[1.0, 2.0]])
+        jet = Jet([value, np.ones(2)])
+        assert np.asarray(jet) is value
+        assert np.asarray(jet, dtype=complex).dtype == complex
+        copied = np.array(jet, copy=True)
+        assert copied is not value and np.array_equal(copied, value)
+        assert np.broadcast(np.asarray(jet), 0.0).size == 2
+
+    @pytest.mark.parametrize("call", [np.sqrt, np.sum, lambda jet: jet ** 2])
+    def test_a_jet_refuses_what_it_cannot_carry(self, call):
+        with pytest.raises(TypeError):
+            call(Jet([np.ones(2), np.ones(2)]))
+
+    def test_a_jet_carries_the_plain_value_bit_for_bit(self):
+        X, T = Grid2D().mesh()
+        for u in (classic_bts.harmonic_quadratic(1.3, -0.2, 0.7),
+                  classic_bts.liouville_from_trivial(1.0),
+                  classic_bts.sine_gordon_from_vacuum(-0.7, 1.3), classic_bts.zero_field()):
+            out = u(Jet([X, np.ones(())]), Jet([T, np.zeros(())]))
+            np.testing.assert_array_equal(np.asarray(out), u(X, T))
+        pair = conjugate_conducting([1.0, 1j, 0.0], [0.0, 0.0, 1.0], _MEDIUM, 1.0)
+        meshes = pair.default_grid(5).mesh()
+        R = np.stack(meshes[:3], axis=-1)
+        for F in (pair.E, pair.B):
+            out = F(Jet([R, np.eye(3)[2]]), Jet([meshes[3], np.zeros(())]))
+            np.testing.assert_array_equal(np.asarray(out), F(R, meshes[3]))
 
 
-def _partials(field, coords, h):
+def _vector(*components):
+    """The 3-vector field with these components, in arithmetic a jet follows."""
+    return sum(c[..., None] * e for c, e in zip(components, np.eye(3)))
+
+
+def _partials(field, coords):
     """First partials of a 3-vector field along x, y, z."""
-    stencil = Stencil(field, coords, h)
-    return [stencil.d(axis) for axis in range(3)]
+    taylor = Taylor(field, coords)
+    return [taylor.d(axis) for axis in range(3)]
 
 
-def _laplacian(field, coords, h):
-    stencil = Stencil(field, coords, h)
-    return sum(stencil.diffs(axis)[1] for axis in range(3))
+def _second_partials(field, coords):
+    """D[a][b]: the second partial of a 3-vector field along axes a and b."""
+    taylor = Taylor(field, coords)
+    return [[taylor.diffs(a)[1] if a == b else taylor.dxy(a, b) for b in range(3)]
+            for a in range(3)]
 
 
 class TestVectorCalculus:
-    # F = (x^2 + 3yz, y^2 - 2xz, z^2 + xy + t^2/2), quadratic so stencils are exact:
+    # F = (x^2 + 3yz, y^2 - 2xz, z^2 + xy + t^2/2):
     # div = 2x + 2y + 2z, curl = (3x, 2y, -5z), lap = (2, 2, 2), dt = (0, 0, t)
     @staticmethod
     def poly_field(x, y, z, t):
-        return np.stack(np.broadcast_arrays(
-            x * x + 3.0 * y * z,
-            y * y - 2.0 * x * z,
-            z * z + x * y + 0.5 * t * t,
-        ), axis=-1)
+        return _vector(x * x + 3.0 * y * z, y * y - 2.0 * x * z, z * z + x * y + 0.5 * t * t)
 
     def test_polynomial_field_derivatives_are_exact(self):
-        # two points at once: the stencil broadcasts over coordinate arrays
+        # two points at once: the partials broadcast over coordinate arrays
         x, y, z, t = np.array([[0.3, -0.2, 0.5, 0.7], [0.1, 0.4, -0.6, -0.2]]).T
-        d = _partials(self.poly_field, (x, y, z, t), 1e-4)
-        np.testing.assert_allclose(divergence(d), 2.0 * (x + y + z), atol=1e-9)
+        d = _partials(self.poly_field, (x, y, z, t))
+        np.testing.assert_allclose(divergence(d), 2.0 * (x + y + z), rtol=1e-15, atol=1e-16)
         np.testing.assert_allclose(curl(d), np.stack((3.0 * x, 2.0 * y, -5.0 * z), -1),
-                                   atol=1e-8)
-        np.testing.assert_allclose(_laplacian(self.poly_field, (x, y, z, t), 1e-4), 2.0,
-                                   atol=1e-6)
-        dt = Stencil(self.poly_field, (x, y, z, t), 1e-4).d(3)
-        np.testing.assert_allclose(dt, np.stack((0 * t, 0 * t, t), -1), atol=1e-9)
+                                   rtol=1e-15, atol=1e-16)
+        second = _second_partials(self.poly_field, (x, y, z, t))
+        np.testing.assert_array_equal(sum(second[a][a] for a in range(3)), 2.0)
+        dt = Taylor(self.poly_field, (x, y, z, t)).d(3)
+        np.testing.assert_array_equal(dt, np.stack((0 * t, 0 * t, t), -1))
 
     def test_complex_field_handled_componentwise(self):
         scale = 1.0 + 2.0j
         f = lambda x, y, z, t: scale * self.poly_field(x, y, z, t)
-        d = _partials(f, (0.3, -0.2, 0.5, 0.7), 1e-4)
-        assert divergence(d) == pytest.approx(scale * 1.2, abs=1e-8)
-        np.testing.assert_allclose(curl(d), scale * np.array([0.9, -0.4, -2.5]), atol=1e-8)
+        d = _partials(f, (0.3, -0.2, 0.5, 0.7))
+        assert divergence(d) == pytest.approx(scale * 1.2, rel=1e-15)
+        np.testing.assert_allclose(curl(d), scale * np.array([0.9, -0.4, -2.5]), rtol=1e-15)
 
-    def test_per_axis_steps_accepted(self):
-        stencil = Stencil(self.poly_field, (0.1, 0.2, 0.3, 0.4), (1e-4, 1e-4, 1e-4, 1e-5))
-        assert divergence([stencil.d(axis) for axis in range(3)]) == pytest.approx(1.2, abs=1e-8)
-        np.testing.assert_allclose(stencil.d(3), [0.0, 0.0, 0.4], atol=1e-8)
+    def test_axes_move_a_vector_argument_along_its_components(self):
+        # the Maxwell scans pass r = (x, y, z) whole; axis k moves component k
+        point = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.1, 0.7, 1.2]])
+        vector = lambda r, t: self.poly_field(r[..., 0], r[..., 1], r[..., 2], t)
+        whole, = _taylors(tuple(point.T), vector)
+        parts = Taylor(self.poly_field, tuple(point.T))
+        for axis in range(4):
+            np.testing.assert_array_equal(whole.d(axis), parts.d(axis))
+            np.testing.assert_array_equal(whole.diffs(axis)[1], parts.diffs(axis)[1])
 
     @staticmethod
     def smooth_field(x, y, z, t):
-        return np.stack(np.broadcast_arrays(
-            np.sin(x + 2.0 * y) + t * t,
-            np.cos(y + 3.0 * z),
-            np.exp(0.3 * z) * np.sin(x) + x * y,
-        ), axis=-1)
+        return _vector(np.sin(x + 2.0 * y) + t * t, np.cos(y + 3.0 * z),
+                       np.exp(0.3 * z) * np.sin(x) + x * y)
 
-    # nested stencils on broadcast coordinates: the outer stencil shifts the
-    # arrays, the inner one differences the field around the shifted points
     POINTS = tuple(np.array([[0.2, 0.1, -0.3, 0.0], [-0.5, 0.4, 0.2, 1.0],
                              [0.2, -0.1, 0.3, 0.5]]).T)
 
-    def test_divergence_of_curl_vanishes(self):
-        h = 1e-4
-        curl_field = lambda *p: curl(_partials(self.smooth_field, p, h))
-        div_curl = divergence(_partials(curl_field, self.POINTS, h))
-        assert div_curl.shape == (3,)
-        assert np.max(np.abs(div_curl)) < 1e-5
+    def test_second_partial_identities(self):
+        # div curl F = 0 and curl curl F = grad div F - lap F for any smooth F
+        D = _second_partials(self.smooth_field, self.POINTS)
 
-    def test_curl_curl_identity(self):
-        # curl(curl F) = grad(div F) - lap F for any smooth F
-        h = 1e-4
-        curl_field = lambda *p: curl(_partials(self.smooth_field, p, h))
-        div_field = lambda *p: divergence(_partials(self.smooth_field, p, h))
-        curl_curl = curl(_partials(curl_field, self.POINTS, h))
-        grad_div = np.stack(_partials(div_field, self.POINTS, h), axis=-1)
-        lap = _laplacian(self.smooth_field, self.POINTS, h)
+        def d_curl(a, k):     # the partial along a of component k of curl F
+            return D[a][(k + 1) % 3][..., (k + 2) % 3] - D[a][(k + 2) % 3][..., (k + 1) % 3]
+
+        div_curl = sum(d_curl(k, k) for k in range(3))
+        assert div_curl.shape == (3,)
+        assert np.max(np.abs(div_curl)) < 1e-14
+        curl_curl = np.stack([d_curl((j + 1) % 3, (j + 2) % 3) - d_curl((j + 2) % 3, (j + 1) % 3)
+                              for j in range(3)], axis=-1)
+        grad_div = np.stack([sum(D[j][i][..., i] for i in range(3)) for j in range(3)], axis=-1)
+        lap = sum(D[i][i] for i in range(3))
         assert curl_curl.shape == (3, 3)
-        np.testing.assert_allclose(curl_curl, grad_div - lap, atol=1e-4)
+        np.testing.assert_allclose(curl_curl, grad_div - lap, atol=1e-14)
 
 
 class _Counted:
@@ -177,29 +203,29 @@ def _maxwell(wave, medium):
 
 
 class TestEvaluationCounts:
-    # whole-grid field evaluations per scan: one per stencil point, with the
-    # center evaluated once per field and shared by every term that needs it
+    # whole-grid field evaluations per scan: one on jets per partial the scan
+    # reads, and one of the field itself where a term needs it
     @pytest.mark.parametrize("scan,fields,limit", [
         pytest.param(lambda u, v: classic_bts.bt_residual_cr(u, v, _GRID2),
-                     _HARMONIC, 8, id="cauchy_riemann"),
+                     _HARMONIC, 4, id="cauchy_riemann"),
         pytest.param(lambda u: classic_bts.laplace_residual(u, _GRID2),
-                     _HARMONIC[:1], 5, id="laplace"),
+                     _HARMONIC[:1], 2, id="laplace"),
         pytest.param(lambda u: classic_bts.liouville_residual(u, _GRID2),
-                     _LIOUVILLE[:1], 5, id="liouville"),
+                     _LIOUVILLE[:1], 2, id="liouville"),
         pytest.param(lambda u, v: classic_bts.bt_residual_liouville(u, v, _GRID2),
-                     _LIOUVILLE, 10, id="bt_liouville"),
+                     _LIOUVILLE, 6, id="bt_liouville"),
         pytest.param(lambda u, v: classic_bts.bt_residual_sine_gordon(u, v, 1.0, _GRID2),
-                     _KINK, 10, id="bt_sine_gordon"),
+                     _KINK, 6, id="bt_sine_gordon"),
         pytest.param(lambda E: wave_residual(E, _WAVE.medium.wave_speed, _WAVE.default_grid(5)),
-                     (_WAVE.E,), 9, id="wave"),
+                     (_WAVE.E,), 4, id="wave"),
         pytest.param(lambda E: modified_wave_residual(E, _MEDIUM, _CONDUCTOR.default_grid(5)),
-                     (_CONDUCTOR.E,), 9, id="modified_wave"),
+                     (_CONDUCTOR.E,), 4, id="modified_wave"),
         # E.center enters only through the conduction term mu sigma E
-        pytest.param(_maxwell(_WAVE, _WAVE.medium), (_WAVE.E, _WAVE.B), 16, id="maxwell"),
-        pytest.param(_maxwell(_CONDUCTOR, _MEDIUM), (_CONDUCTOR.E, _CONDUCTOR.B), 17,
+        pytest.param(_maxwell(_WAVE, _WAVE.medium), (_WAVE.E, _WAVE.B), 8, id="maxwell"),
+        pytest.param(_maxwell(_CONDUCTOR, _MEDIUM), (_CONDUCTOR.E, _CONDUCTOR.B), 9,
                      id="maxwell_conductor"),
     ])
-    def test_scan_evaluates_fields_no_more_often_than_its_stencils_need(
+    def test_scan_evaluates_fields_once_per_partial(
             self, scan, fields, limit):
         counted = [_Counted(f) for f in fields]
         scan(*counted)
@@ -269,7 +295,7 @@ class TestResidualScan:
             assert report.rms == float(np.sqrt(np.mean(values * values)))
 
     def test_scan_over_4d_grid(self):
-        grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1, 5, 5, 5, 5, h=1e-3)
+        grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1, 5, 5, 5, 5)
         report = _scan(lambda x, y, z, t: x * y * z * t, grid)
         assert report.max_abs == pytest.approx(1.0)
         assert report.worst_point == (1.0, 1.0, 1.0, 1.0)
@@ -386,23 +412,15 @@ class TestGrids:
         grid = Grid2D()
         assert (grid.x_min, grid.x_max) == (-1.0, 1.0)
         assert grid.nx == grid.nt == 41
-        assert DEFAULT_STEP == 1e-4
 
     @pytest.mark.parametrize("kwargs", [
         dict(x_min=1.0, x_max=-1.0),
         dict(nx=1),
         dict(nt=0),
-        dict(h=0.0),
-        dict(h=-1e-4),
-        dict(h=0.01),   # 10 h = 0.1 > spacing 0.05
-        dict(h=0.005),  # boundary case is rejected: need strict inequality
     ])
     def test_bad_grid_rejected(self, kwargs):
-        # the step h is checked against the grid by the code that uses it
-        grid_kwargs = dict(kwargs)
-        h = grid_kwargs.pop("h", DEFAULT_STEP)
         with pytest.raises(InvalidGridError):
-            Grid2D(**grid_kwargs).check_step(h)
+            Grid2D(**kwargs)
 
     def test_node_arrays_are_built_once_and_read_only(self):
         grid = Grid2D(nx=9, nt=7)
@@ -426,22 +444,6 @@ class TestGrids:
         assert used.to_dict() == fresh.to_dict()
         assert list(used.to_dict()) == ["x_min", "x_max", "t_min", "t_max", "nx", "nt"]
         assert used != Grid2D(nx=11)
-
-    def test_step_is_checked_apart_from_the_grid(self):
-        # 10 h = 0.1 > spacing 0.05: refused against this grid only
-        grid = Grid2D()
-        with pytest.raises(InvalidGridError, match=r"too coarse for smallest spacing 0\.05"):
-            grid.check_step(0.01)
-        with pytest.raises(InvalidGridError, match="too coarse"):
-            classic_bts.laplace_residual(classic_bts.harmonic_conjugate_match(1, 0, 0)[0],
-                                         grid, h=0.01)
-        grid.check_step(1e-3)
-        assert finite_step(0.01) == 0.01 and finite_step(1e308) == 1e308
-        for h in (0.0, -1e-4, math.nan, math.inf):
-            with pytest.raises(InvalidGridError, match="finite and positive"):
-                finite_step(h)
-            with pytest.raises(InvalidGridError, match="finite and positive"):
-                grid.check_step(h)
 
     def test_mesh_is_built_once_per_grid_and_read_only(self):
         grid = Grid2D(nx=9, nt=7)
@@ -477,7 +479,7 @@ class TestGrids:
 
     def test_grid4d_nodes_and_mesh_are_built_once_and_read_only(self):
         bounds = (0.0, 1.0, -1.0, 2.0, 0.0, 3.0, 0.0, 4.0)
-        grid = Grid4D(*bounds, 5, 4, 3, 2, h=1e-3)
+        grid = Grid4D(*bounds, 5, 4, 3, 2)
         axes, meshes = grid.axes(), grid.mesh()
         assert all(a is b for a, b in zip(grid.axes(), axes))
         assert all(a is b for a, b in zip(grid.mesh(), meshes))
@@ -488,11 +490,11 @@ class TestGrids:
             np.testing.assert_array_equal(got, want)
             with pytest.raises(ValueError):
                 got.flat[0] = 0.0
-        fresh = Grid4D(*bounds, 5, 4, 3, 2, h=1e-3)
+        fresh = Grid4D(*bounds, 5, 4, 3, 2)
         assert grid == fresh and hash(grid) == hash(fresh)
         assert {fresh: "cached"}[grid] == "cached"
         assert grid.to_dict() == fresh.to_dict()
-        assert grid != Grid4D(*bounds, 5, 4, 3, 3, h=1e-3)
+        assert grid != Grid4D(*bounds, 5, 4, 3, 3)
 
     def test_em_vacuum_run_builds_one_mesh(self, monkeypatch, capsys):
         # the verify scan and the CSV table share the grid's one mesh
@@ -514,14 +516,13 @@ class TestGrids:
         capsys.readouterr()
         assert calls == {"meshgrid": 1, "linspace": 4}
 
-    def test_grid4d_per_axis_steps(self):
-        grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=9, h=(1e-3, 1e-3, 1e-3, 1e-12))
-        assert grid.steps == (1e-3, 1e-3, 1e-3, 1e-12)
-
-    def test_grid4d_step_must_fit_every_axis(self):
-        # scalar step fine in space but far too coarse for a nanosecond axis
+    def test_grid4d_is_its_lattice_alone(self):
+        # a nanosecond time axis beside metre space axes: no step to match
+        grid = Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=9)
+        assert list(grid.to_dict()) == ["x_min", "x_max", "y_min", "y_max", "z_min", "z_max",
+                                        "t_min", "t_max", "nx", "ny", "nz", "nt"]
         with pytest.raises(InvalidGridError):
-            Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, h=1e-3)
+            Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=1)
 
     def test_for_wave_spans_one_wavelength_and_period(self):
         k, omega = 2.0, 6.0e8
@@ -529,9 +530,6 @@ class TestGrids:
         assert grid.x_max == pytest.approx(2.0 * math.pi / k)
         assert grid.t_max == pytest.approx(2.0 * math.pi / omega)
         assert grid.nx == grid.nt == 9
-        hs = grid.steps
-        assert hs[0] == pytest.approx(1e-4 / k)
-        assert hs[3] == pytest.approx(1e-4 / omega)
 
     def test_report_invariant_rms_le_max(self):
         with pytest.raises(ValueError):
