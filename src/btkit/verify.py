@@ -245,11 +245,11 @@ class Jet:
         return (np.array if copy else np.asarray)(self.parts[0], dtype=dtype)
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.true_divide and isinstance(inputs[1], Jet):
-            return np.multiply(inputs[0], np.reciprocal(inputs[1]))
         rule = _ARITHMETIC.get(ufunc, _chain if ufunc in _RULES else None)
         if method != "__call__" or kwargs or rule is None:
             return NotImplemented
+        if ufunc is np.true_divide and isinstance(inputs[1], Jet):
+            return np.multiply(inputs[0], np.reciprocal(inputs[1]))
         return Jet(rule(ufunc, *(x.parts if isinstance(x, Jet) else (x,) for x in inputs)))
 
     __add__, __radd__ = _operators(np.add)

@@ -13,14 +13,15 @@ the whole table on the machine that wrote the file: a regenerated table
 whose digest is unchanged is byte-identical there.  ``--check`` does not
 compare digests, so that another BLAS or libm can pass.
 
-Comparison rules: exit codes, keys and their order, strings, booleans,
-integers and stderr exactly; other numbers to 1e-12 relative.  A residual
-statistic (a report's ``max_abs`` and ``rms``, ``path_disagreement``) may
-sit on a rounding floor, where relative digits mean nothing: it must keep
-its verdict under the command's tolerance and lie within
-``RESIDUAL_ABS * tolerance`` of the recorded value, and a passing report's
-``worst_point`` is not compared.  CSV cells compare to 1e-12 of the larger
-of the two cells and their column's largest sampled magnitude.
+Comparison rules: exit codes, keys and their order, strings, booleans and
+stderr exactly; numbers to 1e-12 relative, which is exact for counts.  A
+residual statistic (a report's ``max_abs`` and ``rms``,
+``path_disagreement``) may sit on a rounding floor, where relative digits
+mean nothing: it must keep its verdict under the command's tolerance and
+lie within ``RESIDUAL_ABS * tolerance`` of the recorded value, and a
+passing report's ``worst_point`` is not compared.  CSV cells compare to
+1e-12 of the larger of the two cells and their column's largest sampled
+magnitude.
 """
 
 from __future__ import annotations
@@ -205,10 +206,14 @@ def _residual_problems(path, want, got, tolerance):
     return []
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _compare(path, want, got, tolerance) -> list:
-    if type(want) is not type(got) and not (
-            isinstance(want, (int, float)) and isinstance(got, (int, float))
-            and not isinstance(want, bool) and not isinstance(got, bool)):
+    if _is_number(want) and _is_number(got):
+        return [] if _close(want, got) else [f"{path}: {want!r} -> {got!r}"]
+    if type(want) is not type(got):
         return [f"{path}: {want!r} -> {got!r}"]
     if isinstance(want, dict):
         if list(want) != list(got):
@@ -227,8 +232,6 @@ def _compare(path, want, got, tolerance) -> list:
             return [f"{path}: length {len(want)} -> {len(got)}"]
         return [p for i, (w, g) in enumerate(zip(want, got))
                 for p in _compare(f"{path}[{i}]", w, g, tolerance)]
-    if isinstance(want, float) or isinstance(got, float):
-        return [] if _close(float(want), float(got)) else [f"{path}: {want!r} -> {got!r}"]
     return [] if want == got else [f"{path}: {want!r} -> {got!r}"]
 
 

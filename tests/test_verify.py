@@ -74,7 +74,8 @@ class TestTaylor:
         assert copied is not value and np.array_equal(copied, value)
         assert np.broadcast(np.asarray(jet), 0.0).size == 2
 
-    @pytest.mark.parametrize("call", [np.sqrt, np.sum, lambda jet: jet ** 2])
+    @pytest.mark.parametrize("call", [np.sqrt, np.sum, np.divide.reduce, lambda jet: jet ** 2,
+                                      lambda jet: np.exp(jet, out=np.empty(2))])
     def test_a_jet_refuses_what_it_cannot_carry(self, call):
         with pytest.raises(TypeError):
             call(Jet([np.ones(2), np.ones(2)]))
