@@ -16,6 +16,12 @@ variable BTKIT_H, else 1e-4, is only checked and echoed as ``grid.h``.
 Exit codes: 0 success; 1 precondition rejected by the library (the message
 names the violated constraint) or a grid too large to allocate; 2 a
 --verify scan exceeded its documented tolerance; 64 usage error.
+
+Start-up: argv is parsed, and a spec file read, before numpy loads, so a
+usage error exits without importing it.  Each group's runner then imports
+only its own family (``classic_bts``; ``maxwell_vacuum`` and
+``maxwell_conductor`` with ``media``; ``chiral_recursion``), and calls it
+through its module attributes.
 """
 
 from __future__ import annotations
@@ -24,18 +30,13 @@ import argparse
 import itertools
 import json
 import math
+import numbers
 import os
 import re
 import sys
 from functools import lru_cache
 
-import numpy as np
-
-from . import classic_bts, chiral_recursion, maxwell_conductor, maxwell_vacuum
-from .chiral_recursion import _matrix_pair
 from .errors import BtkitError, InvalidParameterError
-from .media import EPSILON0, MU0, MediumParams, VACUUM
-from .verify import Grid2D, Grid4D, report_from_values
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
@@ -87,21 +88,25 @@ def _format_float(value: float) -> str:
 
 
 def _emit_json(obj) -> str:
+    if isinstance(obj, (list, tuple)):
+        # a table row of plain finite floats is formatted in one call;
+        # anything else, a non-finite float included, goes value by value
+        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
+        return "[" + ", ".join([_emit_json(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in obj.items()]
+        return "{" + ", ".join(items) + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):   # numpy's integers register here
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -113,13 +118,15 @@ def _entry_columns(prefix: str, n: int):
     return _complex_columns(f"{prefix}_{r}_{c}" for r in range(n) for c in range(n))
 
 
-def _grid_table(meshes, *blocks) -> np.ndarray:
+def _grid_table(meshes, *blocks):
     """The CSV table of a grid as one float array, a row per node in C order.
 
     A row holds the node's mesh coordinates, then each block's entries at
     that node; a complex entry fills two columns, its real then its
     imaginary part.
     """
+    import numpy as np
+
     n = np.size(meshes[0])
     parts = [np.reshape(m, (n, 1)) for m in meshes]
     for block in blocks:
@@ -190,7 +197,9 @@ def _add_matrix_flag(parser, name: str, required: bool) -> None:
                         metavar="JSON")
 
 
-def _complex_matrix(re, im, name: str) -> np.ndarray:
+def _complex_matrix(re, im, name: str):
+    import numpy as np
+
     try:
         re_arr = np.asarray(re, dtype=float)
         im_arr = np.zeros_like(re_arr) if im is None else np.asarray(im, dtype=float)
@@ -213,7 +222,9 @@ def _resolve_step(args) -> float:
         raise _UsageError(f"BTKIT_H is not a number: {env!r}") from exc
 
 
-def _grid2d(args) -> Grid2D:
+def _grid2d(args):
+    from .verify import Grid2D
+
     return Grid2D(args.x_min, args.x_max, args.t_min, args.t_max, args.nx, args.nt)
 
 
@@ -225,7 +236,9 @@ def _absolute(args, name: str, unit: float) -> float:
     return unit if relative is None else relative * unit
 
 
-def _resolve_medium(args, omega: float, conducting: bool) -> MediumParams:
+def _resolve_medium(args, omega: float, conducting: bool):
+    from .media import EPSILON0, MU0, MediumParams
+
     epsilon = _absolute(args, "epsilon", EPSILON0)
     mu = _absolute(args, "mu", MU0)
     sigma = 0.0
@@ -238,6 +251,8 @@ def _resolve_medium(args, omega: float, conducting: bool) -> MediumParams:
 
 
 # --- subcommand runners ------------------------------------------------------
+# Each runner imports its own family, and numpy with it, when it runs: a call
+# is parsed, and a spec file read, before any of them loads.
 
 def _verify_block(scans: dict, tolerance: float):
     passed = all(report.passed(tolerance) for report in scans.values())
@@ -250,6 +265,8 @@ def _verify_block(scans: dict, tolerance: float):
 
 
 def _run_classic(args):
+    from . import classic_bts
+
     grid = _grid2d(args)
     if args.sub == "laplace":
         u, v = classic_bts.harmonic_conjugate_match(args.alpha, args.beta, args.gamma)
@@ -295,6 +312,12 @@ _EM_COLUMNS = ["x", "y", "z", "t"] + _complex_columns(f + c for f in "EB" for c 
 
 
 def _run_em(args):
+    import numpy as np
+
+    from . import maxwell_conductor, maxwell_vacuum
+    from .media import VACUUM
+    from .verify import Grid4D, _matrix_pair
+
     omega = args.omega if args.omega is not None else 2.0 * math.pi * args.freq
     conducting = args.sub == "conductor"
     medium = VACUUM if args.sub == "vacuum" else _resolve_medium(args, omega, conducting)
@@ -322,6 +345,11 @@ def _run_em(args):
 
 
 def _run_chiral(args):
+    import numpy as np
+
+    from . import chiral_recursion
+    from .verify import _matrix_pair, report_from_values
+
     grid = _grid2d(args)
     grid_dict = grid.to_dict()
     A = _complex_matrix(args.a_re, args.a_im, "A")
@@ -514,6 +542,8 @@ def main(argv=None) -> int:
         if args.format in ("json", "both"):
             _write([_emit_json(payload), "\n"], args.output)
         if args.format in ("csv", "both"):
+            import numpy as np
+
             table = rows()
             table[~np.isfinite(table)] = np.nan  # "%g" would write inf as inf
             row = ",".join(["%.17g"] * len(columns)) + "\n"

@@ -48,7 +48,7 @@ import numpy as np
 from .errors import BtkitError, InvalidParameterError
 from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _finite_partner, _wave_terms
 from .media import MediumParams
-from .verify import Grid4D, ResidualReport, magnitude, report_from_values
+from .verify import Grid4D, ResidualReport, _relative, magnitude, report_from_values
 
 _BRANCH_TOL = 1e-12
 
@@ -146,9 +146,12 @@ class ConductorWavePair(WavePair):
         self.real = real
         self.k = dispersion.k
         self.s = dispersion.s
+        self.B0 = self._partner(spec.E0)
+
+    def _partner(self, E0: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            self.B0 = _finite_partner(
-                (self.k + 1j * self.s) / dispersion.omega * np.cross(spec.tau, spec.E0))
+            return _finite_partner(
+                (self.k + 1j * self.s) / self.dispersion.omega * np.cross(self.spec.tau, E0))
 
     # WavePair's evaluators, bound here as well: the bench tracer
     # (bench/spans.py) wraps methods through each class's own __dict__
@@ -192,5 +195,5 @@ def modified_wave_residual(F, medium: MediumParams, grid: Grid4D,
     """
     meshes, lap, ft, ftt = _wave_terms(F, grid)
     residual = lap - medium.epsilon * medium.mu * ftt - medium.mu * medium.sigma * ft
-    vals = magnitude(residual, meshes[0].ndim) / max(scale, 1e-300)
+    vals = _relative(magnitude(residual, meshes[0].ndim), scale)
     return report_from_values(vals, meshes)

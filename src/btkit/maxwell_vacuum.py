@@ -28,16 +28,17 @@ omega to B0; a non-conducting medium has s = 0.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
 from .media import VACUUM, MediumParams
-from .verify import (Grid4D, ResidualReport, Taylor, _scaled, curl, divergence, magnitude,
-                     report_from_values)
+from .verify import (Grid4D, ResidualReport, Taylor, _relative, _scaled, curl, divergence,
+                     magnitude, report_from_values)
 
 _UNIT_TOL = 1e-12
 
@@ -137,8 +138,26 @@ class WavePair:
         self.medium = medium
         self.real = real
         self.k = spec.omega / medium.wave_speed
+        self.B0 = self._partner(spec.E0)
+
+    def _partner(self, E0: np.ndarray) -> np.ndarray:
+        """The magnetic amplitude conjugate to ``E0``."""
         with np.errstate(over="ignore", invalid="ignore"):
-            self.B0 = _finite_partner(np.cross(spec.tau, spec.E0) / medium.wave_speed)
+            return _finite_partner(np.cross(self.spec.tau, E0) / self.medium.wave_speed)
+
+    def _unit(self) -> WavePair:
+        """This wave with E0 divided by the power of two of its largest part.
+
+        The field equations are linear, so the copy solves them exactly
+        when this pair does, and it has the same digits scaled by that
+        power; but its B0, computed from the scaled E0, cannot underflow
+        where this pair's does (|E0| below c times the smallest subnormal).
+        """
+        E0, _ = _scaled(self.spec.E0)
+        pair = copy.copy(self)
+        pair.spec = replace(self.spec, E0=E0)
+        pair.B0 = pair._partner(E0)
+        return pair
 
     @property
     def k_vector(self) -> np.ndarray:
@@ -241,18 +260,22 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     Works for non-conducting and conducting media alike; with sigma = 0 the
     conduction term, and the evaluation of E it needs, drops out.  Each
     equation is normalized by the natural scale of its leading term (|E0| k
-    or |B0| k) so reports are comparable across units and frequencies; a
-    scale that overflows the float range raises InvalidParameterError.
-    The evaluators follow the contract of ``FieldPair``.
+    or |B0| k), at every size and with no floor under it, so reports are
+    comparable across units and frequencies; a scale that overflows the
+    float range raises InvalidParameterError.  A ``WavePair`` is scanned
+    with E0 divided by a power of two to order one and B0 computed from
+    that: the equations are linear, so the verdict is the pair's, and a
+    partner amplitude that underflowed cannot decide it.  The evaluators
+    follow the contract of ``FieldPair``.
     """
-    k = pair.k
-    e_scale = max(pair.e_scale, 1e-300) * k
-    b_scale = max(pair.b_scale, 1e-300) * k
     # an infinite scale would read every residual it divides as 0
-    for name, scale in (("E", e_scale), ("B", b_scale)):
-        if not math.isfinite(scale):
-            raise InvalidParameterError(f"normalization scale |{name}0| k = {scale!r} overflows "
-                                        "the float range")
+    for name, scale in (("E", pair.e_scale), ("B", pair.b_scale)):
+        if not math.isfinite(scale * pair.k):
+            raise InvalidParameterError(f"normalization scale |{name}0| k = {scale * pair.k!r} "
+                                        "overflows the float range")
+    if isinstance(pair, WavePair):
+        pair = pair._unit()
+    k = pair.k
     medium = pair.medium
     meshes = grid.mesh()
     E, B = _taylors(meshes, pair.E, pair.B)
@@ -266,10 +289,10 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
 
     ndim = meshes[0].ndim
     rows = np.stack((
-        magnitude(div_e, ndim) / e_scale,
-        magnitude(div_b, ndim) / b_scale,
-        magnitude(faraday, ndim) / e_scale,
-        magnitude(ampere, ndim) / b_scale,
+        _relative(magnitude(div_e, ndim), pair.e_scale, k),
+        _relative(magnitude(div_b, ndim), pair.b_scale, k),
+        _relative(magnitude(faraday, ndim), pair.e_scale, k),
+        _relative(magnitude(ampere, ndim), pair.b_scale, k),
     ))
     return report_from_values(rows.max(axis=0), meshes)
 
@@ -295,5 +318,5 @@ def wave_residual(F: Callable, speed: float, grid: Grid4D,
         raise InvalidParameterError(f"wave speed must be positive, got {speed}")
     meshes, lap, _, ftt = _wave_terms(F, grid)
     residual = lap - ftt / speed ** 2
-    vals = magnitude(residual, meshes[0].ndim) / max(scale, 1e-300)
+    vals = _relative(magnitude(residual, meshes[0].ndim), scale)
     return report_from_values(vals, meshes)

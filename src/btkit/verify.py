@@ -361,6 +361,30 @@ def _scaled(values: np.ndarray):
     return arr / scale, scale
 
 
+def _relative(mags: np.ndarray, amplitude: float, factor: float = 1.0) -> np.ndarray:
+    """Residual magnitudes over ``amplitude * factor``, with no floor under it.
+
+    Both sides are first divided by the power of two of ``amplitude``,
+    exactly, so a subnormal amplitude keeps its digits, and the quotient is
+    the plain one wherever ``amplitude * factor`` is normal.  A zero
+    amplitude, a field that is zero everywhere, leaves the magnitudes as
+    they are.  A finite magnitude whose quotient overflows reads as the
+    largest float: a failed point, where inf would count as a singular one.
+    """
+    if amplitude == 0.0:
+        return mags
+    power = _exact_scale(amplitude)
+    with np.errstate(over="ignore"):
+        quotient = mags / power / (amplitude / power * factor)
+    return np.where(np.isfinite(mags), np.minimum(quotient, np.finfo(float).max), quotient)
+
+
+def _matrix_pair(value) -> dict:
+    """Real and imaginary parts of a complex vector or matrix as nested lists."""
+    arr = np.asarray(value, complex)
+    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+
+
 def report_from_values(values: np.ndarray, meshes) -> ResidualReport:
     """Build a ResidualReport from per-point residual magnitudes.
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -85,6 +89,34 @@ class TestPublicApi:
 
     def test_every_name_resolves(self):
         assert [name for name in PUBLIC_API if not hasattr(btkit, name)] == []
+
+    def test_dir_and_star_import_list_every_name(self):
+        assert set(PUBLIC_API) <= set(dir(btkit))
+        namespace = {}
+        exec("from btkit import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_API
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match=r"^module 'btkit' has no attribute 'Stencil'$"):
+            btkit.Stencil
+        assert not hasattr(btkit, "cli_main")
+
+    def test_names_and_submodules_load_on_first_access(self):
+        # a fresh interpreter: this one has loaded every family already
+        source = """
+            import sys
+            import btkit
+            assert "btkit.classic_bts" not in sys.modules
+            assert btkit.classic_bts.harmonic_quadratic is btkit.harmonic_quadratic
+            assert btkit.verify is sys.modules["btkit.verify"]
+            assert "btkit.chiral_recursion" not in sys.modules
+            assert btkit.hierarchy.__module__ == "btkit.chiral_recursion"
+        """
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(btkit.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def _quick_tour() -> str:

@@ -119,6 +119,23 @@ class TestLatticeCalculus:
         with pytest.raises(InvalidGridError):
             _lattice_derivative(np.zeros(5), 0.1, axis=0, deriv=1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cumulative_integral_is_bit_identical_to_the_cumsum_form(self, n):
+        # the row-by-row sums must be the ones np.cumsum makes, in its order,
+        # signed zeros included
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((41, 41, n, n)) + 1j * rng.standard_normal((41, 41, n, n))
+        table[:, :, 0, 0] = -0.0   # an entry that is -0.0 at every node
+        for axis in (0, 1):
+            v, restore = chiral_recursion._node_rows(table, axis)
+            steps = (v[1:] + v[:-1]) * 0.5 * GRID.dx
+            want = np.zeros_like(v)
+            np.cumsum(steps, axis=0, out=want[1:])
+            deriv = _lattice_derivative(v, GRID.dx, 0)
+            want -= (deriv - deriv[0]) * (GRID.dx ** 2 / 12.0)
+            got = _cumulative_integral(table, GRID.dx, axis)
+            assert got.tobytes() == restore(want).tobytes()
+
 
 def _complex_derivative(values, spacing, axis, deriv=1):
     """The complex-product lattice derivative the float-view kernel replaced."""

@@ -5,6 +5,7 @@ stdout, or written files.  Determinism checks compare raw bytes.
 """
 
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -20,6 +21,7 @@ from btkit import classic_bts, cli, maxwell_conductor, maxwell_vacuum
 from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_defect_samples,
                                     chiral_residual, hierarchy, potential)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
+from btkit.errors import BtkitError
 from btkit.maxwell_vacuum import conjugate_vacuum
 from btkit.media import VACUUM, MediumParams
 from btkit.verify import Grid2D, Grid4D, ResidualReport
@@ -339,6 +341,23 @@ class TestDeterminism:
         assert list(payload) == ["command", "params", "grid", "result", "verify"]
         assert payload["verify"] is None
 
+    def test_a_row_of_floats_is_emitted_as_each_float_alone(self):
+        # the one-call row format against the value-by-value one
+        row = [0.1, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -123456789012345678.0, 1e16, 1e-5, 1.0, 3.0]
+        want = "[" + ", ".join(cli._emit_json(v) for v in row) + "]"
+        for value in (row, tuple(row), [row, row[:3]], {"re": [row], "im": [[]]}):
+            assert json.loads(cli._emit_json(value)) == json.loads(json.dumps(value))
+        assert cli._emit_json(row) == want
+        # numpy scalars and mixed rows take the value-by-value path
+        mixed = [np.float64(0.1), np.int64(3), 2, True, None, 0.5]
+        assert cli._emit_json(mixed) == "[0.10000000000000001, 3, 2, true, null, 0.5]"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_float_in_a_row_is_the_same_error(self, bad):
+        with pytest.raises(BtkitError, match=f"^non-finite value {bad!r} cannot be serialized$"):
+            cli._emit_json([1.0, bad, 2.0])
+
 
 def _reference_table(coords, *blocks):
     """The expected CSV body, built entry by entry in node order.
@@ -654,6 +673,59 @@ CHIRAL_VERIFY = (
 )
 
 
+# the benchmark's usage-error calls (bench/workloads.py, usage_op)
+USAGE_ERRORS = (
+    ["classic", "laplace", "--alpha", "abc"],
+    ["classic", "liouville", "--C", "1,5"],
+    ["em", "vacuum", "--e0-re", "1", "0", "0"],
+    ["em", "conductor", "--freq", "1e6", "--sigma", "oops"],
+    ["chiral", "residual", "--a-re", "[[0.1, 0.2]", "--b-re", "[[0.3]]"],
+    ["classic", "wave"],
+    ["verify", "missing-spec.json"],
+)
+GROUP_FAMILIES = {"classic": {"classic_bts"}, "em": {"maxwell_vacuum", "maxwell_conductor"},
+                  "chiral": {"chiral_recursion"}}
+FAMILIES = set().union(*GROUP_FAMILIES.values())
+
+
+def _src_env() -> dict:
+    env = dict(os.environ)
+    src = str(Path(btkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def imports_logged_by(*argv):
+    """Exit code of a fresh ``python -X importtime -m btkit.cli ARGV`` and its import log.
+
+    The log names each module imported by an import statement's own
+    machinery: ``numpy`` and its submodules, but not a ``from . import``
+    of a btkit module.
+    """
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "btkit.cli", *argv],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    return proc.returncode, [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                             if line.startswith("import time:") and "|" in line]
+
+
+def modules_loaded_by(*argv):
+    """Exit code of a fresh process that runs ``btkit.cli`` as ``-m`` does, and its modules.
+
+    The modules are the keys of ``sys.modules`` at exit, btkit's without
+    their package prefix (``classic_bts``).
+    """
+    source = f"""
+        import atexit, json, runpy, sys
+        atexit.register(lambda: print(json.dumps(sorted(sys.modules)), file=sys.__stderr__))
+        sys.argv[1:] = {list(argv)!r}
+        runpy.run_module("btkit.cli", run_name="__main__", alter_sys=True)
+    """
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)], capture_output=True,
+                          text=True, env=_src_env(), timeout=120)
+    names = json.loads(proc.stderr.splitlines()[-1])
+    return proc.returncode, {name.removeprefix("btkit.") for name in names}
+
+
 class TestImportBoundary:
     def test_no_command_loads_scipy(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -683,6 +755,51 @@ class TestImportBoundary:
             ["chiral potential", EXIT_OK, False],
             ["chiral hierarchy", EXIT_OK, False],
         ]
+
+    def test_usage_errors_exit_before_numpy_loads(self):
+        for argv in USAGE_ERRORS:
+            code, logged = imports_logged_by(*argv)
+            assert code == EXIT_USAGE, argv
+            assert "btkit" in logged and "numpy" not in logged, argv
+            code, loaded = modules_loaded_by(*argv)
+            assert code == EXIT_USAGE, argv
+            assert loaded & ({"numpy"} | FAMILIES) == set(), argv
+
+    def test_import_btkit_loads_no_family_and_no_numpy(self):
+        proc = run_python("""
+            import json, sys
+            import btkit
+            print(json.dumps(sorted(sys.modules)))
+        """)
+        loaded = set(json.loads(proc.stdout))
+        assert {"btkit", "numpy"} & loaded == {"btkit"}
+        assert {name for name in loaded if name.startswith("btkit.")} == set()
+
+    @pytest.mark.parametrize("argv", [
+        *(["classic", sub, "--nx", "8", "--nt", "8"] for sub in ("laplace", "liouville",
+                                                                "sine-gordon")),
+        *(["em", sub, "--omega", "1e9", "--samples", "3"] for sub in ("vacuum", "medium",
+                                                                     "conductor")),
+        *(argv[:-1] for argv in CHIRAL_VERIFY),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_each_group_loads_only_its_family(self, argv):
+        for args in (argv, argv + ["--verify", "--format", "both"]):
+            code, loaded = modules_loaded_by(*args)
+            assert code == EXIT_OK
+            assert loaded & FAMILIES == GROUP_FAMILIES[argv[0]]
+
+    @pytest.mark.parametrize("command, params", [
+        (["classic", "liouville"], {"C": 2.0}),
+        (["em", "vacuum"], {"omega": 1e9, "samples": 3}),
+        (["chiral", "residual"], {"a_re": [[0.1, 0.2], [0.0, -0.1]],
+                                  "b_re": [[0.3, 0.1], [0.0, 0.2]]}),
+    ], ids=["classic", "em", "chiral"])
+    def test_spec_file_loads_only_the_family_it_names(self, tmp_path, command, params):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": command, "params": params}))
+        code, loaded = modules_loaded_by("verify", str(spec))
+        assert code == EXIT_OK
+        assert loaded & FAMILIES == GROUP_FAMILIES[command[0]]
 
     def test_chiral_commands_run_with_scipy_unimportable(self):
         # a None entry in sys.modules makes every scipy import raise ImportError

@@ -204,6 +204,27 @@ class TestFieldScans:
             pair.B, medium, grid, pair.b_scale * pair.k ** 2
         ).max_abs < 1e-5
 
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-302, 1e-310, 1e-320])
+    def test_wrong_conductivity_reads_the_same_at_any_amplitude(self, amplitude):
+        # a 1e-300 floor under the scale once read 0.025 at 1e-302, a pass below 1e-303
+        medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
+        pair = conjugate_conducting([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], medium, 1e8)
+        grid = Grid4D.for_wave(pair.k, 1e8)
+        wrong = MediumParams(2.0 * EPSILON0, MU0, 0.03)
+        report = modified_wave_residual(pair.E, wrong, grid, amplitude * pair.k ** 2)
+        assert report.max_abs == pytest.approx(3.3538981671593, rel=1e-3)
+
+    def test_conducting_unit_copy_keeps_its_dispersion(self):
+        medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
+        pair = conjugate_conducting([1e-320, 0.0, 0.0], [0.0, 0.0, 1.0], medium, 1e8)
+        assert not pair.B0.any()     # |B0| is below the smallest subnormal
+        unit = pair._unit()
+        assert (type(unit), unit.dispersion, unit.s) == (ConductorWavePair, pair.dispersion,
+                                                          pair.s)
+        assert unit.B0.any()
+        assert maxwell_residual(pair, grid := pair.default_grid()).max_abs < 1e-5
+        assert maxwell_residual(unit, grid).max_abs < 1e-5
+
     def test_oblique_conducting_pair(self):
         omega = 2.0 * math.pi * 1.0e6
         copperish = MediumParams(EPSILON0, MU0, 100.0)

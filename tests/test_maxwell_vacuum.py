@@ -139,6 +139,48 @@ class TestExtremeInputs:
         assert pair.e_scale == pytest.approx(math.hypot(*E0), rel=1e-3)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
 
+    @pytest.mark.parametrize("medium", [VACUUM, MediumParams(1.0, 1.0)], ids=["vacuum", "unit"])
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-302, 1e-310, 1e-320])
+    def test_wrong_partner_fails_at_any_amplitude(self, amplitude, medium):
+        # a 1e-300 floor under |E0| and |B0| once read the 1.5 B partner as
+        # 0.005 at 1e-302 and 5e-11 at 1e-310 in vacuum, so it passed
+        pair = conjugate_vacuum([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9, medium)
+        grid = pair.default_grid()
+        assert maxwell_residual(pair, grid).max_abs < 1e-6
+        wrong = FieldPair(pair.E, lambda r, t: 1.5 * pair.B(r, t), pair.k,
+                          pair.e_scale, pair.b_scale, medium)
+        if medium is VACUUM and amplitude == 1e-320:
+            # B0 underflows to 0, so both partners are 0 and Faraday reads
+            # curl E alone; the genuine pair is scanned as its _unit() copy
+            assert maxwell_residual(wrong, grid).max_abs == pytest.approx(1.0, rel=1e-3)
+        else:
+            assert maxwell_residual(wrong, grid).max_abs == pytest.approx(0.5, rel=1e-4)
+
+    def test_a_residual_past_the_float_range_of_its_scale_fails(self):
+        # 0.5 |E0| k over a declared |E0| of 1e-320 overflows: it reads as the
+        # largest float, not as a singular point, and raises no warning
+        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        wrong = FieldPair(pair.E, lambda r, t: 1.5 * pair.B(r, t), pair.k, 1e-320, pair.b_scale)
+        report = maxwell_residual(wrong, pair.default_grid())
+        assert (report.max_abs, report.n_singular) == (np.finfo(float).max, 0)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e-302, 1e-310, 1e-320])
+    def test_wave_scan_reads_the_same_at_any_amplitude(self, amplitude):
+        # omega = 2 c k: the d'Alembertian at c is 3 k^2 F at every size
+        k = OMEGA / C
+        F = plane_wave([amplitude, 0.0, 0.0], [0.0, 0.0, k], 2.0 * OMEGA)
+        grid = Grid4D.for_wave(k, 2.0 * OMEGA)
+        report = wave_residual(F, C, grid, scale=amplitude * k ** 2)
+        assert report.max_abs == pytest.approx(3.0, rel=1e-3)
+
+    def test_unit_copy_scales_by_a_power_of_two(self):
+        pair = conjugate_vacuum([3e-5, 0.0, 4e-5j], [0.0, 1.0, 0.0], 1e9)
+        unit = pair._unit()
+        scale = 2.0 ** -15     # the power of two at or below 4e-5
+        np.testing.assert_array_equal(unit.spec.E0 * scale, pair.spec.E0)
+        np.testing.assert_array_equal(unit.B0 * scale, pair.B0)
+        assert (unit.k, unit.medium, unit.spec.tau is pair.spec.tau) == (pair.k, VACUUM, True)
+
     def test_subnormal_amplitude_has_the_rounded_partner(self):
         pair = conjugate_vacuum([1e-320, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
         # |E0| / c is below the smallest subnormal
