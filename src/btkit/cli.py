@@ -251,8 +251,6 @@ def _resolve_medium(args, omega: float, conducting: bool):
 
 
 # --- subcommand runners ------------------------------------------------------
-# Each runner imports its own family, and numpy with it, when it runs: a call
-# is parsed, and a spec file read, before any of them loads.
 
 def _verify_block(scans: dict, tolerance: float):
     passed = all(report.passed(tolerance) for report in scans.values())

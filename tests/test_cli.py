@@ -48,22 +48,24 @@ def _scale_family(monkeypatch, family: str, factor: float) -> None:
                         lambda p, x, t: factor * original(p, x, t))
 
 
-def run_python(source: str):
-    """Run ``source`` in a fresh interpreter that imports this btkit."""
+def _src_env() -> dict:
+    """The environment with this btkit first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(btkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(source: str):
+    """Run ``source`` in a fresh interpreter that imports this btkit."""
     return subprocess.run([sys.executable, "-c", textwrap.dedent(source)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
 
 
 def run_cli(*argv):
     """Run ``btkit`` in a fresh interpreter that turns RuntimeWarnings into errors."""
-    env = dict(os.environ)
-    src = str(Path(btkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "btkit.cli",
-                           *argv], capture_output=True, text=True, env=env, timeout=120)
+                           *argv], capture_output=True, text=True, env=_src_env(), timeout=120)
 
 
 class TestExitCodes:
@@ -688,13 +690,6 @@ GROUP_FAMILIES = {"classic": {"classic_bts"}, "em": {"maxwell_vacuum", "maxwell_
 FAMILIES = set().union(*GROUP_FAMILIES.values())
 
 
-def _src_env() -> dict:
-    env = dict(os.environ)
-    src = str(Path(btkit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 def imports_logged_by(*argv):
     """Exit code of a fresh ``python -X importtime -m btkit.cli ARGV`` and its import log.
 
@@ -720,8 +715,7 @@ def modules_loaded_by(*argv):
         sys.argv[1:] = {list(argv)!r}
         runpy.run_module("btkit.cli", run_name="__main__", alter_sys=True)
     """
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source)], capture_output=True,
-                          text=True, env=_src_env(), timeout=120)
+    proc = run_python(source)
     names = json.loads(proc.stderr.splitlines()[-1])
     return proc.returncode, {name.removeprefix("btkit.") for name in names}
 
