@@ -28,18 +28,19 @@ Numerics
 Hierarchy fields live on the grid lattice: each recursion output is a
 TabulatedField defined on the nodes of its Grid2D and nowhere else (other
 nodes raise InvalidGridError), so no interpolant's kinks are differenced,
-and no field is differenced by a small step.  Every lattice derivative
-here uses fourth-order stencils: 5-point interior, one-sided at edges.
-Line integration is cumulative trapezoid with the Euler-Maclaurin endpoint
-correction, exact for cubic integrands; combined with the stencils this
-makes levels 0 through 3 of an exponential-seed hierarchy exact to
-rounding on the default grids.  Both kernels work in real arithmetic: a
-node table, with the differentiated axis moved to the front, is read as a
-(nodes, -1) float matrix through the float view of its complex entries.
-A derivative is then one real (nodes, nodes) @ (nodes, 2 * rest) product,
-not a complex product against a real matrix, three quarters of whose
-multiplies are by zero imaginary parts; the trapezoid sums, cumulative
-sum and endpoint correction run on the same matrix.  The potential and
+and no field is differenced by a small step.  Every lattice operator is
+one cached, read-only unit-spacing matrix: the fourth-order stencils
+(5-point interior, one-sided at edges) and the line integral, cumulative
+trapezoid with the Euler-Maclaurin endpoint term, exact for cubics; so
+levels 0 through 3 of an exponential-seed hierarchy are exact to rounding
+on the default grids.  A node table, the operator's axis first, is read
+as a (nodes, -1) float matrix through the float view of its complex
+entries, so each application is one real (nodes, nodes) @ (nodes, 2 *
+rest) product, not a complex one with three quarters of its multiplies by
+zero imaginary parts.  The product is then scaled by the spacing, or by
+its reciprocal power for a derivative: no scaled copy of a matrix is
+built, and only the symmetry scan's second derivatives square the
+spacing.  The potential and
 the recursion step share one integrator: it always computes both axis
 orders, their disagreement is the integrability diagnostic, and it
 returns a TabulatedField that carries it as ``path_disagreement``.  The
@@ -69,6 +70,7 @@ matrices at once, so the module needs numpy alone.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,70 +112,62 @@ def _diff_matrix_unit(n_nodes: int, deriv: int):
             f"lattice derivatives need at least {_MIN_NODES} nodes per axis, got {n_nodes}"
         )
     width = 5 if deriv == 1 else 6
-    central = np.arange(-2, 3)
     mat = np.zeros((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        if i < 2:
-            offsets = np.arange(width) - i
-        elif i > n_nodes - 3:
-            offsets = np.arange(width) - (width - 1) + (n_nodes - 1 - i)
-        else:
-            offsets = central
-        mat[i, i + offsets] = _fd_weights(offsets, deriv)
+    rows = np.arange(2, n_nodes - 2)
+    for offset, weight in zip(range(-2, 3), _fd_weights(np.arange(-2, 3), deriv)):
+        mat[rows, rows + offset] = weight
+    for i in (0, 1):
+        mat[i, :width] = _fd_weights(np.arange(width) - i, deriv)
+        mat[-1 - i, -width:] = _fd_weights(np.arange(1 - width, 1) + i, deriv)
     mat.setflags(write=False)
     return mat
 
 
-def _node_rows(values: np.ndarray, axis: int):
-    """``values`` as a C-contiguous (nodes, -1) float matrix, ``axis`` first.
+@lru_cache(maxsize=None)
+def _integral_matrix_unit(n_nodes: int):
+    """Corrected trapezoid from node 0 on n unit-spaced nodes, exact for cubics.
 
-    A complex table is read through its float view, real and imaginary
-    parts interleaved, so a real stencil acts on both parts in one real
-    product.  Also returns the function that maps a matrix of that shape
-    back to the shape, axis order and kind of ``values``.
+    W = T - (D1 - 1 D1[0]) / 12, the cumulative trapezoid T less the Euler-
+    Maclaurin term, built in place with no other (nodes, nodes) table alive.
+    """
+    d1 = _diff_matrix_unit(n_nodes, 1)
+    mat = np.tri(n_nodes, k=-1)
+    mat[1:, 0] = 0.5
+    mat.flat[n_nodes + 1::n_nodes + 1] = 0.5
+    band = 5                # D1's one-sided edge stencils span five nodes
+    for offset in range(1 - band, band):
+        i = np.arange(max(0, -offset), min(n_nodes, n_nodes - offset))
+        mat[i, i + offset] -= d1[i, i + offset] / 12.0
+    mat[:, :band] += d1[0, :band] / 12.0
+    mat.setflags(write=False)
+    return mat
+
+
+def _along(operator: np.ndarray, values: np.ndarray, axis: int, scale: float) -> np.ndarray:
+    """``scale`` times the unit-spacing ``operator`` applied along ``axis``.
+
+    One real product on the table's (nodes, -1) float view, ``axis`` first.
     """
     moved = np.ascontiguousarray(np.moveaxis(values, axis, 0))
     is_complex = np.iscomplexobj(moved)
     rows = (moved.view(moved.real.dtype) if is_complex else moved).reshape(len(moved), -1)
-
-    def restore(out: np.ndarray) -> np.ndarray:
-        if is_complex:
-            out = out.view(moved.dtype)
-        return np.moveaxis(out.reshape(moved.shape), 0, axis)
-
-    return rows, restore
+    out = operator @ rows
+    out *= scale
+    if is_complex:
+        out = out.view(moved.dtype)
+    return np.moveaxis(out.reshape(moved.shape), 0, axis)
 
 
 def _lattice_derivative(values: np.ndarray, spacing: float, axis: int,
                         deriv: int = 1) -> np.ndarray:
-    rows, restore = _node_rows(values, axis)
-    return restore((_diff_matrix_unit(len(rows), deriv) / spacing ** deriv) @ rows)
+    # a numpy power: a square out of range reads inf or 0, not a Python error
+    return _along(_diff_matrix_unit(values.shape[axis], deriv), values, axis,
+                  np.float64(spacing) ** -deriv)
 
 
 def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
-    """Antiderivative from node 0 along ``axis``: corrected trapezoid.
-
-    The Euler-Maclaurin endpoint term -(spacing^2/12)(f'_m - f'_0) removes
-    the leading trapezoid error, making the rule exact for cubics.
-    """
-    v, restore = _node_rows(values, axis)
-    out = np.zeros_like(v)
-    # in place, the same operations in the same order: fewer tables alive
-    steps = v[1:] + v[:-1]
-    steps *= 0.5
-    steps *= spacing
-    # np.cumsum(steps, axis=0, out=out[1:]) row by row: the same sums in the
-    # same order, but a loop of row additions beats numpy's accumulate along
-    # the leading axis (about 65 against 116 us on a 3 x 3 41^2 table)
-    out[1] = steps[0]
-    for i in range(1, len(steps)):
-        np.add(out[i], steps[i], out=out[i + 1])
-    del steps
-    deriv = _lattice_derivative(v, spacing, 0)
-    deriv -= deriv[0]
-    deriv *= spacing ** 2 / 12.0
-    out -= deriv
-    return restore(out)
+    """Antiderivative from node 0 along ``axis``: corrected trapezoid, exact for cubics."""
+    return _along(_integral_matrix_unit(values.shape[axis]), values, axis, spacing)
 
 
 # Pade [13/13] coefficients b_k / b_0, and the 1-norm below which it meets
@@ -464,12 +458,11 @@ class TabulatedField(MatrixField):
 
 # --- operators -------------------------------------------------------------
 
-def _require_lattice(grid: Grid2D, squared: bool = True) -> None:
+def _require_lattice(grid: Grid2D) -> None:
     """Reject lattices the fourth-order operators cannot serve.
 
-    Second derivatives and the cumulative integral take the square of the
-    spacing, which a Python float raises on past about 1.3e154; only the
-    first-derivative defect scan passes ``squared=False``.
+    Each scales its product after it by the spacing or its reciprocal, so
+    a spacing must be a normal float; the symmetry scan alone also squares it.
     """
     if grid.nx < _MIN_NODES or grid.nt < _MIN_NODES:
         raise InvalidGridError(
@@ -477,8 +470,8 @@ def _require_lattice(grid: Grid2D, squared: bool = True) -> None:
             f"got {grid.nx} x {grid.nt}"
         )
     for name, spacing in (("dx", grid.dx), ("dt", grid.dt)):
-        if squared and math.isinf(spacing * spacing):
-            raise InvalidGridError(f"lattice spacing {name} = {spacing!r} is too wide to square")
+        if not sys.float_info.min <= spacing <= sys.float_info.max:
+            raise InvalidGridError(f"lattice spacing {name} = {spacing!r} is not a normal float")
 
 
 def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
@@ -512,12 +505,9 @@ def _connection_tables(g: MatrixField, grid: Grid2D) -> tuple:
 
 def chiral_defect_samples(g: MatrixField, grid: Grid2D) -> np.ndarray:
     """Per-node max-entry magnitude of (g^-1 g_x)_x + (g^-1 g_t)_t."""
-    _require_lattice(grid, squared=False)
+    _require_lattice(grid)
     U, V = _connection_tables(g, grid)
-    residual = (
-        _lattice_derivative(U, grid.dx, 0) + _lattice_derivative(V, grid.dt, 1)
-    )
-    return magnitude(residual, 2)
+    return magnitude(_lattice_derivative(U, grid.dx, 0) + _lattice_derivative(V, grid.dt, 1), 2)
 
 
 def chiral_residual(g: MatrixField, grid: Grid2D) -> ResidualReport:
@@ -528,6 +518,12 @@ def chiral_residual(g: MatrixField, grid: Grid2D) -> ResidualReport:
 def symmetry_residual(phi: MatrixField, g: MatrixField, grid: Grid2D) -> ResidualReport:
     """Scan of the linearized symmetry condition for Phi on the seed g."""
     _require_lattice(grid)
+    # the second derivatives divide by a square that must be a normal float
+    for name, spacing in (("dx", grid.dx), ("dt", grid.dt)):
+        if not sys.float_info.min <= spacing * spacing <= sys.float_info.max:
+            width = "wide" if spacing > 1.0 else "narrow"
+            raise InvalidGridError(
+                f"lattice spacing {name} = {spacing!r} is too {width} to square")
     # phi first: a phi on other nodes fails before the seed samples, checks
     # and caches anything for this grid
     px = phi.d1_samples(grid, 0)

@@ -183,10 +183,18 @@ def _add_medium_flags(parser) -> None:
 
 
 def _json_matrix(text: str):
+    """A JSON number or nested arrays of JSON numbers, shape unchecked."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise argparse.ArgumentTypeError(f"not valid JSON: {exc}") from exc
+    pending = [data]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise argparse.ArgumentTypeError(f"not a JSON number: {json.dumps(item)}")
     return data
 
 

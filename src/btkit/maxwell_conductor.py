@@ -20,10 +20,13 @@ and substituting it into the damped wave equation couples (k, s) through
     s^2 - k^2 + eps mu omega^2 = 0
     mu sigma omega - 2 s k     = 0.
 
-Eliminating s gives the closed form implemented here:
+Eliminating s gives the closed form
 
     k^2 = (eps mu omega^2 / 2) (1 + sqrt(1 + (sigma / (eps omega))^2)),
-    s   = mu sigma omega / (2 k).
+    s   = mu sigma omega / (2 k),
+
+which ``dispersion_solve`` evaluates in a form with no overflow on the way
+to a representable k.
 
 The first-order system then fixes the partner amplitude
 
@@ -100,33 +103,63 @@ class DispersionSolution:
         return {**asdict(self), "skin_depth": self.skin_depth}
 
 
+def _over_k_squared(k: float, *factors: float) -> float:
+    """The product of ``factors`` over k^2, through mantissas and exponents.
+
+    No partial product over- or underflows, so the quotient is right
+    wherever it is representable; past 2^1000 it is clipped there, still a
+    failed check.
+    """
+    mant, expo = math.frexp(k)
+    value, power = 1.0 / (mant * mant), -2 * expo
+    for factor in factors:
+        m, e = math.frexp(factor)
+        value, power = value * m, power + e
+    return math.ldexp(value, min(power, 1000))
+
+
 def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     """Solve the (k, s) system for a medium at angular frequency omega.
 
     Closed form; exact in the sigma = 0 limit where k = omega sqrt(eps mu)
-    and s = 0.  The result is self-checked against both defining equations
-    to 1e-10 relative before it is returned.
+    and s = 0.  k + i s is the principal root of mu omega (eps omega + i
+    sigma), taken over the larger of its two parts so that no step
+    overflows on the way to a representable k: over eps omega through the
+    loss tangent x = sigma / (eps omega) <= 1, where s / k = x / (1 +
+    hypot(1, x)), and in a conductor over sigma through y = eps omega /
+    sigma < 1, where s / k = 1 / (y + hypot(y, 1)).  The result is
+    self-checked against both defining equations, divided by k^2, to 1e-10
+    before it is returned; a NaN residual fails the check.
     """
     if not (omega > 0.0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     eps, mu, sigma = medium.epsilon, medium.mu, medium.sigma
-    if eps * omega == 0.0:
+    eps_omega = eps * omega
+    if eps_omega == 0.0:
         raise InvalidParameterError(
             f"epsilon * omega underflows to 0 (epsilon={eps}, omega={omega})")
-    loss_tangent = sigma / (eps * omega)
-    k = omega * math.sqrt(eps * mu) * math.sqrt((1.0 + math.hypot(1.0, loss_tangent)) / 2.0)
+    if sigma <= eps_omega:
+        loss_tangent = sigma / eps_omega
+        root = 1.0 + math.hypot(1.0, loss_tangent)
+        k = omega * (math.sqrt(eps) * math.sqrt(mu)) * math.sqrt(root / 2.0)
+        s = k * (loss_tangent / root)
+    else:
+        y = eps_omega / sigma
+        root = y + math.hypot(y, 1.0)
+        k = math.sqrt(omega / 2.0) * math.sqrt(mu) * math.sqrt(sigma) * math.sqrt(root)
+        s = k / root
     if k * k == 0.0:
         raise InvalidParameterError(f"k * k underflows to 0 (k={k}, omega={omega})")
-    s = mu * sigma * omega / (2.0 * k)
-    phi = math.atan2(s, k)
+    solution = DispersionSolution(k=k, s=s, phi=math.atan2(s, k), omega=omega)
 
-    r1 = abs(s * s - k * k + eps * mu * omega * omega) / (k * k)
-    r2 = abs(mu * sigma * omega - 2.0 * s * k) / (k * k)
-    if r1 > 1e-10 or r2 > 1e-10:
+    ratio = s / k
+    r1 = abs(ratio * ratio - 1.0 + _over_k_squared(k, eps, mu, omega, omega))
+    r2 = abs(_over_k_squared(k, mu, sigma, omega) - 2.0 * ratio)
+    if not (r1 <= 1e-10 and r2 <= 1e-10):
         raise BtkitError(
             f"dispersion closed form failed its self-check: residuals ({r1}, {r2})"
         )
-    return DispersionSolution(k=k, s=s, phi=phi, omega=omega)
+    return solution
 
 
 class ConductorWavePair(WavePair):

@@ -73,7 +73,8 @@ README_EXAMPLES = {
                          "--m-re", M_RE, "--levels", "3", "--verify"],
 }
 
-# scale and step cases of ROADMAP item 3, and the step's echo and refusals
+# scale and step cases of ROADMAP item 3, the step's echo and refusals, and
+# lattice and matrix-flag edges
 EDGE_CASES = {
     "laplace-alpha-1e3": ["classic", "laplace", "--alpha", "1000", "--verify"],
     "laplace-alpha-1e7": ["classic", "laplace", "--alpha", "1e7", "--beta", "3",
@@ -89,6 +90,14 @@ EDGE_CASES = {
         "--e0-re", "0", "0", "1", "--verify"],
     "conductor-overflowing-loss": ["em", "conductor", "--epsilon", "1e-300", "--mu", "1e300",
                                    "--sigma", "1", "--omega", "1e-10"],
+    "conductor-overflowing-product": ["em", "conductor", "--omega", "1e300", "--sigma", "1e300",
+                                      "--verify"],
+    "chiral-narrow-lattice": ["chiral", "hierarchy", "--a-re", "[[0.1]]", "--b-re", "[[0.2]]",
+                              "--m-re", "[[1]]", "--t-min", "-1e-160", "--t-max", "1e-160",
+                              "--verify"],
+    "chiral-wide-lattice-potential": ["chiral", "potential", "--a-re", "[[0]]", "--b-re", "[[0]]",
+                                      "--x-min", "-1e300", "--x-max", "1e300"],
+    "chiral-string-entry": ["chiral", "residual", "--a-re", '[["1"]]', "--b-re", "[[1]]"],
     "classic-step-2e-4": ["classic", "liouville", "--h", "2e-4", "--verify"],
     "classic-step-zero": ["classic", "laplace", "--h", "0"],
     "classic-ten-steps-wide": ["classic", "laplace", "--x-min", "0", "--x-max", "0.01",
@@ -141,8 +150,12 @@ def cases() -> dict:
 
 @contextlib.contextmanager
 def _environment(env: dict):
-    """``env`` set, and ``BTKIT_H`` unset unless ``env`` names it."""
-    env = {"BTKIT_H": None, **env}
+    """``env`` set, ``BTKIT_H`` unset unless ``env`` names it, and 80 columns.
+
+    argparse wraps a usage message to the terminal's width, which ``COLUMNS``
+    fixes.
+    """
+    env = {"BTKIT_H": None, "COLUMNS": "80", **env}
     saved = {key: os.environ.get(key) for key in env}
     for key, value in env.items():
         if value is None:

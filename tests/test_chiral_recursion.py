@@ -13,6 +13,7 @@ fitting, not by the recursion's own bookkeeping.
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from btkit.chiral_recursion import (
     _cumulative_integral,
     _expm,
     _lattice_derivative,
+    chiral_defect_samples,
     chiral_residual,
     hierarchy,
     potential,
@@ -119,22 +121,43 @@ class TestLatticeCalculus:
         with pytest.raises(InvalidGridError):
             _lattice_derivative(np.zeros(5), 0.1, axis=0, deriv=1)
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_cumulative_integral_is_bit_identical_to_the_cumsum_form(self, n):
-        # the row-by-row sums must be the ones np.cumsum makes, in its order,
-        # signed zeros included
-        rng = np.random.default_rng(n)
-        table = rng.standard_normal((41, 41, n, n)) + 1j * rng.standard_normal((41, 41, n, n))
-        table[:, :, 0, 0] = -0.0   # an entry that is -0.0 at every node
-        for axis in (0, 1):
-            v, restore = chiral_recursion._node_rows(table, axis)
-            steps = (v[1:] + v[:-1]) * 0.5 * GRID.dx
-            want = np.zeros_like(v)
-            np.cumsum(steps, axis=0, out=want[1:])
-            deriv = _lattice_derivative(v, GRID.dx, 0)
-            want -= (deriv - deriv[0]) * (GRID.dx ** 2 / 12.0)
-            got = _cumulative_integral(table, GRID.dx, axis)
-            assert got.tobytes() == restore(want).tobytes()
+    def test_integral_operator_is_a_cached_read_only_cubic_rule(self, monkeypatch):
+        nodes = 23
+        chiral_recursion._diff_matrix_unit(nodes, 1)
+        chiral_recursion._integral_matrix_unit.cache_clear()
+        solves = _counting(monkeypatch, chiral_recursion.np.linalg, "solve")
+        W = chiral_recursion._integral_matrix_unit(nodes)
+        # built from the cached stencil alone, once per node count
+        assert solves == []
+        assert W is chiral_recursion._integral_matrix_unit(nodes)
+        assert W.shape == (nodes, nodes) and not W.flags.writeable
+        assert not W[0].any()
+        with pytest.raises(ValueError):
+            W[1, 1] = 0.0
+        # a cubic in x times a cubic in t, integrated along each axis
+        grid = Grid2D(-1.0, 2.0, -0.5, 1.5, nodes, nodes)
+        X, T = grid.mesh()
+        f = (X ** 3 - 2.0 * X + 1.0) * (T ** 3 + T ** 2)
+        fx = (X ** 4 / 4 - X ** 2 + X) * (T ** 3 + T ** 2)
+        ft = (X ** 3 - 2.0 * X + 1.0) * (T ** 4 / 4 + T ** 3 / 3)
+        np.testing.assert_allclose(_cumulative_integral(f, grid.dx, 0), fx - fx[:1],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(_cumulative_integral(f, grid.dt, 1), ft - ft[:, :1],
+                                   rtol=0, atol=1e-13)
+
+    def test_an_operator_is_applied_without_a_scaled_copy(self):
+        # once the operators are built, a defect scan on a 2001 x 6 lattice
+        # allocates less than one (nodes, nodes) matrix (32 MB)
+        g = ExpSeedField([[0.1, 0.2], [0.0, -0.1]], [[0.3, 0.1], [0.0, 0.2]])
+        grid = Grid2D(nx=2001, nt=6)
+        chiral_defect_samples(g, grid)
+        tracemalloc.start()
+        try:
+            chiral_defect_samples(g, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2001 * 2001 * 8
 
 
 def _complex_derivative(values, spacing, axis, deriv=1):
@@ -665,19 +688,45 @@ class TestPotential:
         with pytest.raises(InvalidParameterError, match="integrals overflow"):
             potential(g, grid)
 
+    @pytest.mark.parametrize("grid, name", [
+        (Grid2D(-1e300, 1e300), "dx = 5e+298 is too wide"),
+        (Grid2D(t_min=-1e160, t_max=1e160), "dt = 5e+158 is too wide"),
+        (Grid2D(t_min=-1e-160, t_max=1e-160), "dt = 5e-162 is too narrow"),
+        (Grid2D(-1e-300, 1e-300), "dx = 5e-302 is too narrow"),
+    ], ids=["dx", "dt", "dt-narrow", "dx-narrow"])
+    def test_symmetry_scan_rejects_a_spacing_it_cannot_square(self, grid, name):
+        # its second derivatives divide by a square outside the normal range:
+        # inf, 0 or a subnormal short of digits
+        with pytest.raises(InvalidGridError, match=re.escape(f"lattice spacing {name} to square")):
+            symmetry_residual(ConstantField([[1.0]]), ExpSeedField([[0.0]], [[0.0]]), grid)
+
     @pytest.mark.parametrize("operator", [
-        potential,
+        chiral_residual, potential,
         lambda g, grid: recursion_step(ConstantField([[1.0]]), g, grid),
         lambda g, grid: symmetry_residual(ConstantField([[1.0]]), g, grid),
-    ], ids=["potential", "recursion_step", "symmetry_residual"])
-    @pytest.mark.parametrize("grid, name", [
-        (Grid2D(-1e300, 1e300), "dx = 5e+298"),
-        (Grid2D(t_min=-1e160, t_max=1e160), "dt = 5e+158"),
-    ], ids=["dx", "dt"])
-    def test_spacing_too_wide_to_square_is_rejected(self, operator, grid, name):
-        # a Python float square raised OverflowError past about 1.3e154
-        with pytest.raises(InvalidGridError, match=re.escape(f"lattice spacing {name} is too wide")):
-            operator(ExpSeedField([[0.0]], [[0.0]]), grid)
+    ], ids=["chiral_residual", "potential", "recursion_step", "symmetry_residual"])
+    def test_a_subnormal_spacing_is_rejected(self, operator):
+        # its reciprocal overflows: a derivative read inf, with a RuntimeWarning
+        grid = Grid2D(t_min=-1e-310, t_max=1e-310)
+        with pytest.raises(InvalidGridError,
+                           match=re.escape("lattice spacing dt = 5e-312 is not a normal float")):
+            operator(ExpSeedField([[0.1]], [[0.2]]), grid)
+
+    @pytest.mark.parametrize("integrate", [
+        potential,
+        lambda g, grid: recursion_step(ConstantField([[1.0]]), g, grid),
+    ], ids=["potential", "recursion_step"])
+    @pytest.mark.parametrize("grid", [
+        Grid2D(-1e300, 1e300), Grid2D(t_min=-1e160, t_max=1e160),
+        Grid2D(t_min=-1e-160, t_max=1e-160), Grid2D(-1e-300, 1e-300),
+    ], ids=["dx", "dt", "dt-narrow", "dx-narrow"])
+    def test_integrators_serve_any_spacing(self, integrate, grid):
+        # the integral scales its product by the spacing and squares nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = integrate(ExpSeedField([[0.0]], [[0.0]]), grid)
+        assert field.path_disagreement == 0.0
+        assert not field.values.any()
 
     @pytest.mark.parametrize("base", [[[1.0]], np.eye(2)], ids=["1x1", "2x2"])
     @pytest.mark.parametrize("integrate", [

@@ -200,17 +200,30 @@ class TestExitCodes:
         (["chiral", "potential", "--a-re", "[[1e-152]]", "--b-re", "[[1e160]]",
           "--x-min", "-2e151", "--x-max", "2e151", "--t-min", "-1e-300", "--t-max", "1e-300",
           "--h", "1e-304"], "axis-ordered integrals overflow"),
-        (["chiral", "potential", "--a-re", "[[0]]", "--b-re", "[[0]]",
-          "--x-min", "-1e300", "--x-max", "1e300"],
-         "lattice spacing dx = 5e+298 is too wide to square"),
         (["chiral", "hierarchy", "--a-re", "[[0]]", "--b-re", "[[0]]", "--m-re", "[[1]]",
           "--x-min", "-1e160", "--x-max", "1e160", "--verify"],
          "lattice spacing dx = 5e+158 is too wide to square"),
+        (["chiral", "hierarchy", "--a-re", "[[0.1]]", "--b-re", "[[0.2]]", "--m-re", "[[1]]",
+          "--t-min", "-1e-160", "--t-max", "1e-160", "--verify"],
+         "lattice spacing dt = 5e-162 is too narrow to square\n"),
+        (["chiral", "hierarchy", "--a-re", "[[0.1]]", "--b-re", "[[0.2]]", "--m-re", "[[1]]",
+          "--t-min", "-1e-300", "--t-max", "1e-300", "--verify"],
+         "lattice spacing dt = 5e-302 is too narrow to square\n"),
+        (["chiral", "residual", "--a-re", "[[0.1]]", "--b-re", "[[0.2]]",
+          "--t-min", "-1e-310", "--t-max", "1e-310", "--verify"],
+         "lattice spacing dt = 5e-312 is not a normal float\n"),
+        (["chiral", "potential", "--a-re", "[[1]]", "--b-re", "[[0]]",
+          "--x-min", "-1e300", "--x-max", "1e300"], "matrix field is singular"),
+        (["chiral", "potential", "--a-re", "[[2]]", "--b-re", "[[0]]",
+          "--x-min", "-1e300", "--x-max", "1e300"], "matrix field is singular"),
         (["chiral", "residual", "--a-re", "[[1e200, 1e200], [1e200, 1e200]]",
           "--b-re", "[[1e200, 0], [0, -1e200]]"], "seed generators do not commute"),
     ], ids=["longitudinal-1e200", "partner-overflow-json", "partner-overflow-csv",
-            "normalization-overflow", "potential-overflow", "potential-wide-lattice",
-            "hierarchy-wide-lattice", "commutator-overflow"])
+            "normalization-overflow", "potential-overflow", "hierarchy-wide-lattice",
+            "hierarchy-narrow-lattice", "hierarchy-narrow-lattice-1e-300",
+            "residual-subnormal-lattice",
+            "potential-wide-lattice-seed-1", "potential-wide-lattice-seed-2",
+            "commutator-overflow"])
     def test_overflowing_input_is_one_error_line(self, argv, message):
         # each once passed wrongly, wrote nan cells or ended in a traceback,
         # with a RuntimeWarning ahead of it
@@ -625,6 +638,16 @@ class TestChiralResidual:
 
 
 class TestChiralPotential:
+    def test_a_spacing_too_wide_to_square_is_integrated(self):
+        # the integral scales its product by dx and squares nothing: the zero
+        # seed's potential is zero on any lattice
+        proc = run_cli("chiral", "potential", "--a-re", "[[0]]", "--b-re", "[[0]]",
+                       "--x-min", "-1e300", "--x-max", "1e300", "--verify")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        result = json.loads(proc.stdout)["result"]
+        assert result["path_disagreement"] == 0.0
+        assert not np.any(result["potential"]["values"]["re"])
+
     def test_payload_is_the_library_field(self, capsys):
         grid = Grid2D(nx=12, nt=10)
         _, out, _ = run(capsys, "chiral", "potential", "--a-re", A3_RE, "--b-re", B3_RE,
@@ -684,6 +707,18 @@ USAGE_ERRORS = (
     ["chiral", "residual", "--a-re", "[[0.1, 0.2]", "--b-re", "[[0.3]]"],
     ["classic", "wave"],
     ["verify", "missing-spec.json"],
+)
+# a matrix flag whose entry is not a JSON number: argv, the flag, the entry shown
+MATRIX_ENTRY_ERRORS = (
+    (["chiral", "residual", "--a-re", '[["1"]]', "--b-re", "[[1]]"], "--a-re", '"1"'),
+    (["chiral", "residual", "--a-re", "[[true]]", "--b-re", "[[1]]"], "--a-re", "true"),
+    (["chiral", "residual", "--a-re", "[[1]]", "--b-re", "[[null]]"], "--b-re", "null"),
+    (["chiral", "hierarchy", "--a-re", "[[1]]", "--b-re", "[[1]]", "--m-re", '"x"'],
+     "--m-re", '"x"'),
+    (["chiral", "potential", "--a-re", "[[1]]", "--b-re", "[[1]]", "--base-re",
+      '[[{"re": 1}]]'], "--base-re", '{"re": 1}'),
+    (["chiral", "residual", "--a-re", "[[1]]", "--b-re", "[[1]]", "--b-im", "[[false]]"],
+     "--b-im", "false"),
 )
 GROUP_FAMILIES = {"classic": {"classic_bts"}, "em": {"maxwell_vacuum", "maxwell_conductor"},
                   "chiral": {"chiral_recursion"}}
@@ -758,6 +793,31 @@ class TestImportBoundary:
             code, loaded = modules_loaded_by(*argv)
             assert code == EXIT_USAGE, argv
             assert loaded & ({"numpy"} | FAMILIES) == set(), argv
+
+    @pytest.mark.parametrize("argv, flag, entry", MATRIX_ENTRY_ERRORS,
+                             ids=[f"{flag} {entry}" for _, flag, entry in MATRIX_ENTRY_ERRORS])
+    def test_a_matrix_entry_that_is_not_a_number_exits_64_before_numpy(self, argv, flag,
+                                                                         entry):
+        # "1" and true were read as the number 1; "x" and null failed in numpy
+        code, logged = imports_logged_by(*argv)
+        assert code == EXIT_USAGE
+        assert "btkit" in logged and "numpy" not in logged
+        code, loaded = modules_loaded_by(*argv)
+        assert code == EXIT_USAGE
+        assert loaded & ({"numpy"} | FAMILIES) == set()
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.endswith(f"error: argument {flag}: not a JSON number: {entry}\n")
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("[[1, 2]]", "A must be a square matrix, got shape (1, 2)"),
+        ("7", "A must be a square matrix, got shape ()"),
+        ("[[1], [2, 3]]", "A: setting an array element with a sequence"),
+    ], ids=["row", "scalar", "ragged"])
+    def test_a_matrix_of_numbers_in_the_wrong_shape_stays_exit_1(self, matrix, message):
+        proc = run_cli("chiral", "residual", "--a-re", matrix, "--b-re", "[[1]]")
+        assert (proc.returncode, proc.stdout) == (EXIT_PRECONDITION, "")
+        assert proc.stderr.startswith("btkit: error: " + message)
 
     def test_import_btkit_loads_no_family_and_no_numpy(self):
         proc = run_python("""
@@ -983,6 +1043,23 @@ class TestConductorOutput:
         _, via_sigma, _ = run(capsys, "em", "conductor", "--epsilon", "3", "--mu", "1",
                               "--omega", "1", "--sigma", "6")
         assert via_ratio == via_sigma
+
+    @pytest.mark.parametrize("argv, k, s", [
+        (["--epsilon", "1e-300", "--mu", "1e300", "--sigma", "1", "--omega", "1e-10"],
+         7.0710678118654752e144, 7.0710678118654752e144),
+        (["--omega", "1e300", "--sigma", "1e300"], 7.926654597404653e296, 7.926654597334469e296),
+    ], ids=["loss-tangent-overflow", "mu-sigma-omega-overflow"])
+    def test_dispersion_of_extreme_media_is_representable(self, argv, k, s):
+        # sigma / (eps omega) and mu sigma omega overflowed on the way to a
+        # finite k: "wavenumber must be positive, got inf" and "attenuation
+        # must satisfy 0 <= s <= k, got s=inf"
+        proc = run_cli("em", "conductor", *argv, "--verify")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        payload = json.loads(proc.stdout)
+        disp = payload["result"]["dispersion"]
+        assert disp["k"] == pytest.approx(k, rel=1e-13)
+        assert disp["s"] == pytest.approx(s, rel=1e-13)
+        assert payload["verify"]["passed"] is True
 
     def test_conductor_verify_passes(self, capsys):
         code, out, _ = run(capsys, "em", "conductor", "--epsilon", "3", "--mu", "1",

@@ -1,5 +1,6 @@
 """Dispersion, attenuation, and phase lag in conducting media."""
 
+import cmath
 import math
 
 import numpy as np
@@ -79,6 +80,43 @@ class TestDispersion:
             k_ref, s_ref = dispersion_root_search(eps, mu, medium.sigma, omega)
             assert sol.k == pytest.approx(k_ref, rel=1e-8)
             assert sol.s == pytest.approx(s_ref, rel=1e-8, abs=1e-8 * sol.k)
+
+    def test_principal_root_over_the_benchmark_ranges(self):
+        # k + i s = omega sqrt(mu (eps + i sigma / omega)), as the benchmark's
+        # oracle computes it, over the conductor ranges its workload draws
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            eps = EPSILON0 * rng.uniform(1.0, 10.0)
+            mu = MU0 * rng.uniform(1.0, 2.0)
+            sigma = 10.0 ** rng.uniform(-3.0, 8.0)
+            omega = 2.0 * math.pi * 10.0 ** rng.uniform(3.0, 9.0)
+            sol = dispersion_solve(MediumParams(eps, mu, sigma), omega)
+            root = omega * cmath.sqrt(mu * complex(eps, sigma / omega))
+            assert sol.k == pytest.approx(root.real, rel=1e-12)
+            assert sol.s == pytest.approx(root.imag, rel=1e-12)
+
+    @pytest.mark.parametrize("medium, omega", [
+        (MediumParams(1e-300, 1e300, 1.0), 1e-10),      # sigma / (eps omega) = 1e310
+        (MediumParams(EPSILON0, MU0, 1e300), 1e300),    # mu sigma omega = 1.3e594
+    ], ids=["loss-tangent-overflow", "mu-sigma-omega-overflow"])
+    def test_no_overflow_on_the_way_to_a_representable_k(self, medium, omega):
+        sol = dispersion_solve(medium, omega)
+        # the same root with sqrt(mu) and omega taken outside, where they cannot overflow
+        root = omega * math.sqrt(medium.mu) * cmath.sqrt(complex(medium.epsilon,
+                                                               medium.sigma / omega))
+        assert sol.k == pytest.approx(root.real, rel=1e-13)
+        assert sol.s == pytest.approx(root.imag, rel=1e-13)
+
+    @pytest.mark.parametrize("medium, omega", [
+        (SYNTH, 1.0),
+        (MediumParams(1.0, 1.0, 1.0), 1e160),           # k = 1e160: k * k is inf
+    ], ids=["synthetic", "k-squared-overflows"])
+    def test_a_wrong_closed_form_fails_its_self_check(self, monkeypatch, medium, omega):
+        # the check divided by k * k: past k = 1.3e154 it read nan, which passed
+        hypot = math.hypot
+        monkeypatch.setattr(math, "hypot", lambda a, b: 1.01 * hypot(a, b))
+        with pytest.raises(BtkitError, match="failed its self-check"):
+            dispersion_solve(medium, omega)
 
     def test_attenuation_and_phase_grow_with_conductivity(self):
         omega = 1.0e8
