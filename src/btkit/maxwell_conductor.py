@@ -38,7 +38,8 @@ in amplitude by sqrt(k^2 + s^2) / omega.  The remaining field equation,
 and is checked rather than imposed.
 
 A conductor changes the construction of ``maxwell_vacuum`` only through
-k + i s: ``ConductorWavePair`` is the ``WavePair`` that supplies k, s and B0.
+k + i s: ``ConductorWavePair`` is the ``WavePair`` whose k and s are its
+dispersion's.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import BtkitError, InvalidParameterError
-from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _finite_partner, _wave_terms
+from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _wave_terms
 from .media import MediumParams
 from .verify import Grid4D, ResidualReport, _relative, magnitude, report_from_values
 
@@ -91,10 +92,6 @@ class DispersionSolution:
         return 1.0 / self.s if self.s > 0.0 else None
 
     @property
-    def phase_velocity(self) -> float:
-        return self.omega / self.k
-
-    @property
     def amplitude_ratio(self) -> float:
         """|B0| / |E0| = sqrt(k^2 + s^2) / omega."""
         return math.hypot(self.k, self.s) / self.omega
@@ -103,19 +100,22 @@ class DispersionSolution:
         return {**asdict(self), "skin_depth": self.skin_depth}
 
 
-def _over_k_squared(k: float, *factors: float) -> float:
-    """The product of ``factors`` over k^2, through mantissas and exponents.
+def _quotient(factors: tuple, divisors: tuple) -> float:
+    """The product of ``factors`` over that of ``divisors``, through mantissas and exponents.
 
     No partial product over- or underflows, so the quotient is right
-    wherever it is representable; past 2^1000 it is clipped there, still a
-    failed check.
+    wherever it is representable, and where neither product leaves the
+    normal range it has the digits of the plain expression; past 2^1000 it
+    is clipped there, still a failed check.
     """
-    mant, expo = math.frexp(k)
-    value, power = 1.0 / (mant * mant), -2 * expo
+    num, den, power = 1.0, 1.0, 0
     for factor in factors:
         m, e = math.frexp(factor)
-        value, power = value * m, power + e
-    return math.ldexp(value, min(power, 1000))
+        num, power = num * m, power + e
+    for divisor in divisors:
+        m, e = math.frexp(divisor)
+        den, power = den * m, power - e
+    return math.ldexp(num / den, min(power, 1000))
 
 
 def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
@@ -127,24 +127,22 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     overflows on the way to a representable k: over eps omega through the
     loss tangent x = sigma / (eps omega) <= 1, where s / k = x / (1 +
     hypot(1, x)), and in a conductor over sigma through y = eps omega /
-    sigma < 1, where s / k = 1 / (y + hypot(y, 1)).  The result is
-    self-checked against both defining equations, divided by k^2, to 1e-10
-    before it is returned; a NaN residual fails the check.
+    sigma < 1, where s / k = 1 / (y + hypot(y, 1)).  Both ratios are taken
+    through ``_quotient``, so a product eps omega that underflows costs no
+    digits.  The result is self-checked against both defining equations,
+    divided by k^2, to 1e-10 before it is returned; a NaN residual fails
+    the check.
     """
     if not (omega > 0.0 and math.isfinite(omega)):
         raise InvalidParameterError(f"omega must be positive, got {omega}")
     eps, mu, sigma = medium.epsilon, medium.mu, medium.sigma
-    eps_omega = eps * omega
-    if eps_omega == 0.0:
-        raise InvalidParameterError(
-            f"epsilon * omega underflows to 0 (epsilon={eps}, omega={omega})")
-    if sigma <= eps_omega:
-        loss_tangent = sigma / eps_omega
+    if sigma <= eps * omega:
+        loss_tangent = _quotient((sigma,), (eps, omega))
         root = 1.0 + math.hypot(1.0, loss_tangent)
         k = omega * (math.sqrt(eps) * math.sqrt(mu)) * math.sqrt(root / 2.0)
         s = k * (loss_tangent / root)
     else:
-        y = eps_omega / sigma
+        y = _quotient((eps, omega), (sigma,))
         root = y + math.hypot(y, 1.0)
         k = math.sqrt(omega / 2.0) * math.sqrt(mu) * math.sqrt(sigma) * math.sqrt(root)
         s = k / root
@@ -153,8 +151,8 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     solution = DispersionSolution(k=k, s=s, phi=math.atan2(s, k), omega=omega)
 
     ratio = s / k
-    r1 = abs(ratio * ratio - 1.0 + _over_k_squared(k, eps, mu, omega, omega))
-    r2 = abs(_over_k_squared(k, mu, sigma, omega) - 2.0 * ratio)
+    r1 = abs(ratio * ratio - 1.0 + _quotient((eps, mu, omega, omega), (k, k)))
+    r2 = abs(_quotient((mu, sigma, omega), (k, k)) - 2.0 * ratio)
     if not (r1 <= 1e-10 and r2 <= 1e-10):
         raise BtkitError(
             f"dispersion closed form failed its self-check: residuals ({r1}, {r2})"
@@ -173,18 +171,11 @@ class ConductorWavePair(WavePair):
 
     def __init__(self, spec: VacuumWaveSpec, medium: MediumParams,
                  dispersion: DispersionSolution, real: bool = False):
-        self.spec = spec
-        self.medium = medium
         self.dispersion = dispersion
-        self.real = real
-        self.k = dispersion.k
-        self.s = dispersion.s
-        self.B0 = self._partner(spec.E0)
+        super().__init__(spec, medium, real)
 
-    def _partner(self, E0: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_partner(
-                (self.k + 1j * self.s) / self.dispersion.omega * np.cross(self.spec.tau, E0))
+    def _wavenumber(self) -> tuple:
+        return self.dispersion.k, self.dispersion.s
 
     # WavePair's evaluators, bound here as well: the bench tracer
     # (bench/spans.py) wraps methods through each class's own __dict__

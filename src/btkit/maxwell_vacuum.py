@@ -20,17 +20,19 @@ and oscillates in phase with it.  Real solutions are the real parts; for a
 linearly polarized amplitude E0 = E0R exp(i alpha) with real E0R both real
 fields carry the same phase k . r - omega t + alpha.
 
-``WavePair`` is the one plane-wave pair for every linear medium: a
-conductor (``maxwell_conductor``) replaces k by k + i s, which adds the
-envelope exp(-s tau . r) to the shared carrier and the factor (k + i s) /
-omega to B0; a non-conducting medium has s = 0.
+``WavePair`` is the one plane-wave pair for every linear medium, with one
+constructor: B0 = ((k + i s) / omega) tau x E0, where a conductor
+(``maxwell_conductor``) supplies k + i s from its dispersion, which adds
+the envelope exp(-s tau . r) to the shared carrier, and a non-conducting
+medium has k = omega / v and s = 0.  ``maxwell_residual`` scans every pair
+as it is, so ``--verify`` certifies the B0 a run prints: where that B0
+lost digits to underflow, the scan reads the loss.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -65,13 +67,6 @@ def _norm(vector: np.ndarray) -> float:
     """|vector| from its scaled parts: np.linalg.norm's digits where no square leaves range."""
     unit, scale = _scaled(vector)
     return scale * float(np.linalg.norm(unit))
-
-
-def _finite_partner(B0: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(B0)):
-        raise InvalidParameterError("partner amplitude B0 overflows: |E0| is too large "
-                                    "for this medium")
-    return B0
 
 
 def _check_transverse(tau: np.ndarray, E0: np.ndarray) -> None:
@@ -123,41 +118,29 @@ class WavePair:
 
     Evaluators take r with shape (..., 3) and broadcastable t and return
     (..., 3) arrays; complex by default, real parts when ``real`` is set.
-    The attenuation ``s`` is 0 here; ``ConductorWavePair`` sets k, s and B0.
+    The wavenumber k and attenuation s come from ``_wavenumber``: omega / v
+    and 0 here, the dispersion's in ``ConductorWavePair``.
     """
-
-    s = 0.0
 
     def __init__(self, spec: VacuumWaveSpec, medium: MediumParams = VACUUM,
                  real: bool = False):
-        if medium.is_conducting:
-            raise InvalidParameterError(
-                "conducting media need the attenuated pair, not the vacuum one"
-            )
         self.spec = spec
         self.medium = medium
         self.real = real
-        self.k = spec.omega / medium.wave_speed
-        self.B0 = self._partner(spec.E0)
-
-    def _partner(self, E0: np.ndarray) -> np.ndarray:
-        """The magnetic amplitude conjugate to ``E0``."""
+        self.k, self.s = self._wavenumber()
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite_partner(np.cross(self.spec.tau, E0) / self.medium.wave_speed)
+            self.B0 = (self.k + 1j * self.s) / spec.omega * np.cross(spec.tau, spec.E0)
+        if not np.all(np.isfinite(self.B0)):
+            raise InvalidParameterError(
+                f"partner amplitude B0 overflows: ((k + i s) / omega) tau x E0 with k = "
+                f"{self.k!r}, s = {self.s!r}, omega = {spec.omega!r}, |E0| = {_norm(spec.E0)!r}")
 
-    def _unit(self) -> WavePair:
-        """This wave with E0 divided by the power of two of its largest part.
-
-        The field equations are linear, so the copy solves them exactly
-        when this pair does, and it has the same digits scaled by that
-        power; but its B0, computed from the scaled E0, cannot underflow
-        where this pair's does (|E0| below c times the smallest subnormal).
-        """
-        E0, _ = _scaled(self.spec.E0)
-        pair = copy.copy(self)
-        pair.spec = replace(self.spec, E0=E0)
-        pair.B0 = pair._partner(E0)
-        return pair
+    def _wavenumber(self) -> tuple:
+        if self.medium.is_conducting:
+            raise InvalidParameterError(
+                "conducting media need the attenuated pair, not the vacuum one"
+            )
+        return self.spec.omega / self.medium.wave_speed, 0.0
 
     @property
     def k_vector(self) -> np.ndarray:
@@ -262,10 +245,9 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     equation is normalized by the natural scale of its leading term (|E0| k
     or |B0| k), at every size and with no floor under it, so reports are
     comparable across units and frequencies; a scale that overflows the
-    float range raises InvalidParameterError.  A ``WavePair`` is scanned
-    with E0 divided by a power of two to order one and B0 computed from
-    that: the equations are linear, so the verdict is the pair's, and a
-    partner amplitude that underflowed cannot decide it.  The evaluators
+    float range raises InvalidParameterError.  Every pair is scanned as
+    given, a ``WavePair`` against the B0 it holds and prints: a partner
+    amplitude that underflowed reads as the defect it is.  The evaluators
     follow the contract of ``FieldPair``.
     """
     # an infinite scale would read every residual it divides as 0
@@ -273,8 +255,6 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
         if not math.isfinite(scale * pair.k):
             raise InvalidParameterError(f"normalization scale |{name}0| k = {scale * pair.k!r} "
                                         "overflows the float range")
-    if isinstance(pair, WavePair):
-        pair = pair._unit()
     k = pair.k
     medium = pair.medium
     meshes = grid.mesh()

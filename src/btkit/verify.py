@@ -25,6 +25,9 @@ from .errors import EmptyDomainError, InvalidGridError
 def _check_axis(name: str, lo: float, hi: float, n: int) -> None:
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise InvalidGridError(f"{name} bounds must satisfy min < max, got [{lo}, {hi}]")
+    if hi - lo == math.inf:
+        raise InvalidGridError(f"{name} span max - min overflows the float range, "
+                               f"got [{lo}, {hi}]")
     if n < 2:
         raise InvalidGridError(f"{name} needs at least 2 samples, got {n}")
 

@@ -74,7 +74,7 @@ README_EXAMPLES = {
 }
 
 # scale and step cases of ROADMAP item 3, the step's echo and refusals, and
-# lattice and matrix-flag edges
+# lattice, grid-span and matrix-flag edges
 EDGE_CASES = {
     "laplace-alpha-1e3": ["classic", "laplace", "--alpha", "1000", "--verify"],
     "laplace-alpha-1e7": ["classic", "laplace", "--alpha", "1e7", "--beta", "3",
@@ -92,6 +92,16 @@ EDGE_CASES = {
                                    "--sigma", "1", "--omega", "1e-10"],
     "conductor-overflowing-product": ["em", "conductor", "--omega", "1e300", "--sigma", "1e300",
                                       "--verify"],
+    "conductor-eps-omega-underflow": ["em", "conductor", "--omega", "1e-30", "--epsilon",
+                                      "1e-300", "--mu", "1e300", "--sigma", "1", "--verify"],
+    "vacuum-amplitude-1e-320": ["em", "vacuum", "--omega", "1e9", "--e0-re", "1e-320", "0", "0",
+                                "--verify"],
+    "vacuum-amplitude-1e-305": ["em", "vacuum", "--omega", "1e9", "--e0-re", "1e-305", "0", "0",
+                                "--verify"],
+    "classic-span-overflow": ["classic", "laplace", "--x-min", "-1e308", "--x-max", "1e308",
+                              "--verify"],
+    "chiral-span-overflow": ["chiral", "residual", "--a-re", "[[0]]", "--b-re", "[[0]]",
+                             "--x-min", "-1e308", "--x-max", "1e308", "--verify"],
     "chiral-narrow-lattice": ["chiral", "hierarchy", "--a-re", "[[0.1]]", "--b-re", "[[0.2]]",
                               "--m-re", "[[1]]", "--t-min", "-1e-160", "--t-max", "1e-160",
                               "--verify"],

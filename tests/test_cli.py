@@ -165,19 +165,13 @@ class TestExitCodes:
          "epsilon * mu must be positive and finite"),
         (["em", "conductor", "--omega", "1", "--epsilon", "1e-200", "--mu", "1e-200",
           "--sigma", "1"], "epsilon * mu must be positive and finite"),
-        (["em", "conductor", "--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300",
-          "--sigma", "1"], "epsilon * omega underflows to 0"),
-        (["em", "conductor", "--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300",
-          "--sigma", "0"], "epsilon * omega underflows to 0"),
         (["em", "conductor", "--omega", "1e-154", "--epsilon-rel", "1e-154"],
          "k * k underflows to 0"),
     ], ids=["medium-overflow", "medium-underflow", "conductor-underflow",
-            "eps-omega-underflow-conducting", "eps-omega-underflow-non-conducting",
             "k-squared-underflow"])
     def test_unrepresentable_medium_is_one_error_line(self, argv, message):
         # eps * mu over- or underflows although each factor is finite and
-        # positive; or eps * mu = 1 but eps * omega underflows to 0, where the
-        # loss tangent sigma / (eps omega) once divided by zero
+        # positive; or k * k underflows to 0, which the self-check divides by
         proc = run_python(f"""
             import sys
             from btkit.cli import main
@@ -218,12 +212,17 @@ class TestExitCodes:
           "--x-min", "-1e300", "--x-max", "1e300"], "matrix field is singular"),
         (["chiral", "residual", "--a-re", "[[1e200, 1e200], [1e200, 1e200]]",
           "--b-re", "[[1e200, 0], [0, -1e200]]"], "seed generators do not commute"),
+        (["classic", "laplace", "--x-min", "-1e308", "--x-max", "1e308", "--verify"],
+         "x span max - min overflows the float range, got [-1e+308, 1e+308]\n"),
+        (["chiral", "residual", "--a-re", "[[0]]", "--b-re", "[[0]]",
+          "--x-min", "-1e308", "--x-max", "1e308", "--verify"],
+         "x span max - min overflows the float range, got [-1e+308, 1e+308]\n"),
     ], ids=["longitudinal-1e200", "partner-overflow-json", "partner-overflow-csv",
             "normalization-overflow", "potential-overflow", "hierarchy-wide-lattice",
             "hierarchy-narrow-lattice", "hierarchy-narrow-lattice-1e-300",
             "residual-subnormal-lattice",
             "potential-wide-lattice-seed-1", "potential-wide-lattice-seed-2",
-            "commutator-overflow"])
+            "commutator-overflow", "classic-span-overflow", "chiral-span-overflow"])
     def test_overflowing_input_is_one_error_line(self, argv, message):
         # each once passed wrongly, wrote nan cells or ended in a traceback,
         # with a RuntimeWarning ahead of it
@@ -237,14 +236,18 @@ class TestExitCodes:
                                     ["0", "0", "0"]], ids=["1e-320", "1e-310-pair", "zero"])
     def test_tiny_transverse_amplitude_verifies_without_warnings(self, e0):
         # at 1e-320 four RuntimeWarnings once came ahead of a wrong exit-1
-        # line that blamed a nan normalization scale
+        # line that blamed a nan normalization scale.  --verify certifies
+        # the printed B0: where it underflowed to 0 (1e-320) or lost digits
+        # as a subnormal (1e-310) the run fails its scan, exit 2
         proc = run_cli("em", "vacuum", "--omega", "1e9", "--e0-re", *e0, "--verify")
-        assert proc.returncode == EXIT_OK
+        passes = e0[0] == "0"
+        assert proc.returncode == (EXIT_OK if passes else EXIT_VERIFY)
         assert proc.stderr == ""
         payload = json.loads(proc.stdout)
-        assert payload["verify"]["passed"] is True
+        assert payload["verify"]["passed"] is passes
         if e0[0] == "1e-320":
             assert payload["result"]["B0"] == {"re": [0, 0, 0], "im": [0, 0, 0]}
+            assert payload["verify"]["scans"]["maxwell"]["max_abs"] == pytest.approx(1.0, rel=1e-3)
 
     @pytest.mark.parametrize("argv, message", [
         (["--e0-re", "1e-320", "0", "1e-320"], "amplitude is not transverse: "
@@ -1048,11 +1051,17 @@ class TestConductorOutput:
         (["--epsilon", "1e-300", "--mu", "1e300", "--sigma", "1", "--omega", "1e-10"],
          7.0710678118654752e144, 7.0710678118654752e144),
         (["--omega", "1e300", "--sigma", "1e300"], 7.926654597404653e296, 7.926654597334469e296),
-    ], ids=["loss-tangent-overflow", "mu-sigma-omega-overflow"])
+        (["--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300", "--sigma", "1"],
+         7.0710678118654752e134, 7.0710678118654752e134),
+        (["--omega", "1e-30", "--epsilon", "1e-300", "--mu", "1e300", "--sigma", "0"],
+         1e-30, 0.0),
+    ], ids=["loss-tangent-overflow", "mu-sigma-omega-overflow",
+            "eps-omega-underflow-conducting", "eps-omega-underflow-non-conducting"])
     def test_dispersion_of_extreme_media_is_representable(self, argv, k, s):
         # sigma / (eps omega) and mu sigma omega overflowed on the way to a
         # finite k: "wavenumber must be positive, got inf" and "attenuation
-        # must satisfy 0 <= s <= k, got s=inf"
+        # must satisfy 0 <= s <= k, got s=inf"; eps omega underflowed to 0
+        # and was refused although k is representable
         proc = run_cli("em", "conductor", *argv, "--verify")
         assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
         payload = json.loads(proc.stdout)

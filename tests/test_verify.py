@@ -1,6 +1,7 @@
 """Exact derivatives, scan bookkeeping, and grid validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,20 @@ class TestGrids:
                                         "t_min", "t_max", "nx", "ny", "nz", "nt"]
         with pytest.raises(InvalidGridError):
             Grid4D(0, 1, 0, 1, 0, 1, 0, 1e-9, nt=1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Grid2D(x_min=-1e308, x_max=1e308),
+        lambda: Grid2D(t_min=-1.5e308, t_max=1.5e308),
+        lambda: Grid4D(0, 1, -1e308, 1e308, 0, 1, 0, 1),
+        lambda: Grid4D(0, 1, 0, 1, 0, 1, -1.7e308, 1.7e308),
+    ], ids=["grid2d-x", "grid2d-t", "grid4d-y", "grid4d-t"])
+    def test_bounds_whose_span_overflows_are_rejected(self, make):
+        # the span read inf: linspace warned, built nan nodes and a scan
+        # blamed "all grid points were singular"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match="span max - min overflows the float range"):
+                make()
 
     def test_for_wave_spans_one_wavelength_and_period(self):
         k, omega = 2.0, 6.0e8
