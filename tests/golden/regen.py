@@ -120,6 +120,19 @@ EDGE_CASES = {
                          "--h", "-1", "--verify"],
     "grid-error-before-step": ["classic", "sine-gordon", "--nx", "1", "--h", "0"],
 }
+# em paths that no README example takes: a dielectric medium, the sigma = 0
+# conductor with its dispersion, and a complex amplitude with a phase alpha
+EM_PATHS = {
+    "medium-dielectric-json": ["em", "medium", "--epsilon-rel", "2.25", "--mu-rel", "1",
+                               "--omega", "1e9", "--verify", "--format", "json"],
+    "medium-dielectric-both": ["em", "medium", "--epsilon-rel", "2.25", "--mu-rel", "1",
+                               "--omega", "1e9", "--verify", "--format", "both"],
+    "conductor-sigma-zero": ["em", "conductor", "--epsilon-rel", "4", "--sigma", "0",
+                             "--omega", "1e9", "--verify"],
+    "vacuum-complex-amplitude-alpha": [
+        "em", "vacuum", "--omega", "1e9", "--e0-re", "0", "1", "0", "--e0-im", "0", "0.5", "0",
+        "--tau", "1", "0", "0", "--alpha", "0.3", "--verify", "--format", "both"],
+}
 ENVIRONMENTS = {
     "env-step-1e-5": (["classic", "sine-gordon", "--verify"], {"BTKIT_H": "1e-5"}),
     "env-step-malformed": (["classic", "laplace", "--nx", "1"], {"BTKIT_H": "tiny"}),
@@ -152,7 +165,7 @@ def cases() -> dict:
         plain = [a for a in argv if a not in ("--format", "both")]
         out[f"readme-{name}-json"] = (plain + ["--format", "json"], {})
         out[f"readme-{name}-both"] = (plain + ["--format", "both"], {})
-    out.update((name, (argv, {})) for name, argv in EDGE_CASES.items())
+    out.update((name, (argv, {})) for name, argv in {**EDGE_CASES, **EM_PATHS}.items())
     out.update(ENVIRONMENTS)
     out.update((f"hierarchy-seed-{seed:02d}", (_hierarchy_argv(seed), {})) for seed in range(12))
     return out
