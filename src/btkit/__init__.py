@@ -31,11 +31,9 @@ _EXPORTS = {name: module for module, names in {
         "InvalidParameterError", "NonCommutingError", "NormalizationError",
         "PathDependenceError", "SingularMatrixError", "TransversalityError"),
     "maxwell_conductor": (
-        "ConductorWavePair", "DispersionSolution", "conjugate_conducting", "dispersion_solve",
-        "modified_wave_residual", "real_fields_conducting"),
+        "ConductorWavePair", "DispersionSolution", "dispersion_solve", "wave_residual"),
     "maxwell_vacuum": (
-        "FieldPair", "VacuumWaveSpec", "WavePair", "conjugate_vacuum", "maxwell_residual",
-        "plane_wave", "real_fields_vacuum", "wave_residual"),
+        "FieldPair", "VacuumWaveSpec", "WavePair", "maxwell_residual", "plane_wave"),
     "media": ("CONSTANTS", "EPSILON0", "MU0", "VACUUM", "MediumParams", "PhysicalConstants"),
     "verify": ("Grid2D", "Grid4D", "ResidualReport", "report_from_values"),
 }.items() for name in names}

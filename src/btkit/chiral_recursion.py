@@ -561,11 +561,13 @@ def _integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray,
         t_then_x = np.subtract(gx, gx[i0, :][None, :], out=gx)
         t_then_x += t_leg
         disagreement = float(np.max(np.abs(x_then_t - t_then_x)))
+    x_span, t_span = grid.x_max - grid.x_min, grid.t_max - grid.t_min
     if not math.isfinite(disagreement):
         raise InvalidParameterError("axis-ordered integrals overflow the float range on "
-                                    f"this grid (diameter {grid.diameter!r})")
+                                    f"this grid (spans {x_span!r} in x, {t_span!r} in t)")
     scale = max(1.0, float(np.max(np.abs(rx))), float(np.max(np.abs(rt))))
-    tol = _PATH_TOL * grid.diameter * scale
+    # scaled first: the hypot of two finite spans can overflow
+    tol = math.hypot(_PATH_TOL * x_span, _PATH_TOL * t_span) * scale
     if disagreement > tol:
         raise error(
             f"axis-ordered integrals disagree by {disagreement!r} (tolerance {tol!r}): {meaning}"

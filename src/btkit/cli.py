@@ -322,24 +322,19 @@ def _run_em(args):
 
     from . import maxwell_conductor, maxwell_vacuum
     from .media import VACUUM
-    from .verify import Grid4D, _matrix_pair
+    from .verify import _matrix_pair
 
     omega = args.omega if args.omega is not None else 2.0 * math.pi * args.freq
     conducting = args.sub == "conductor"
     medium = VACUUM if args.sub == "vacuum" else _resolve_medium(args, omega, conducting)
     E0 = np.asarray(args.e0_re, dtype=float) + 1j * np.asarray(args.e0_im, dtype=float)
-    if conducting:
-        pair = maxwell_conductor.conjugate_conducting(E0, args.tau, medium, omega,
-                                                      alpha=args.alpha)
-        wavenumber = {"dispersion": pair.dispersion.to_dict()}
-    else:
-        pair = maxwell_vacuum.conjugate_vacuum(E0, args.tau, omega, medium=medium,
-                                               alpha=args.alpha)
-        wavenumber = {"k": pair.k}
+    family = maxwell_conductor.ConductorWavePair if conducting else maxwell_vacuum.WavePair
+    pair = family(E0, args.tau, omega, medium, alpha=args.alpha)
+    wavenumber = {"dispersion": pair.dispersion.to_dict()} if conducting else {"k": pair.k}
     result = {"spec": pair.spec.to_dict(), "medium": medium.to_dict(), **wavenumber,
               "B0": _matrix_pair(pair.B0)}
     params = pair.spec.to_dict()
-    grid = Grid4D.for_wave(pair.k, omega, samples=args.samples)
+    grid = pair.default_grid(args.samples)
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
 
     def rows():

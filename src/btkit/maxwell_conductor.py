@@ -39,7 +39,8 @@ and is checked rather than imposed.
 
 A conductor changes the construction of ``maxwell_vacuum`` only through
 k + i s: ``ConductorWavePair`` is the ``WavePair`` whose k and s are its
-dispersion's.
+dispersion's.  ``wave_residual`` scans the damped wave equation of any
+medium, the undamped one where sigma = 0.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import BtkitError, InvalidParameterError
-from .maxwell_vacuum import VacuumWaveSpec, WavePair, _as_vec3, _wave_terms
+from .maxwell_vacuum import WavePair, _taylors
 from .media import MediumParams
 from .verify import Grid4D, ResidualReport, _relative, magnitude, report_from_values
 
@@ -161,20 +160,19 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
 
 
 class ConductorWavePair(WavePair):
-    """Conjugate attenuated (E, B) pair in a conducting medium.
+    """Conjugate attenuated (E, B) pair in a linear medium of any conductivity.
 
-    The sigma > 0 case of ``WavePair``, which supplies the carrier and the
-    evaluators: the complex wavenumber k + i s of ``dispersion`` sets the
-    envelope exp(-s tau . r) both fields share and the magnetic amplitude,
-    which trails the electric one by the dispersion angle phi.
+    ``WavePair`` with its arguments and its carrier and evaluators, whose
+    complex wavenumber k + i s is that of the ``dispersion`` it solves: it
+    sets the envelope exp(-s tau . r) both fields share and the magnetic
+    amplitude, which exceeds the electric one by sqrt(k^2 + s^2) / omega
+    and trails it by the dispersion angle phi.  With sigma = 0 it is the
+    non-conducting pair, s = 0 and B0 = sqrt(eps mu) tau x E0, with its
+    dispersion recorded.
     """
 
-    def __init__(self, spec: VacuumWaveSpec, medium: MediumParams,
-                 dispersion: DispersionSolution, real: bool = False):
-        self.dispersion = dispersion
-        super().__init__(spec, medium, real)
-
     def _wavenumber(self) -> tuple:
+        self.dispersion = dispersion_solve(self.medium, self.spec.omega)
         return self.dispersion.k, self.dispersion.s
 
     # WavePair's evaluators, bound here as well: the bench tracer
@@ -188,36 +186,20 @@ class ConductorWavePair(WavePair):
         return out
 
 
-def conjugate_conducting(E0, tau, medium: MediumParams, omega: float,
-                         alpha: float = 0.0) -> ConductorWavePair:
-    """Complete a transverse amplitude into an attenuated conjugate pair.
+def wave_residual(F, medium: MediumParams, grid: Grid4D,
+                  scale: float = 1.0) -> ResidualReport:
+    """Scan lap F - eps mu F_tt - mu sigma F_t of a vector field over a spacetime grid.
 
-    With sigma = 0 this reduces exactly to the non-conducting pair: s = 0,
-    B0 = sqrt(eps mu) tau x E0, zero phase lag.
+    The wave equation each field of a ``medium``'s plane-wave pair obeys,
+    damped where sigma > 0.  ``scale`` divides the raw residual; pass
+    |F0| k^2 to make plane-wave reports dimensionless.  The partials are
+    exact, so a genuine wave reads rounding level; ``F`` follows the
+    evaluator contract of ``FieldPair``.
     """
-    spec = VacuumWaveSpec(E0, tau, omega, alpha)
-    return ConductorWavePair(spec, medium, dispersion_solve(medium, omega))
-
-
-def real_fields_conducting(E0R, alpha: float, tau, medium: MediumParams,
-                           omega: float) -> ConductorWavePair:
-    """Real attenuated pair for a linearly polarized amplitude.
-
-    E = E0R exp(-s tau.r) cos(k tau.r - omega t + alpha) and B carries the
-    extra phase phi and amplitude factor sqrt(k^2 + s^2)/omega.
-    """
-    amplitude = _as_vec3(E0R, "E0R", float) * np.exp(1j * alpha)
-    spec = VacuumWaveSpec(amplitude, tau, omega, alpha)
-    return ConductorWavePair(spec, medium, dispersion_solve(medium, omega), real=True)
-
-
-def modified_wave_residual(F, medium: MediumParams, grid: Grid4D,
-                           scale: float = 1.0) -> ResidualReport:
-    """Scan lap F - eps mu F_tt - mu sigma F_t over a spacetime grid.
-
-    ``scale`` divides the raw residual; pass |F0| k^2 for plane waves.
-    """
-    meshes, lap, ft, ftt = _wave_terms(F, grid)
+    meshes = grid.mesh()
+    taylor, = _taylors(meshes, F)
+    lap = taylor.diffs(0)[1] + taylor.diffs(1)[1] + taylor.diffs(2)[1]
+    ft, ftt = taylor.diffs(3)
     residual = lap - medium.epsilon * medium.mu * ftt - medium.mu * medium.sigma * ft
     vals = _relative(magnitude(residual, meshes[0].ndim), scale)
     return report_from_values(vals, meshes)

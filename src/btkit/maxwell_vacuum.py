@@ -114,17 +114,24 @@ class VacuumWaveSpec:
 
 
 class WavePair:
-    """A conjugate (E, B) plane-wave pair in a linear medium.
+    """The conjugate (E, B) plane-wave pair of a transverse amplitude in a linear medium.
 
+    Rejects non-transverse amplitudes and non-unit directions outright;
+    nothing is silently projected or renormalized.  The complex amplitude
+    ``E0`` carries the polarization phase, so ``alpha`` is only recorded.
+    With ``real`` set the evaluators return real parts: the real pair of
+    a linearly polarized E0R is ``WavePair(E0R * exp(1j * alpha), ...,
+    alpha=alpha, real=True)``, E = E0R cos(k . r - omega t + alpha), with
+    B in phase (trailing by the dispersion angle phi in a conductor).
     Evaluators take r with shape (..., 3) and broadcastable t and return
-    (..., 3) arrays; complex by default, real parts when ``real`` is set.
-    The wavenumber k and attenuation s come from ``_wavenumber``: omega / v
-    and 0 here, the dispersion's in ``ConductorWavePair``.
+    (..., 3) arrays.  The wavenumber k and attenuation s come from
+    ``_wavenumber``: omega / v and 0 here, the dispersion's in
+    ``ConductorWavePair``.
     """
 
-    def __init__(self, spec: VacuumWaveSpec, medium: MediumParams = VACUUM,
-                 real: bool = False):
-        self.spec = spec
+    def __init__(self, E0, tau, omega: float, medium: MediumParams = VACUUM,
+                 alpha: float = 0.0, real: bool = False):
+        self.spec = spec = VacuumWaveSpec(E0, tau, omega, alpha)
         self.medium = medium
         self.real = real
         self.k, self.s = self._wavenumber()
@@ -195,23 +202,6 @@ class FieldPair:
     medium: MediumParams = VACUUM
 
 
-def conjugate_vacuum(E0, tau, omega: float, medium: MediumParams = VACUUM,
-                     alpha: float = 0.0) -> WavePair:
-    """Complete a transverse complex amplitude into a conjugate (E, B) pair.
-
-    Rejects non-transverse amplitudes and non-unit directions outright;
-    nothing is silently projected or renormalized.
-    """
-    return WavePair(VacuumWaveSpec(E0, tau, omega, alpha), medium)
-
-
-def real_fields_vacuum(E0R, alpha: float, tau, omega: float,
-                       medium: MediumParams = VACUUM) -> WavePair:
-    """Real linearly-polarized pair: E = E0R cos(k.r - omega t + alpha)."""
-    amplitude = _as_vec3(E0R, "E0R", float) * np.exp(1j * alpha)
-    return WavePair(VacuumWaveSpec(amplitude, tau, omega, alpha), medium, real=True)
-
-
 def plane_wave(F0, k_vector, omega: float) -> Callable:
     """Evaluator of F0 exp(i (k . r - omega t)) with no constraints attached."""
     F0 = np.asarray(F0, dtype=complex)
@@ -276,27 +266,3 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     ))
     return report_from_values(rows.max(axis=0), meshes)
 
-
-def _wave_terms(F: Callable, grid: Grid4D):
-    """Mesh, vector Laplacian, F_t and F_tt of an evaluator F(r, t) on ``grid``."""
-    meshes = grid.mesh()
-    taylor, = _taylors(meshes, F)
-    lap = taylor.diffs(0)[1] + taylor.diffs(1)[1] + taylor.diffs(2)[1]
-    return (meshes, lap) + taylor.diffs(3)
-
-
-def wave_residual(F: Callable, speed: float, grid: Grid4D,
-                  scale: float = 1.0) -> ResidualReport:
-    """Scan the d'Alembertian lap F - F_tt / speed^2 of a vector field.
-
-    ``scale`` divides the raw residual; pass |F0| k^2 to make plane-wave
-    reports dimensionless.  The second partials are exact, so a genuine
-    wave reads rounding level; ``F`` follows the evaluator contract of
-    ``FieldPair``.
-    """
-    if not speed > 0.0:
-        raise InvalidParameterError(f"wave speed must be positive, got {speed}")
-    meshes, lap, _, ftt = _wave_terms(F, grid)
-    residual = lap - ftt / speed ** 2
-    vals = _relative(magnitude(residual, meshes[0].ndim), scale)
-    return report_from_values(vals, meshes)

@@ -97,10 +97,6 @@ class Grid2D:
     def mesh(self):
         return self._mesh
 
-    @property
-    def diameter(self) -> float:
-        return math.hypot(self.x_max - self.x_min, self.t_max - self.t_min)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -12,6 +12,8 @@ import numpy as np
 from btkit import (
     CONSTANTS,
     EPSILON0,
+    VACUUM,
+    ConductorWavePair,
     ConstantField,
     ExpSeedField,
     FieldPair,
@@ -26,13 +28,10 @@ from btkit import (
     SingularMatrixError,
     TabulatedField,
     TransversalityError,
-    VacuumWaveSpec,
     WavePair,
     bt_residual_cr,
     bt_residual_liouville,
     bt_residual_sine_gordon,
-    conjugate_conducting,
-    conjugate_vacuum,
     dispersion_solve,
     harmonic_conjugate_match,
     hierarchy,
@@ -42,7 +41,6 @@ from btkit import (
     monomial_xy,
     plane_wave,
     potential,
-    real_fields_conducting,
     recursion_step,
     sine_gordon_from_vacuum,
     sine_gordon_residual,
@@ -143,7 +141,7 @@ def test_criterion_3_vacuum_maxwell():
         scale = 10.0 ** rng.uniform(-2.0, 2.0)
         E0 = random_transverse_amplitude(rng, tau, scale)
         omega = 10.0 ** rng.uniform(6.0, 10.0)
-        pair = conjugate_vacuum(E0, tau, omega)
+        pair = WavePair(E0, tau, omega)
         report = maxwell_residual(pair, pair.default_grid(9))
         worst_scan = max(worst_scan, report.max_abs)
 
@@ -175,8 +173,8 @@ def test_criterion_3_vacuum_maxwell():
     E_eval = plane_wave(E0, k * tau, omega)
     B_eval = plane_wave(B0, k * tau, omega)
     wave_grid = Grid4D.for_wave(k, omega, 9)
-    wave_e = wave_residual(E_eval, CONSTANTS.c, wave_grid, scale=np.linalg.norm(E0))
-    wave_b = wave_residual(B_eval, CONSTANTS.c, wave_grid, scale=np.linalg.norm(B0))
+    wave_e = wave_residual(E_eval, VACUUM, wave_grid, scale=np.linalg.norm(E0))
+    wave_b = wave_residual(B_eval, VACUUM, wave_grid, scale=np.linalg.norm(B0))
     mismatched = FieldPair(
         E=E_eval, B=B_eval, k=k,
         e_scale=float(np.linalg.norm(E0)), b_scale=float(np.linalg.norm(B0)),
@@ -245,7 +243,7 @@ def test_criterion_5_conductor_fields():
     for medium, omega in media:
         tau = random_direction(rng)
         E0 = random_transverse_amplitude(rng, tau)
-        pair = conjugate_conducting(E0, tau, medium, omega)
+        pair = ConductorWavePair(E0, tau, omega, medium)
         report = maxwell_residual(pair, pair.default_grid(9))
         worst_scan = max(worst_scan, report.max_abs)
 
@@ -263,7 +261,8 @@ def test_criterion_5_conductor_fields():
     medium, omega = MediumParams(3.0, 1.0, 4.0), 1.0
     d = dispersion_solve(medium, omega)
     tau = np.array([0.0, 0.0, 1.0])
-    real_pair = real_fields_conducting([2.0, 0.0, 0.0], 0.3, tau, medium, omega)
+    real_pair = ConductorWavePair(np.exp(0.3j) * np.array([2.0, 0.0, 0.0]), tau, omega, medium,
+                                  alpha=0.3, real=True)
     r0 = np.array([0.1, -0.2, 0.4])
     amp_e, psi_e = fourier_phase(lambda t: real_pair.E(r0, t)[0], omega)
     amp_b, psi_b = fourier_phase(lambda t: real_pair.B(r0, t)[1], omega)
@@ -359,10 +358,10 @@ def test_criterion_7_negative_controls():
     checks = [
         ("non_transverse_E0", _raises(
             TransversalityError,
-            lambda: conjugate_vacuum([0.0, 0.0, 1.0], tau, 1e9))),
+            lambda: WavePair([0.0, 0.0, 1.0], tau, 1e9))),
         ("non_unit_tau", _raises(
             NormalizationError,
-            lambda: conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 2.0], 1e9))),
+            lambda: WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 2.0], 1e9))),
         ("zero_bt_parameter", _raises(
             InvalidParameterError, lambda: sine_gordon_from_vacuum(0.0, 1.0))),
         ("zero_bt_parameter_in_scan", _raises(
@@ -376,11 +375,10 @@ def test_criterion_7_negative_controls():
             PathDependenceError, lambda: potential(bad_seed, grid))),
         ("conducting_medium_in_vacuum_pair", _raises(
             InvalidParameterError,
-            lambda: WavePair(VacuumWaveSpec([1.0, 0.0, 0.0], tau, 1.0),
-                             MediumParams(3.0, 1.0, 4.0)))),
+            lambda: WavePair([1.0, 0.0, 0.0], tau, 1.0, MediumParams(3.0, 1.0, 4.0)))),
         ("nonpositive_omega", _raises(
             InvalidParameterError,
-            lambda: conjugate_vacuum([1.0, 0.0, 0.0], tau, 0.0))),
+            lambda: WavePair([1.0, 0.0, 0.0], tau, 0.0))),
         ("negative_permittivity", _raises(
             InvalidParameterError, lambda: MediumParams(-1.0, 1.0, 0.0))),
         ("reversed_grid_bounds", _raises(

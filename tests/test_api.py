@@ -54,8 +54,6 @@ PUBLIC_API = [
     "bt_residual_sine_gordon",
     "chiral_defect_samples",
     "chiral_residual",
-    "conjugate_conducting",
-    "conjugate_vacuum",
     "dispersion_solve",
     "harmonic_conjugate_match",
     "harmonic_conjugate_quadratic",
@@ -65,12 +63,9 @@ PUBLIC_API = [
     "liouville_from_trivial",
     "liouville_residual",
     "maxwell_residual",
-    "modified_wave_residual",
     "monomial_xy",
     "plane_wave",
     "potential",
-    "real_fields_conducting",
-    "real_fields_vacuum",
     "recursion_step",
     "report_from_values",
     "sine_gordon_from_vacuum",
@@ -84,7 +79,7 @@ PUBLIC_API = [
 
 class TestPublicApi:
     def test_all_matches_the_snapshot(self):
-        assert len(PUBLIC_API) == 61
+        assert len(PUBLIC_API) == 56
         assert sorted(btkit.__all__) == PUBLIC_API
 
     def test_every_name_resolves(self):
@@ -136,7 +131,7 @@ class TestQuickTour:
         source = _quick_tour()
         comments = [line.split("#", 1)[1].split()
                     for line in source.splitlines() if line.startswith("print(")]
-        assert len(comments) == 3
+        assert len(comments) == 6
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             exec(compile(source, str(README), "exec"), {})

@@ -32,7 +32,7 @@ def _spans_module(monkeypatch):
     return importlib.import_module("spans")
 
 
-def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
+def test_tracer_wraps_every_target_and_restores_it(monkeypatch, capsys):
     spans = _spans_module(monkeypatch)
     targets = [_owner(module, path) for module, path, *_ in spans.TARGETS]
     originals = [vars(owner)[attr] for owner, attr in targets]
@@ -43,11 +43,17 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
         wrapped = [vars(owner)[attr] for owner, attr in targets]
         u = classic_bts.harmonic_quadratic(1.0, 0.0, 0.0)
         classic_bts.laplace_residual(u, Grid2D(nx=6, nt=6))
-        pair = maxwell_conductor.conjugate_conducting(
-            [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], maxwell_conductor.MediumParams(3.0, 1.0, 4.0), 1.0)
+        pair = maxwell_conductor.ConductorWavePair(
+            [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, maxwell_conductor.MediumParams(3.0, 1.0, 4.0))
         maxwell_vacuum.maxwell_residual(pair, pair.default_grid(3))
+        # the CLI's own em runs: a dispersion solved or a field evaluated out
+        # of the tracer's sight would read 0 s in the per-layer figures
+        em_spans = len(tracer.spans)
+        for sub in ("conductor", "vacuum"):
+            assert cli.main(["em", sub, "--omega", "1e9", "--samples", "3", "--verify"]) == 0
     finally:
         tracer.uninstall()
+    capsys.readouterr()
 
     assert all(new is not old for new, old in zip(wrapped, originals))
     assert all(vars(owner)[attr] is old for (owner, attr), old in zip(targets, originals))
@@ -55,6 +61,8 @@ def test_tracer_wraps_every_target_and_restores_it(monkeypatch):
     assert {"classic_bts.scan", "classic_bts.ScalarField2D.__call__",
             "maxwell_vacuum.maxwell_residual", "maxwell_vacuum.field_eval",
             "verify.magnitude", "verify.report_from_values", "verify.mesh"} <= names
+    em_names = {span[spans.NAME] for span in tracer.spans[em_spans:]}
+    assert {"maxwell_conductor.dispersion_solve", "maxwell_vacuum.field_eval"} <= em_names
 
 
 def test_json_only_runs_evaluate_nothing_for_the_table(monkeypatch, capsys):

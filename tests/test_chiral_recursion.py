@@ -688,6 +688,16 @@ class TestPotential:
         with pytest.raises(InvalidParameterError, match="integrals overflow"):
             potential(g, grid)
 
+    @pytest.mark.parametrize("bound", [6e307, 8.5e307])
+    def test_path_tolerance_stays_finite_where_the_spans_hypot_overflows(self, bound):
+        # at 8.5e307 the hypot of the spans read inf, and so did the
+        # tolerance: this non-integrable table passed
+        grid = Grid2D(-bound, bound, -bound, bound, 6, 6)
+        table = 1e305 * np.random.default_rng(0).standard_normal((6, 6, 2, 2))
+        with pytest.raises(IntegrabilityError, match=r"\(tolerance \d\.\d+e\+302\)"):
+            recursion_step(TabulatedField(grid, table), ExpSeedField(np.zeros((2, 2)),
+                                                                     np.zeros((2, 2))), grid)
+
     @pytest.mark.parametrize("grid, name", [
         (Grid2D(-1e300, 1e300), "dx = 5e+298 is too wide"),
         (Grid2D(t_min=-1e160, t_max=1e160), "dt = 5e+158 is too wide"),

@@ -22,7 +22,7 @@ from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral
                                     chiral_residual, hierarchy, potential)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
 from btkit.errors import BtkitError
-from btkit.maxwell_vacuum import conjugate_vacuum
+from btkit.maxwell_vacuum import WavePair
 from btkit.media import VACUUM, MediumParams
 from btkit.verify import Grid2D, Grid4D, ResidualReport
 
@@ -418,8 +418,8 @@ def _single_field_table():
 
 
 def _em_table():
-    pair = conjugate_vacuum(np.array([1.0, 0.0, 0.0]) + 1j * np.array([0.0, 0.5, 0.0]),
-                            [0.0, 0.0, 1.0], 1e9)
+    pair = WavePair(np.array([1.0, 0.0, 0.0]) + 1j * np.array([0.0, 0.5, 0.0]),
+                    [0.0, 0.0, 1.0], 1e9)
     meshes = Grid4D.for_wave(pair.k, 1e9, samples=3).mesh()
     R = np.stack(meshes[:3], axis=-1)
     argv = ["em", "vacuum", "--omega", "1e9", "--e0-im", "0", "0.5", "0", "--samples", "3"]
@@ -496,7 +496,7 @@ class TestCsv:
         assert lines[0] == ("x,y,z,t,Ex_re,Ex_im,Ey_re,Ey_im,Ez_re,Ez_im,"
                             "Bx_re,Bx_im,By_re,By_im,Bz_re,Bz_im")
         assert len(lines) == 1 + 3 ** 4
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
         meshes = Grid4D.for_wave(pair.k, 1e9, samples=3).mesh()
         idx = (1, 2, 0, 1)
         r = np.array([m[idx] for m in meshes[:3]])
@@ -583,7 +583,7 @@ def _reference_dispersion(d):
 
 
 def _records():
-    pair = conjugate_vacuum([1.0, 0.5j, 0.0], [0.0, 0.0, 1.0], 1e9)
+    pair = WavePair([1.0, 0.5j, 0.0], [0.0, 0.0, 1.0], 1e9)
     grid = pair.default_grid(5)
     yield _reference_report, maxwell_vacuum.maxwell_residual(pair, grid)
     yield _reference_report, classic_bts.liouville_residual(

@@ -7,16 +7,10 @@ import numpy as np
 import pytest
 
 from btkit.errors import BtkitError, InvalidParameterError, TransversalityError
-from btkit.maxwell_conductor import (
-    ConductorWavePair,
-    DispersionSolution,
-    conjugate_conducting,
-    dispersion_solve,
-    modified_wave_residual,
-    real_fields_conducting,
-)
-from btkit.maxwell_vacuum import WavePair, conjugate_vacuum, maxwell_residual
-from btkit.media import EPSILON0, MU0, MediumParams, VACUUM
+from btkit.maxwell_conductor import (ConductorWavePair, DispersionSolution, dispersion_solve,
+                                     wave_residual)
+from btkit.maxwell_vacuum import FieldPair, WavePair, maxwell_residual
+from btkit.media import EPSILON0, MU0, MediumParams
 from btkit.verify import Grid4D
 
 from helpers import dispersion_root_search, fourier_phase, phase_difference
@@ -157,18 +151,14 @@ class TestDispersion:
 class TestConjugation:
     def test_synthetic_partner_amplitude(self):
         # k = 2, s = 1, omega = 1: B0 = (k + i s)/omega tau x E0 = (0, 2 + i, 0)
-        pair = ConductorWavePair(
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, VACUUM).spec,
-            SYNTH,
-            dispersion_solve(SYNTH, 1.0),
-        )
+        pair = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, SYNTH)
         np.testing.assert_allclose(pair.B0, [0.0, 2.0 + 1.0j, 0.0], atol=1e-12)
 
     def test_remaining_curl_relation_follows(self):
         rng = np.random.default_rng(3)
         omega = 1.0e8
         medium = MediumParams(4.0 * EPSILON0, MU0, 0.05)
-        pair = conjugate_conducting([0.0, 2.0, 0.0], [1.0, 0.0, 0.0], medium, omega)
+        pair = ConductorWavePair([0.0, 2.0, 0.0], [1.0, 0.0, 0.0], omega, medium)
         d = pair.dispersion
         lhs = (d.k + 1j * d.s) * np.cross(pair.spec.tau, pair.B0)
         rhs = -(medium.epsilon * medium.mu * omega + 1j * medium.mu * medium.sigma) * pair.spec.E0
@@ -176,19 +166,19 @@ class TestConjugation:
 
     def test_transversality_still_enforced(self):
         with pytest.raises(TransversalityError):
-            conjugate_conducting([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], SYNTH, 1.0)
+            ConductorWavePair([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], 1.0, SYNTH)
 
     def test_overflowing_partner_amplitude_rejected(self):
         # B0 = ((k + i s) / omega) tau x E0 reads inf once k is huge
         medium = MediumParams(epsilon=1e100, mu=1e100, sigma=1.0)
         with pytest.raises(InvalidParameterError, match="partner amplitude B0 overflows"):
-            conjugate_conducting([1e300, 0.0, 0.0], [0.0, 0.0, 1.0], medium, 1.0)
+            ConductorWavePair([1e300, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, medium)
 
     def test_zero_conductivity_reduces_to_nonconducting_pair(self):
         medium = MediumParams(4.0 * EPSILON0, MU0, 0.0)
         omega = 1.0e9
-        cond = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], medium, omega)
-        vac = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
+        cond = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
+        vac = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
         assert cond.dispersion.s == 0.0
         assert cond.dispersion.phi == 0.0
         np.testing.assert_allclose(cond.B0, vac.B0, rtol=1e-12)
@@ -199,20 +189,22 @@ class TestConjugation:
     def test_zero_attenuation_pair_shares_the_non_conducting_carrier(self):
         # one carrier serves both classes: with s = 0 and the same k the
         # conductor's E is bit-identical to the medium pair's, even at an
-        # oblique direction where k (r . tau) and r . (k tau) round apart
-        medium = MediumParams(4.0 * EPSILON0, MU0, 0.0)
+        # oblique direction where k (r . tau) and r . (k tau) round apart;
+        # at eps mu = 4 both classes solve k = 2 omega exactly
+        medium = MediumParams(4.0, 1.0, 0.0)
         omega = 1.0e9
-        vac = conjugate_vacuum([0.8, -0.64, 0.0], [0.48, 0.6, 0.64], omega, medium)
-        dispersion = DispersionSolution(k=vac.k, s=0.0, phi=0.0, omega=omega)
-        cond = ConductorWavePair(vac.spec, medium, dispersion)
+        vac = WavePair([0.8, -0.64, 0.0], [0.48, 0.6, 0.64], omega, medium)
+        cond = ConductorWavePair([0.8, -0.64, 0.0], [0.48, 0.6, 0.64], omega, medium)
+        assert (cond.k, cond.s) == (vac.k, vac.s) == (2.0 * omega, 0.0)
         meshes = vac.default_grid(5).mesh()
         R = np.stack(meshes[:3], axis=-1)
         assert np.array_equal(cond.E(R, meshes[3]), vac.E(R, meshes[3]))
         np.testing.assert_array_equal(cond.k_vector, vac.k_vector)
 
     def test_conducting_pairs_are_wave_pairs(self):
-        pairs = (conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], SYNTH, 1.0),
-                 real_fields_conducting([1.0, 0.0, 0.0], 0.3, [0.0, 0.0, 1.0], SYNTH, 1.0))
+        pairs = (ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, SYNTH),
+                 ConductorWavePair(np.exp(0.3j) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0], 1.0,
+                                   SYNTH, alpha=0.3, real=True))
         for pair in pairs:
             assert isinstance(pair, WavePair)
             assert (pair.k, pair.s) == (pair.dispersion.k, pair.dispersion.s)
@@ -223,30 +215,18 @@ class TestFieldScans:
     def test_pair_passes_conducting_field_equations(self):
         omega = 1.0e8
         medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
-        pair = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], medium, omega)
+        pair = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
         report = maxwell_residual(pair, pair.default_grid())
         assert report.max_abs < 1e-5
-
-    def test_components_satisfy_damped_wave_equation(self):
-        omega = 1.0e8
-        medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
-        pair = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], medium, omega)
-        grid = Grid4D.for_wave(pair.k, omega)
-        assert modified_wave_residual(
-            pair.E, medium, grid, pair.e_scale * pair.k ** 2
-        ).max_abs < 1e-5
-        assert modified_wave_residual(
-            pair.B, medium, grid, pair.b_scale * pair.k ** 2
-        ).max_abs < 1e-5
 
     @pytest.mark.parametrize("amplitude", [1.0, 1e-302, 1e-310, 1e-320])
     def test_wrong_conductivity_reads_the_same_at_any_amplitude(self, amplitude):
         # a 1e-300 floor under the scale once read 0.025 at 1e-302, a pass below 1e-303
         medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
-        pair = conjugate_conducting([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], medium, 1e8)
+        pair = ConductorWavePair([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e8, medium)
         grid = Grid4D.for_wave(pair.k, 1e8)
         wrong = MediumParams(2.0 * EPSILON0, MU0, 0.03)
-        report = modified_wave_residual(pair.E, wrong, grid, amplitude * pair.k ** 2)
+        report = wave_residual(pair.E, wrong, grid, amplitude * pair.k ** 2)
         assert report.max_abs == pytest.approx(3.3538981671593, rel=1e-3)
 
     def test_oblique_conducting_pair(self):
@@ -255,20 +235,15 @@ class TestFieldScans:
         tau = np.array([1.0, 2.0, 2.0]) / 3.0
         E0 = np.array([2.0, -1.0, 0.0])
         E0 = E0 - np.dot(E0, tau) * tau
-        pair = conjugate_conducting(E0, tau, copperish, omega)
+        pair = ConductorWavePair(E0, tau, omega, copperish)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-5
 
     def test_vacuum_pair_fails_conducting_equations(self):
-        # sigma term is missing from the non-attenuated pair
-        omega = 1.0
-        pair = ConductorWavePair(
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, VACUUM).spec,
-            SYNTH,
-            DispersionSolution(
-                k=math.sqrt(3.0), s=0.0, phi=0.0, omega=omega
-            ),  # pretend sigma = 0
-        )
-        report = maxwell_residual(pair, pair.default_grid())
+        # sigma term is missing from the non-attenuated pair: k = sqrt(3), s = 0
+        lossless = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, MediumParams(3.0, 1.0))
+        pair = FieldPair(lossless.E, lossless.B, lossless.k, lossless.e_scale, lossless.b_scale,
+                         SYNTH)
+        report = maxwell_residual(pair, lossless.default_grid())
         assert report.max_abs > 0.1
 
 
@@ -276,7 +251,8 @@ class TestRealFields:
     def test_magnetic_field_lags_by_phi(self):
         omega = 1.0
         alpha = 0.4
-        pair = real_fields_conducting([1.0, 0.0, 0.0], alpha, [0.0, 0.0, 1.0], SYNTH, omega)
+        pair = ConductorWavePair(np.exp(1j * alpha) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0],
+                                 omega, SYNTH, alpha=alpha, real=True)
         d = pair.dispersion
         r0 = np.array([0.0, 0.0, 0.35])
         e_amp, e_phase = fourier_phase(lambda t: pair.E(r0, t)[0], omega)
@@ -286,7 +262,8 @@ class TestRealFields:
 
     def test_amplitude_decays_by_e_over_one_skin_depth(self):
         omega = 1.0
-        pair = real_fields_conducting([1.0, 0.0, 0.0], 0.0, [0.0, 0.0, 1.0], SYNTH, omega)
+        pair = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                 omega, SYNTH, alpha=0.0, real=True)
         depth = pair.dispersion.skin_depth
         amp0, _ = fourier_phase(lambda t: pair.E(np.zeros(3), t)[0], omega)
         amp1, _ = fourier_phase(lambda t: pair.E(np.array([0.0, 0.0, depth]), t)[0], omega)
@@ -295,13 +272,15 @@ class TestRealFields:
     def test_real_pair_passes_field_equations(self):
         omega = 1.0e8
         medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
-        pair = real_fields_conducting([1.0, 0.0, 0.0], 0.7, [0.0, 0.0, 1.0], medium, omega)
+        pair = ConductorWavePair(np.exp(1j * 0.7) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0],
+                                 omega, medium, alpha=0.7, real=True)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-5
 
     def test_phase_at_origin_is_alpha_plus_phi(self):
         omega = 1.0
         alpha = 1.2
-        pair = real_fields_conducting([1.0, 0.0, 0.0], alpha, [0.0, 0.0, 1.0], SYNTH, omega)
+        pair = ConductorWavePair(np.exp(1j * alpha) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0],
+                                 omega, SYNTH, alpha=alpha, real=True)
         _, b_phase = fourier_phase(lambda t: pair.B(np.zeros(3), t)[1], omega)
         assert phase_difference(b_phase, alpha + pair.dispersion.phi) == pytest.approx(
             0.0, abs=1e-10

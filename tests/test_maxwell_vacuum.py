@@ -11,16 +11,8 @@ from btkit.errors import (
     NormalizationError,
     TransversalityError,
 )
-from btkit.maxwell_conductor import conjugate_conducting
-from btkit.maxwell_vacuum import (
-    FieldPair,
-    _norm,
-    conjugate_vacuum,
-    maxwell_residual,
-    plane_wave,
-    real_fields_vacuum,
-    wave_residual,
-)
+from btkit.maxwell_conductor import ConductorWavePair, wave_residual
+from btkit.maxwell_vacuum import FieldPair, WavePair, _norm, maxwell_residual, plane_wave
 from btkit.media import CONSTANTS, MediumParams, VACUUM
 from btkit.verify import Grid4D
 
@@ -34,6 +26,7 @@ from helpers import (
 C = CONSTANTS.c
 OMEGA = 2.0 * math.pi * 1.0e8
 SEAWATER = MediumParams.relative(81.0, 1.0, 4.0)
+LOSSY = MediumParams(2.0 * VACUUM.epsilon, VACUUM.mu, 0.01)
 
 
 class TestConstants:
@@ -63,32 +56,32 @@ class TestConstants:
 
 class TestConjugation:
     def test_dispersion_relation(self):
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
         assert pair.k == pytest.approx(OMEGA / C, rel=1e-14)
 
     def test_partner_amplitude_for_axis_aligned_wave(self):
-        pair = conjugate_vacuum([2.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair([2.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
         np.testing.assert_allclose(pair.B0, [0.0, 2.0 / C, 0.0], rtol=1e-14)
 
     def test_non_transverse_amplitude_rejected_not_projected(self):
         with pytest.raises(TransversalityError) as err:
-            conjugate_vacuum([1.0, 0.0, 0.5], [0.0, 0.0, 1.0], OMEGA)
+            WavePair([1.0, 0.0, 0.5], [0.0, 0.0, 1.0], OMEGA)
         assert "tau . E0" in str(err.value)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(NormalizationError):
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 2.0], OMEGA)
+            WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 2.0], OMEGA)
 
     def test_longitudinal_amplitude_with_overflowing_norm_rejected(self):
         # |E0|^2 overflowed, so the transversality tolerance read inf
         with pytest.raises(TransversalityError, match=r"\|E0\| = 1.414213562373095e\+200"):
-            conjugate_vacuum([1e200, 0.0, 1e200], [0.0, 0.0, 1.0], OMEGA)
+            WavePair([1e200, 0.0, 1e200], [0.0, 0.0, 1.0], OMEGA)
 
     def test_overflowing_partner_amplitude_rejected(self):
         # B0 = tau x E0 / v reads inf once v is tiny and E0 huge
         medium = MediumParams(epsilon=1e100, mu=1e100)
         with pytest.raises(InvalidParameterError, match="partner amplitude B0 overflows"):
-            conjugate_vacuum([1e300, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, medium=medium)
+            WavePair([1e300, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, medium=medium)
 
     def test_overflowing_wavenumber_is_named(self):
         # k = omega / v reads inf; the CLI once blamed the grid bounds [0, 0]
@@ -97,24 +90,24 @@ class TestConjugation:
         with pytest.raises(InvalidParameterError, match=re.escape(
                 "partner amplitude B0 overflows: ((k + i s) / omega) tau x E0 with k = inf, "
                 "s = 0.0, omega = 1e+300, |E0| = 1.0")):
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e300, medium=medium)
+            WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e300, medium=medium)
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf])
     def test_bad_frequency_rejected(self, omega):
         with pytest.raises(InvalidParameterError):
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega)
+            WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega)
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_phase_rejected(self, alpha):
         with pytest.raises(InvalidParameterError, match="alpha"):
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=alpha)
+            WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=alpha)
 
     def test_first_curl_relation_and_its_redundant_twin(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
             tau = random_direction(rng)
             E0 = random_transverse_amplitude(rng, tau)
-            pair = conjugate_vacuum(E0, tau, OMEGA)
+            pair = WavePair(E0, tau, OMEGA)
             k_vec = pair.k_vector
             scale = pair.e_scale * pair.k
             # k x E0 = omega B0 defines B0; k x B0 = -(omega/c^2) E0 must follow
@@ -131,7 +124,7 @@ class TestConjugation:
         rng = np.random.default_rng(11)
         tau = random_direction(rng)
         E0 = random_transverse_amplitude(rng, tau)
-        pair = conjugate_vacuum(E0, tau, OMEGA)
+        pair = WavePair(E0, tau, OMEGA)
         assert abs(np.dot(tau, E0)) < 1e-12 * pair.e_scale
         assert abs(np.dot(tau, pair.B0)) < 1e-12 * pair.b_scale
         assert abs(np.dot(E0, pair.B0)) < 1e-12 * pair.e_scale * pair.b_scale
@@ -151,7 +144,7 @@ class TestExtremeInputs:
         # read nan, which named the normalization scale as the fault; the
         # scan reads the B0 the pair holds, so a partner that lost its
         # digits to underflow fails the 1e-6 tolerance
-        pair = conjugate_vacuum(E0, [0.0, 0.0, 1.0], 1e9)
+        pair = WavePair(E0, [0.0, 0.0, 1.0], 1e9)
         assert pair.e_scale == pytest.approx(math.hypot(*E0), rel=1e-3)
         assert low <= maxwell_residual(pair, pair.default_grid()).max_abs <= high
 
@@ -160,7 +153,7 @@ class TestExtremeInputs:
     def test_wrong_partner_fails_at_any_amplitude(self, amplitude, medium):
         # a 1e-300 floor under |E0| and |B0| once read the 1.5 B partner as
         # 0.005 at 1e-302 and 5e-11 at 1e-310 in vacuum, so it passed
-        pair = conjugate_vacuum([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9, medium)
+        pair = WavePair([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9, medium)
         grid = pair.default_grid()
         wrong = FieldPair(pair.E, lambda r, t: 1.5 * pair.B(r, t), pair.k,
                           pair.e_scale, pair.b_scale, medium)
@@ -179,7 +172,7 @@ class TestExtremeInputs:
     def test_a_residual_past_the_float_range_of_its_scale_fails(self):
         # 0.5 |E0| k over a declared |E0| of 1e-320 overflows: it reads as the
         # largest float, not as a singular point, and raises no warning
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
         wrong = FieldPair(pair.E, lambda r, t: 1.5 * pair.B(r, t), pair.k, 1e-320, pair.b_scale)
         report = maxwell_residual(wrong, pair.default_grid())
         assert (report.max_abs, report.n_singular) == (np.finfo(float).max, 0)
@@ -190,15 +183,15 @@ class TestExtremeInputs:
         k = OMEGA / C
         F = plane_wave([amplitude, 0.0, 0.0], [0.0, 0.0, k], 2.0 * OMEGA)
         grid = Grid4D.for_wave(k, 2.0 * OMEGA)
-        report = wave_residual(F, C, grid, scale=amplitude * k ** 2)
+        report = wave_residual(F, VACUUM, grid, scale=amplitude * k ** 2)
         assert report.max_abs == pytest.approx(3.0, rel=1e-3)
 
     @pytest.mark.parametrize("amplitude", [1.0, 1e-302, 1e-310, 1e-320, 1e250])
     @pytest.mark.parametrize("build", [
-        lambda a: conjugate_vacuum([a, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9),
-        lambda a: real_fields_vacuum([0.0, a, 0.0], 0.3, [0.6, 0.0, 0.8], 1e9,
-                                     MediumParams.relative(2.25, 1.0)),
-        lambda a: conjugate_conducting([a, 0.0, 0.0], [0.0, 0.6, 0.8], SEAWATER, 1e8),
+        lambda a: WavePair([a, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9),
+        lambda a: WavePair(np.array([0.0, a, 0.0]) * np.exp(0.3j), [0.6, 0.0, 0.8], 1e9,
+                           MediumParams.relative(2.25, 1.0), alpha=0.3, real=True),
+        lambda a: ConductorWavePair([a, 0.0, 0.0], [0.0, 0.6, 0.8], 1e8, SEAWATER),
     ], ids=["vacuum", "medium", "conductor"])
     def test_a_pair_is_scanned_as_the_fields_it_holds(self, build, amplitude):
         # a WavePair is scanned as the FieldPair of its own evaluators and
@@ -209,7 +202,7 @@ class TestExtremeInputs:
         assert maxwell_residual(pair, grid) == maxwell_residual(fields, grid)
 
     def test_subnormal_amplitude_has_the_rounded_partner(self):
-        pair = conjugate_vacuum([1e-320, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        pair = WavePair([1e-320, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
         # |E0| / c is below the smallest subnormal
         assert not pair.B0.any()
 
@@ -221,7 +214,7 @@ class TestExtremeInputs:
         # longitudinal share up to 1e-12 * 1e-300 / |E0| through below
         # |E0| = 1e-300, and any share below about 1e-312
         with pytest.raises(TransversalityError, match=r"amplitude is not transverse"):
-            conjugate_vacuum(E0, [0.0, 0.0, 1.0], 1e9)
+            WavePair(E0, [0.0, 0.0, 1.0], 1e9)
 
     @pytest.mark.parametrize("tau, norm", [
         ((1e200, 0.0, 1e200), "1.414213562373095e+200"),
@@ -229,7 +222,7 @@ class TestExtremeInputs:
     ])
     def test_huge_direction_rejected_with_its_length(self, tau, norm):
         with pytest.raises(NormalizationError, match=re.escape(f"|tau| = {norm}")):
-            conjugate_vacuum([1.0, 0.0, 0.0], tau, 1e9)
+            WavePair([1.0, 0.0, 0.0], tau, 1e9)
 
     @pytest.mark.parametrize("decade", [-150, -20, 0, 20, 150])
     def test_norm_is_numpys_where_no_square_leaves_range(self, decade):
@@ -241,14 +234,14 @@ class TestExtremeInputs:
 
 class TestResiduals:
     def test_conjugate_pair_passes_all_four_equations(self):
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
         report = maxwell_residual(pair, pair.default_grid())
         assert report.max_abs < 1e-6
         assert report.n_points == 9 ** 4
 
     def test_circular_amplitude_on_coarse_grid(self):
         E0 = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2.0)
-        pair = conjugate_vacuum(E0, [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair(E0, [0.0, 0.0, 1.0], OMEGA)
         report = maxwell_residual(pair, pair.default_grid(samples=5))
         assert report.max_abs < 1e-6
 
@@ -258,24 +251,27 @@ class TestResiduals:
             tau = random_direction(rng)
             E0 = random_transverse_amplitude(rng, tau, scale=10.0 ** rng.uniform(-2, 2))
             omega = 10.0 ** rng.uniform(6, 10)
-            pair = conjugate_vacuum(E0, tau, omega)
+            pair = WavePair(E0, tau, omega)
             assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
 
-    def test_components_satisfy_wave_equation_at_c(self):
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
-        grid = Grid4D.for_wave(pair.k, OMEGA)
-        scale = pair.e_scale * pair.k ** 2
-        assert wave_residual(pair.E, C, grid, scale).max_abs < 1e-6
-        scale_b = pair.b_scale * pair.k ** 2
-        assert wave_residual(pair.B, C, grid, scale_b).max_abs < 1e-6
-
-    def test_wrong_speed_fails_wave_equation(self):
-        # omega = 2 c k makes the d'Alembertian at c equal 3 k^2 F
-        k = OMEGA / C
-        F = plane_wave([1.0, 0.0, 0.0], [0.0, 0.0, k], 2.0 * OMEGA)
-        grid = Grid4D.for_wave(k, 2.0 * OMEGA)
-        report = wave_residual(F, C, grid, scale=k ** 2)
-        assert report.max_abs == pytest.approx(3.0, rel=1e-5)
+    @pytest.mark.parametrize("medium, misfit", [
+        (VACUUM, 3.0), (MediumParams.relative(2.25, 1.0), 3.0), (LOSSY, 1.533365213788),
+    ], ids=["vacuum", "dielectric", "conductor"])
+    def test_components_satisfy_the_wave_equation_of_their_medium(self, medium, misfit):
+        family = ConductorWavePair if medium.is_conducting else WavePair
+        pair = family([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
+        grid = pair.default_grid()
+        for F, scale in ((pair.E, pair.e_scale), (pair.B, pair.b_scale)):
+            assert wave_residual(F, medium, grid, scale * pair.k ** 2).max_abs < 1e-6
+        if medium.is_conducting:
+            # three times the conductivity: the damping term is off by 2 mu sigma E_t
+            wrong = MediumParams(medium.epsilon, medium.mu, 3.0 * medium.sigma)
+            report = wave_residual(pair.E, wrong, grid, pair.e_scale * pair.k ** 2)
+        else:
+            # omega' = 2 omega at the same k: the residual is 3 k^2 F
+            F = plane_wave([1.0, 0.0, 0.0], pair.k_vector, 2.0 * OMEGA)
+            report = wave_residual(F, medium, Grid4D.for_wave(pair.k, 2.0 * OMEGA), pair.k ** 2)
+        assert report.max_abs == pytest.approx(misfit, rel=1e-6)
 
     def test_wave_equation_alone_does_not_give_field_equations(self):
         # independent transverse amplitudes solve the wave equation but the
@@ -295,15 +291,15 @@ class TestResiduals:
             medium=VACUUM,
         )
         wave_grid = Grid4D.for_wave(k, OMEGA)
-        assert wave_residual(pair.E, C, wave_grid, pair.e_scale * k ** 2).max_abs < 1e-6
-        assert wave_residual(pair.B, C, wave_grid, pair.b_scale * k ** 2).max_abs < 1e-6
+        assert wave_residual(pair.E, VACUUM, wave_grid, pair.e_scale * k ** 2).max_abs < 1e-6
+        assert wave_residual(pair.B, VACUUM, wave_grid, pair.b_scale * k ** 2).max_abs < 1e-6
         assert maxwell_residual(pair, Grid4D.for_wave(k, OMEGA)).max_abs > 0.1
 
     @pytest.mark.parametrize("amplitude", [1e150, 1e200])
     def test_huge_amplitude_pair_passes_and_a_wrong_partner_fails(self, amplitude):
         # at 1e200, |E0|^2 overflowed: both scales read inf and every
         # normalized residual 0, so the wrong partner passed too
-        pair = conjugate_vacuum([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
+        pair = WavePair([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9)
         assert pair.e_scale == amplitude
         grid = pair.default_grid()
         assert maxwell_residual(pair, grid).max_abs < 1e-10
@@ -315,7 +311,7 @@ class TestResiduals:
         # |E0| = 2.1e308 overflows to inf; dividing by it read div E and
         # Faraday as 0, so this E, which adds the static field (0, 0, 1e300 z)
         # with div E = 1e300 (about 1.4 |E0| k), passed
-        pair = conjugate_vacuum([1.5e308, 1.5e308, 0.0], [0.0, 0.0, 1.0], 1.0)
+        pair = WavePair([1.5e308, 1.5e308, 0.0], [0.0, 0.0, 1.0], 1.0)
         assert pair.e_scale == math.inf
 
         def E(r, t):
@@ -348,42 +344,46 @@ class TestResiduals:
 
     def test_an_evaluator_that_coerces_is_a_type_error(self):
         # np.asarray(r) is the jet's value alone: its derivatives would read 0
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
         coerced = FieldPair(pair.E, lambda r, t: pair.B(np.asarray(r), np.asarray(t)),
                             pair.k, pair.e_scale, pair.b_scale)
         with pytest.raises(TypeError, match="not a Jet"):
             maxwell_residual(coerced, pair.default_grid(5))
         with pytest.raises(TypeError, match="not a Jet"):
-            wave_residual(coerced.B, C, pair.default_grid(5))
+            wave_residual(coerced.B, VACUUM, pair.default_grid(5))
 
 
 class TestNonConductingMedium:
     def test_slower_speed_and_larger_wavenumber(self):
         medium = MediumParams.relative(4.0, 1.0)
         assert medium.wave_speed == pytest.approx(C / 2.0, rel=1e-12)
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
         assert pair.k == pytest.approx(2.0 * OMEGA / C, rel=1e-12)
         np.testing.assert_allclose(pair.B0, [0.0, 2.0 / C, 0.0], rtol=1e-12)
 
     def test_pair_in_medium_passes_equations(self):
         medium = MediumParams.relative(2.25, 1.0)
-        pair = conjugate_vacuum([0.0, 3.0, 0.0], [1.0, 0.0, 0.0], OMEGA, medium)
+        pair = WavePair([0.0, 3.0, 0.0], [1.0, 0.0, 0.0], OMEGA, medium)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
 
-    def test_conducting_medium_rejected_by_vacuum_pair(self):
+    def test_conducting_medium_needs_the_conductor_pair(self):
         medium = MediumParams(VACUUM.epsilon, VACUUM.mu, sigma=1.0)
-        with pytest.raises(InvalidParameterError):
-            conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
+        with pytest.raises(InvalidParameterError, match="conducting media need"):
+            WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
+        pair = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
+        assert pair.medium is medium and pair.s > 0.0
 
 
 class TestRealFields:
     def test_real_pair_passes_field_equations(self):
-        pair = real_fields_vacuum([1.0, 0.0, 0.0], 0.4, [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * 0.4), [0.0, 0.0, 1.0], OMEGA,
+                        alpha=0.4, real=True)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
 
     def test_real_fields_oscillate_in_phase(self):
         alpha = 0.7
-        pair = real_fields_vacuum([1.0, 0.0, 0.0], alpha, [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * alpha), [0.0, 0.0, 1.0], OMEGA,
+                        alpha=alpha, real=True)
         r0 = np.array([0.1, -0.2, 0.55])
         e_amp, e_phase = fourier_phase(lambda t: pair.E(r0, t)[0], OMEGA)
         b_amp, b_phase = fourier_phase(lambda t: pair.B(r0, t)[1], OMEGA)
@@ -392,19 +392,21 @@ class TestRealFields:
 
     def test_real_part_phase_includes_alpha(self):
         alpha = 1.1
-        pair = real_fields_vacuum([1.0, 0.0, 0.0], alpha, [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * alpha), [0.0, 0.0, 1.0], OMEGA,
+                        alpha=alpha, real=True)
         _, e_phase = fourier_phase(lambda t: pair.E(np.zeros(3), t)[0], OMEGA)
         # at r = 0 the extracted phase is exactly alpha
         assert phase_difference(e_phase, alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_evaluators_return_real_arrays(self):
-        pair = real_fields_vacuum([1.0, 0.0, 0.0], 0.0, [0.0, 0.0, 1.0], OMEGA)
+        pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * 0.0), [0.0, 0.0, 1.0], OMEGA,
+                        alpha=0.0, real=True)
         assert not np.iscomplexobj(pair.E(np.zeros(3), 0.0))
 
 
 class TestSerialization:
     def test_spec_json_shape(self):
-        pair = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=0.3)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=0.3)
         d = pair.to_dict()
         assert list(d) == ["E0_re", "E0_im", "tau", "omega", "alpha"]
         assert d["E0_re"] == [1.0, 0.0, 0.0]

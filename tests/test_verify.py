@@ -8,9 +8,8 @@ import pytest
 
 from btkit import classic_bts, cli
 from btkit.errors import EmptyDomainError, InvalidGridError
-from btkit.maxwell_conductor import conjugate_conducting, modified_wave_residual
-from btkit.maxwell_vacuum import (FieldPair, _taylors, conjugate_vacuum, maxwell_residual,
-                                  wave_residual)
+from btkit.maxwell_conductor import ConductorWavePair, wave_residual
+from btkit.maxwell_vacuum import FieldPair, WavePair, _taylors, maxwell_residual
 from btkit.media import MediumParams
 from btkit.verify import (
     Grid2D,
@@ -88,7 +87,7 @@ class TestTaylor:
                   classic_bts.sine_gordon_from_vacuum(-0.7, 1.3), classic_bts.zero_field()):
             out = u(Jet([X, np.ones(())]), Jet([T, np.zeros(())]))
             np.testing.assert_array_equal(np.asarray(out), u(X, T))
-        pair = conjugate_conducting([1.0, 1j, 0.0], [0.0, 0.0, 1.0], _MEDIUM, 1.0)
+        pair = ConductorWavePair([1.0, 1j, 0.0], [0.0, 0.0, 1.0], 1.0, _MEDIUM)
         meshes = pair.default_grid(5).mesh()
         R = np.stack(meshes[:3], axis=-1)
         for F in (pair.E, pair.B):
@@ -192,9 +191,9 @@ _GRID2 = Grid2D(nx=9, nt=7)
 _HARMONIC = classic_bts.harmonic_conjugate_match(1.0, 0.5, -0.3)
 _LIOUVILLE = (classic_bts.liouville_from_trivial(2.0), classic_bts.zero_field())
 _KINK = (classic_bts.sine_gordon_from_vacuum(1.0, 1.0), classic_bts.zero_field())
-_WAVE = conjugate_vacuum([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0e9)
+_WAVE = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0e9)
 _MEDIUM = MediumParams(epsilon=3.0, mu=1.0, sigma=4.0)
-_CONDUCTOR = conjugate_conducting([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], _MEDIUM, 1.0)
+_CONDUCTOR = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, _MEDIUM)
 
 
 def _maxwell(wave, medium):
@@ -218,10 +217,8 @@ class TestEvaluationCounts:
                      _LIOUVILLE, 6, id="bt_liouville"),
         pytest.param(lambda u, v: classic_bts.bt_residual_sine_gordon(u, v, 1.0, _GRID2),
                      _KINK, 6, id="bt_sine_gordon"),
-        pytest.param(lambda E: wave_residual(E, _WAVE.medium.wave_speed, _WAVE.default_grid(5)),
-                     (_WAVE.E,), 4, id="wave"),
-        pytest.param(lambda E: modified_wave_residual(E, _MEDIUM, _CONDUCTOR.default_grid(5)),
-                     (_CONDUCTOR.E,), 4, id="modified_wave"),
+        pytest.param(lambda E: wave_residual(E, _MEDIUM, _CONDUCTOR.default_grid(5)),
+                     (_CONDUCTOR.E,), 4, id="wave"),
         # E.center enters only through the conduction term mu sigma E
         pytest.param(_maxwell(_WAVE, _WAVE.medium), (_WAVE.E, _WAVE.B), 8, id="maxwell"),
         pytest.param(_maxwell(_CONDUCTOR, _MEDIUM), (_CONDUCTOR.E, _CONDUCTOR.B), 9,
