@@ -33,8 +33,8 @@ _EXPORTS = {name: module for module, names in {
     "maxwell_conductor": (
         "ConductorWavePair", "DispersionSolution", "dispersion_solve", "wave_residual"),
     "maxwell_vacuum": (
-        "FieldPair", "VacuumWaveSpec", "WavePair", "maxwell_residual", "plane_wave"),
-    "media": ("CONSTANTS", "EPSILON0", "MU0", "VACUUM", "MediumParams", "PhysicalConstants"),
+        "FieldPair", "WavePair", "maxwell_residual", "plane_wave"),
+    "media": ("EPSILON0", "MU0", "VACUUM", "MediumParams"),
     "verify": ("Grid2D", "Grid4D", "ResidualReport", "report_from_values"),
 }.items() for name in names}
 

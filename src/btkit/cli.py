@@ -331,9 +331,9 @@ def _run_em(args):
     family = maxwell_conductor.ConductorWavePair if conducting else maxwell_vacuum.WavePair
     pair = family(E0, args.tau, omega, medium, alpha=args.alpha)
     wavenumber = {"dispersion": pair.dispersion.to_dict()} if conducting else {"k": pair.k}
-    result = {"spec": pair.spec.to_dict(), "medium": medium.to_dict(), **wavenumber,
+    params = pair.to_dict()
+    result = {"spec": params, "medium": medium.to_dict(), **wavenumber,
               "B0": _matrix_pair(pair.B0)}
-    params = pair.spec.to_dict()
     grid = pair.default_grid(args.samples)
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
 

@@ -51,7 +51,8 @@ from dataclasses import asdict, dataclass
 from .errors import BtkitError, InvalidParameterError
 from .maxwell_vacuum import WavePair, _taylors
 from .media import MediumParams
-from .verify import Grid4D, ResidualReport, _relative, magnitude, report_from_values
+from .verify import (Grid4D, ResidualReport, _mantissas, _relative, _times, magnitude,
+                     report_from_values)
 
 _BRANCH_TOL = 1e-12
 
@@ -107,25 +108,19 @@ def _quotient(factors: tuple, divisors: tuple) -> float:
     normal range it has the digits of the plain expression; past 2^1000 it
     is clipped there, still a failed check.
     """
-    num, den, power = 1.0, 1.0, 0
-    for factor in factors:
-        m, e = math.frexp(factor)
-        num, power = num * m, power + e
-    for divisor in divisors:
-        m, e = math.frexp(divisor)
-        den, power = den * m, power - e
-    return math.ldexp(num / den, min(power, 1000))
+    (num, up), (den, down) = _mantissas(factors), _mantissas(divisors)
+    return math.ldexp(num / den, min(up - down, 1000))
 
 
 def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     """Solve the (k, s) system for a medium at angular frequency omega.
 
-    Closed form; exact in the sigma = 0 limit where k = omega sqrt(eps mu)
-    and s = 0.  k + i s is the principal root of mu omega (eps omega + i
-    sigma), taken over the larger of its two parts so that no step
-    overflows on the way to a representable k: over eps omega through the
-    loss tangent x = sigma / (eps omega) <= 1, where s / k = x / (1 +
-    hypot(1, x)), and in a conductor over sigma through y = eps omega /
+    Closed form; exact in the sigma = 0 limit, where k is the medium's
+    ``lossless_wavenumber`` and s = 0.  k + i s is the principal root of mu
+    omega (eps omega + i sigma), taken over the larger of its two parts so
+    that no step overflows on the way to a representable k: over eps omega
+    through the loss tangent x = sigma / (eps omega) <= 1, where s / k = x /
+    (1 + hypot(1, x)), and in a conductor over sigma through y = eps omega /
     sigma < 1, where s / k = 1 / (y + hypot(y, 1)).  Both ratios are taken
     through ``_quotient``, so a product eps omega that underflows costs no
     digits.  The result is self-checked against both defining equations,
@@ -138,7 +133,7 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     if sigma <= eps * omega:
         loss_tangent = _quotient((sigma,), (eps, omega))
         root = 1.0 + math.hypot(1.0, loss_tangent)
-        k = omega * (math.sqrt(eps) * math.sqrt(mu)) * math.sqrt(root / 2.0)
+        k = medium.lossless_wavenumber(omega) * math.sqrt(root / 2.0)
         s = k * (loss_tangent / root)
     else:
         y = _quotient((eps, omega), (sigma,))
@@ -167,23 +162,18 @@ class ConductorWavePair(WavePair):
     sets the envelope exp(-s tau . r) both fields share and the magnetic
     amplitude, which exceeds the electric one by sqrt(k^2 + s^2) / omega
     and trails it by the dispersion angle phi.  With sigma = 0 it is the
-    non-conducting pair, s = 0 and B0 = sqrt(eps mu) tau x E0, with its
-    dispersion recorded.
+    non-conducting pair, bit for bit: s = 0 and B0 = sqrt(eps) sqrt(mu) tau
+    x E0, with its dispersion recorded.
     """
 
     def _wavenumber(self) -> tuple:
-        self.dispersion = dispersion_solve(self.medium, self.spec.omega)
+        self.dispersion = dispersion_solve(self.medium, self.omega)
         return self.dispersion.k, self.dispersion.s
 
     # WavePair's evaluators, bound here as well: the bench tracer
     # (bench/spans.py) wraps methods through each class's own __dict__
     E = WavePair.E
     B = WavePair.B
-
-    def to_dict(self) -> dict:
-        out = self.spec.to_dict()
-        out["dispersion"] = self.dispersion.to_dict()
-        return out
 
 
 def wave_residual(F, medium: MediumParams, grid: Grid4D,
@@ -193,13 +183,15 @@ def wave_residual(F, medium: MediumParams, grid: Grid4D,
     The wave equation each field of a ``medium``'s plane-wave pair obeys,
     damped where sigma > 0.  ``scale`` divides the raw residual; pass
     |F0| k^2 to make plane-wave reports dimensionless.  The partials are
-    exact, so a genuine wave reads rounding level; ``F`` follows the
-    evaluator contract of ``FieldPair``.
+    exact and each coefficient is applied with one rounding, so a genuine
+    wave reads rounding level; ``F`` follows the evaluator contract of
+    ``FieldPair``.
     """
     meshes = grid.mesh()
     taylor, = _taylors(meshes, F)
     lap = taylor.diffs(0)[1] + taylor.diffs(1)[1] + taylor.diffs(2)[1]
     ft, ftt = taylor.diffs(3)
-    residual = lap - medium.epsilon * medium.mu * ftt - medium.mu * medium.sigma * ft
+    residual = (lap - _times(ftt, medium.epsilon, medium.mu)
+                - _times(ft, medium.mu, medium.sigma))
     vals = _relative(magnitude(residual, meshes[0].ndim), scale)
     return report_from_values(vals, meshes)

@@ -9,24 +9,26 @@ act as a coupled first-order system relating E and B; each Cartesian
 component of a solution pair separately satisfies the wave equation at
 speed v = 1/sqrt(eps mu).  Given a transverse plane-wave ansatz
 
-    E(r, t) = E0 exp(i (k . r - omega t)),     k = (omega / v) tau,
+    E(r, t) = E0 exp(i (k . r - omega t)),    k = omega sqrt(eps) sqrt(mu) tau,
 
 the system fixes the partner field completely:
 
-    B = (1 / v) tau x E,
+    B = sqrt(eps) sqrt(mu) tau x E,
 
 so B is transverse as well, orthogonal to E under the bilinear dot product,
 and oscillates in phase with it.  Real solutions are the real parts; for a
 linearly polarized amplitude E0 = E0R exp(i alpha) with real E0R both real
 fields carry the same phase k . r - omega t + alpha.
 
-``WavePair`` is the one plane-wave pair for every linear medium, with one
+``WavePair`` is the one plane wave for every linear medium, with one
 constructor: B0 = ((k + i s) / omega) tau x E0, where a conductor
 (``maxwell_conductor``) supplies k + i s from its dispersion, which adds
 the envelope exp(-s tau . r) to the shared carrier, and a non-conducting
-medium has k = omega / v and s = 0.  ``maxwell_residual`` scans every pair
-as it is, so ``--verify`` certifies the B0 a run prints: where that B0
-lost digits to underflow, the scan reads the loss.
+medium has k = omega sqrt(eps) sqrt(mu) and s = 0.  ``maxwell_residual``
+scans every pair as it is, so ``--verify`` certifies the B0 a run prints:
+where that B0 lost digits to underflow, the scan reads the loss.  It
+applies the coefficients eps mu and mu sigma to the fields with one
+rounding, so a medium whose eps mu is subnormal keeps its digits.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NormalizationError, TransversalityError
 from .media import VACUUM, MediumParams
-from .verify import (Grid4D, ResidualReport, Taylor, _relative, _scaled, curl, divergence,
-                     magnitude, report_from_values)
+from .verify import (Grid4D, ResidualReport, Taylor, _relative, _scaled, _times, curl,
+                     divergence, magnitude, report_from_values)
 
 _UNIT_TOL = 1e-12
 
@@ -81,94 +83,71 @@ def _check_transverse(tau: np.ndarray, E0: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class VacuumWaveSpec:
-    """Parameters of one transverse plane wave: amplitude, direction, frequency.
-
-    ``alpha`` is the polarization phase of the real-field form and is kept
-    for bookkeeping; the complex amplitude already carries it as a factor.
-    """
-
-    E0: np.ndarray
-    tau: np.ndarray
-    omega: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "E0", _as_vec3(self.E0, "E0"))
-        object.__setattr__(self, "tau", _check_direction(_as_vec3(self.tau, "tau", float)))
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise InvalidParameterError(f"omega must be positive, got {self.omega}")
-        if not math.isfinite(self.alpha):
-            raise InvalidParameterError(f"alpha must be finite, got {self.alpha}")
-        _check_transverse(self.tau, self.E0)
-
-    def to_dict(self) -> dict:
-        return {
-            "E0_re": [float(v) for v in self.E0.real],
-            "E0_im": [float(v) for v in self.E0.imag],
-            "tau": [float(v) for v in self.tau],
-            "omega": float(self.omega),
-            "alpha": float(self.alpha),
-        }
-
-
 class WavePair:
-    """The conjugate (E, B) plane-wave pair of a transverse amplitude in a linear medium.
+    """The conjugate (E, B) plane wave of a transverse amplitude ``E0`` in a linear medium.
 
-    Rejects non-transverse amplitudes and non-unit directions outright;
-    nothing is silently projected or renormalized.  The complex amplitude
-    ``E0`` carries the polarization phase, so ``alpha`` is only recorded.
-    With ``real`` set the evaluators return real parts: the real pair of
-    a linearly polarized E0R is ``WavePair(E0R * exp(1j * alpha), ...,
-    alpha=alpha, real=True)``, E = E0R cos(k . r - omega t + alpha), with
-    B in phase (trailing by the dispersion angle phi in a conductor).
-    Evaluators take r with shape (..., 3) and broadcastable t and return
-    (..., 3) arrays.  The wavenumber k and attenuation s come from
-    ``_wavenumber``: omega / v and 0 here, the dispersion's in
-    ``ConductorWavePair``.
+    Validates and holds ``E0``, ``tau``, ``omega`` and ``alpha``, which
+    ``to_dict`` records.  Rejects non-transverse amplitudes and non-unit
+    directions outright; nothing is silently projected or renormalized.
+    The complex amplitude carries the polarization phase, so ``alpha`` is
+    only recorded.  With ``real`` set the evaluators return real parts: the
+    real pair of a linearly polarized E0R is ``WavePair(E0R * exp(1j *
+    alpha), ..., alpha=alpha, real=True)``, E = E0R cos(k . r - omega t +
+    alpha), with B in phase (trailing by the dispersion angle phi in a
+    conductor).  Evaluators take r with shape (..., 3) and broadcastable t
+    and return (..., 3) arrays.  The wavenumber k and attenuation s come
+    from ``_wavenumber``: the medium's ``lossless_wavenumber`` and 0 here,
+    the dispersion's in ``ConductorWavePair``.
     """
 
     def __init__(self, E0, tau, omega: float, medium: MediumParams = VACUUM,
                  alpha: float = 0.0, real: bool = False):
-        self.spec = spec = VacuumWaveSpec(E0, tau, omega, alpha)
+        self.E0 = _as_vec3(E0, "E0")
+        self.tau = _check_direction(_as_vec3(tau, "tau", float))
+        omega, alpha = float(omega), float(alpha)
+        if not (omega > 0.0 and math.isfinite(omega)):
+            raise InvalidParameterError(f"omega must be positive, got {omega}")
+        if not math.isfinite(alpha):
+            raise InvalidParameterError(f"alpha must be finite, got {alpha}")
+        _check_transverse(self.tau, self.E0)
+        self.omega, self.alpha = omega, alpha
         self.medium = medium
         self.real = real
         self.k, self.s = self._wavenumber()
         with np.errstate(over="ignore", invalid="ignore"):
-            self.B0 = (self.k + 1j * self.s) / spec.omega * np.cross(spec.tau, spec.E0)
+            self.B0 = (self.k + 1j * self.s) / omega * np.cross(self.tau, self.E0)
         if not np.all(np.isfinite(self.B0)):
             raise InvalidParameterError(
                 f"partner amplitude B0 overflows: ((k + i s) / omega) tau x E0 with k = "
-                f"{self.k!r}, s = {self.s!r}, omega = {spec.omega!r}, |E0| = {_norm(spec.E0)!r}")
+                f"{self.k!r}, s = {self.s!r}, omega = {omega!r}, |E0| = {_norm(self.E0)!r}")
 
     def _wavenumber(self) -> tuple:
         if self.medium.is_conducting:
             raise InvalidParameterError(
                 "conducting media need the attenuated pair, not the vacuum one"
             )
-        return self.spec.omega / self.medium.wave_speed, 0.0
+        return self.medium.lossless_wavenumber(self.omega), 0.0
 
     @property
     def k_vector(self) -> np.ndarray:
-        return self.k * self.spec.tau
+        return self.k * self.tau
 
     @property
     def e_scale(self) -> float:
-        return _norm(self.spec.E0)
+        return _norm(self.E0)
 
     @property
     def b_scale(self) -> float:
         return _norm(self.B0)
 
     def _carrier(self, r, t) -> np.ndarray:
-        wave = np.exp(1j * (r @ self.k_vector - self.spec.omega * t))
+        wave = np.exp(1j * (r @ self.k_vector - self.omega * t))
         if self.s:
-            wave = np.exp(-self.s * (r @ self.spec.tau)) * wave
+            wave = np.exp(-self.s * (r @ self.tau)) * wave
         return wave
 
     def E(self, r, t) -> np.ndarray:
-        wave = self._carrier(r, t)[..., None] * self.spec.E0
+        wave = self._carrier(r, t)[..., None] * self.E0
         return wave.real if self.real else wave
 
     def B(self, r, t) -> np.ndarray:
@@ -176,10 +155,11 @@ class WavePair:
         return wave.real if self.real else wave
 
     def default_grid(self, samples: int = 9) -> Grid4D:
-        return Grid4D.for_wave(self.k, self.spec.omega, samples)
+        return Grid4D.for_wave(self.k, self.omega, samples)
 
     def to_dict(self) -> dict:
-        return self.spec.to_dict()
+        return {"E0_re": self.E0.real.tolist(), "E0_im": self.E0.imag.tolist(),
+                "tau": self.tau.tolist(), "omega": self.omega, "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -216,10 +196,27 @@ def plane_wave(F0, k_vector, omega: float) -> Callable:
 _SPACETIME_AXES = tuple(zip(np.eye(3), (0.0,) * 3)) + ((np.zeros(3), 1.0),)
 
 
-def _taylors(meshes, *fields) -> list:
-    """Exact partials of each F(r, t) over an (x, y, z, t) mesh, r moved by _SPACETIME_AXES."""
+def _taylors(meshes, *fields, space: int = 0, time: int = 0) -> list:
+    """Exact partials of each F(r, t) over an (x, y, z, t) mesh, r moved by _SPACETIME_AXES.
+
+    The space axes are 2^space long and the time axis 2^time.
+    """
     coords = (np.stack(meshes[:3], axis=-1), meshes[3])
-    return [Taylor(F, coords, _SPACETIME_AXES) for F in fields]
+    lengths = (math.ldexp(1.0, space),) * 3 + (math.ldexp(1.0, time),)
+    axes = [(r * n, t * n) for (r, t), n in zip(_SPACETIME_AXES, lengths)]
+    return [Taylor(F, coords, axes) for F in fields]
+
+
+def _axis_powers(pair, grid: Grid4D) -> tuple:
+    """Exponents p, q >= 0 of the scan's axes: 2^p near 1/k, 2^q near the grid's t span / 8.
+
+    Both are cut by the larger field scale where it exceeds 1.  A wave's
+    partials along such axes stay normal where its fields are and do not
+    outgrow max(1, |F0|); where both rates reach 1 the axes are unit ones.
+    """
+    headroom = min(0, -math.frexp(max(pair.e_scale, pair.b_scale))[1])
+    rates = (1 - math.frexp(pair.k)[1], math.frexp(grid.t_max - grid.t_min)[1] - 3)
+    return tuple(min(max(rate + headroom, 0), 1023) for rate in rates)
 
 
 def _div_curl(F: Taylor):
@@ -245,17 +242,19 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
         if not math.isfinite(scale * pair.k):
             raise InvalidParameterError(f"normalization scale |{name}0| k = {scale * pair.k!r} "
                                         "overflows the float range")
-    k = pair.k
     medium = pair.medium
+    p, q = _axis_powers(pair, grid)
+    k = math.ldexp(pair.k, p)
     meshes = grid.mesh()
-    E, B = _taylors(meshes, pair.E, pair.B)
+    E, B = _taylors(meshes, pair.E, pair.B, space=p, time=q)
 
+    # every term in units of the space axes
     div_e, curl_e = _div_curl(E)
     div_b, curl_b = _div_curl(B)
-    faraday = curl_e + B.d(3)
-    ampere = curl_b - medium.epsilon * medium.mu * E.d(3)
+    faraday = curl_e + _times(B.d(3), shift=p - q)
+    ampere = curl_b - _times(E.d(3), medium.epsilon, medium.mu, shift=p - q)
     if medium.is_conducting:
-        ampere = ampere - medium.mu * medium.sigma * E.center
+        ampere = ampere - _times(E.center, medium.mu, medium.sigma, shift=p)
 
     ndim = meshes[0].ndim
     rows = np.stack((

@@ -378,6 +378,26 @@ def _relative(mags: np.ndarray, amplitude: float, factor: float = 1.0) -> np.nda
     return np.where(np.isfinite(mags), np.minimum(quotient, np.finfo(float).max), quotient)
 
 
+def _mantissas(factors) -> tuple:
+    """(m, e): the product of the ``frexp`` mantissas of ``factors``, and their exponents' sum."""
+    m, e = 1.0, 0
+    for factor in factors:
+        fm, fe = math.frexp(factor)
+        m, e = m * fm, e + fe
+    return m, e
+
+
+def _times(values: np.ndarray, *factors, shift: int = 0) -> np.ndarray:
+    """``values`` times ``factors`` and 2^shift: times their mantissas, then ``np.ldexp`` once.
+
+    A coefficient such as eps mu that would be subnormal costs no digits;
+    where it and the result are normal this is the plain product.
+    """
+    m, e = _mantissas(factors)
+    arr = np.ascontiguousarray(values * m)
+    return np.ldexp(arr.view(arr.real.dtype), e + shift).view(arr.dtype)
+
+
 def _matrix_pair(value) -> dict:
     """Real and imaginary parts of a complex vector or matrix as nested lists."""
     arr = np.asarray(value, complex)

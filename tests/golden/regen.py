@@ -121,7 +121,8 @@ EDGE_CASES = {
     "grid-error-before-step": ["classic", "sine-gordon", "--nx", "1", "--h", "0"],
 }
 # em paths that no README example takes: a dielectric medium, the sigma = 0
-# conductor with its dispersion, and a complex amplitude with a phase alpha
+# conductor with its dispersion, a complex amplitude with a phase alpha, and
+# media whose eps * mu is subnormal, which k and the scans never round alone
 EM_PATHS = {
     "medium-dielectric-json": ["em", "medium", "--epsilon-rel", "2.25", "--mu-rel", "1",
                                "--omega", "1e9", "--verify", "--format", "json"],
@@ -132,6 +133,17 @@ EM_PATHS = {
     "vacuum-complex-amplitude-alpha": [
         "em", "vacuum", "--omega", "1e9", "--e0-re", "0", "1", "0", "--e0-im", "0", "0.5", "0",
         "--tau", "1", "0", "0", "--alpha", "0.3", "--verify", "--format", "both"],
+    "medium-subnormal-eps-mu": ["em", "medium", "--epsilon", "1e-300", "--mu", "3e-24",
+                                "--omega", "1e200", "--verify"],
+    "conductor-subnormal-eps-mu-sigma-zero": [
+        "em", "conductor", "--epsilon", "1e-300", "--mu", "3e-24", "--sigma", "0",
+        "--omega", "1e200", "--verify"],
+    "conductor-subnormal-eps-mu-sigma-1e-100": [
+        "em", "conductor", "--epsilon", "1e-300", "--mu", "3e-24", "--sigma", "1e-100",
+        "--omega", "1e200", "--verify"],
+    "conductor-subnormal-eps-mu-sigma-1e-300": [
+        "em", "conductor", "--epsilon", "1e-300", "--mu", "1e-20", "--sigma", "1e-300",
+        "--omega", "1e200", "--verify"],
 }
 ENVIRONMENTS = {
     "env-step-1e-5": (["classic", "sine-gordon", "--verify"], {"BTKIT_H": "1e-5"}),

@@ -306,6 +306,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("btkit: error: base must be 2 x 2")
 
+    def test_imaginary_part_of_another_shape_is_precondition_error(self, capsys):
+        code, out, err = run(capsys, "chiral", "residual", "--a-re", "[[1,2],[3,4]]",
+                             "--a-im", "[[1]]", "--b-re", "[[1,0],[0,1]]")
+        assert (code, out) == (EXIT_PRECONDITION, "")
+        assert err == "btkit: error: A: real part has shape (2, 2), imaginary (1, 1)\n"
+
     def test_overflowing_seed_is_one_error_line(self):
         # exp(800) overflows inside expm; the seed is rejected as singular
         # with no RuntimeWarning printed ahead of the error line
@@ -1070,6 +1076,32 @@ class TestConductorOutput:
         assert disp["s"] == pytest.approx(s, rel=1e-13)
         assert payload["verify"]["passed"] is True
 
+    def test_medium_and_zero_conductivity_conductor_print_one_wavenumber(self, capsys):
+        # two formulas printed 6.671281903962896 and 6.671281903962895
+        _, medium, _ = run(capsys, "em", "medium", "--epsilon-rel", "4", "--omega", "1e9")
+        _, conductor, _ = run(capsys, "em", "conductor", "--epsilon-rel", "4", "--sigma", "0",
+                              "--omega", "1e9")
+        assert json.loads(medium)["result"]["k"] == 6.671281903962895
+        assert json.loads(conductor)["result"]["dispersion"]["k"] == 6.671281903962895
+
+    @pytest.mark.parametrize("argv, k", [
+        (["medium", "--epsilon", "1e-300", "--mu", "3e-24"], 1.732050807568877e38),
+        (["conductor", "--epsilon", "1e-300", "--mu", "3e-24", "--sigma", "0"],
+         1.732050807568877e38),
+        (["conductor", "--epsilon", "1e-300", "--mu", "3e-24", "--sigma", "1e-100"], None),
+        (["conductor", "--epsilon", "1e-300", "--mu", "1e-20", "--sigma", "1e-300"], None),
+    ], ids=["medium", "conductor-sigma-0", "conductor-sigma-1e-100", "conductor-sigma-1e-300"])
+    def test_media_whose_eps_mu_is_subnormal_verify(self, capsys, argv, k):
+        # eps mu rounds to a subnormal: the medium printed a k 28% high and
+        # passed, and each conductor failed its scan (0.647, 0.495, 1.1e-5)
+        code, out, err = run(capsys, "em", *argv, "--omega", "1e200", "--verify")
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["verify"]["scans"]["maxwell"]["max_abs"] < 1e-15
+        if k is not None:
+            result = payload["result"]
+            assert result.get("k", result.get("dispersion", {}).get("k")) == k
+
     def test_conductor_verify_passes(self, capsys):
         code, out, _ = run(capsys, "em", "conductor", "--epsilon", "3", "--mu", "1",
                            "--omega", "1", "--sigma", "4", "--verify")
@@ -1132,6 +1164,29 @@ class TestVerifySpecFiles:
                                     "params": {"C": 2.0}}))
         code, _, err = run(capsys, "verify", str(spec))
         assert (code, err) == (EXIT_VERIFY, "")
+
+    def test_em_spec_file_with_vector_and_boolean_params(self, capsys, tmp_path):
+        # the form of the benchmark's em spec operations: list values become
+        # one flag and its numbers, a true boolean a bare flag
+        spec = tmp_path / "wave.json"
+        spec.write_text(json.dumps({
+            "command": ["em", "medium"],
+            "params": {"e0_re": [1, 0, 0], "tau": [0, 0, 1], "epsilon_rel": 2.25,
+                       "omega": 1e9, "verify": True},
+        }))
+        code, out, err = run(capsys, "verify", str(spec))
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["params"]["E0_re"] == [1.0, 0.0, 0.0]
+        assert payload["params"]["tau"] == [0.0, 0.0, 1.0]
+        assert payload["verify"]["passed"] is True
+
+    def test_section_that_is_not_an_object_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"command": ["classic", "liouville"], "params": [2.0]}))
+        code, out, err = run(capsys, "verify", str(spec))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == 'btkit: error: spec file section "params" must be an object\n'
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '"x"'], ids=["list", "number", "string"])
     def test_top_level_not_an_object_is_one_error_line(self, tmp_path, text):

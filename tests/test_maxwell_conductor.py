@@ -160,8 +160,8 @@ class TestConjugation:
         medium = MediumParams(4.0 * EPSILON0, MU0, 0.05)
         pair = ConductorWavePair([0.0, 2.0, 0.0], [1.0, 0.0, 0.0], omega, medium)
         d = pair.dispersion
-        lhs = (d.k + 1j * d.s) * np.cross(pair.spec.tau, pair.B0)
-        rhs = -(medium.epsilon * medium.mu * omega + 1j * medium.mu * medium.sigma) * pair.spec.E0
+        lhs = (d.k + 1j * d.s) * np.cross(pair.tau, pair.B0)
+        rhs = -(medium.epsilon * medium.mu * omega + 1j * medium.mu * medium.sigma) * pair.E0
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
     def test_transversality_still_enforced(self):
@@ -185,6 +185,20 @@ class TestConjugation:
         r0 = np.array([0.05, 0.02, -0.3])
         np.testing.assert_allclose(cond.E(r0, 1e-9), vac.E(r0, 1e-9), rtol=1e-12)
 
+
+    @pytest.mark.parametrize("medium, omega, k", [
+        (MediumParams.relative(4.0, 1.0), 1e9, 6.671281903962895),
+        (MediumParams(1e-300, 3e-24), 1e200, 1.732050807568877e38),
+        (MediumParams(1e-300, 1e-20), 1e200, 9.999999999999999e39),
+    ], ids=["eps-rel-4", "subnormal-eps-mu-3e-324", "subnormal-eps-mu-1e-320"])
+    def test_zero_conductivity_gives_the_non_conducting_wavenumber_bit_for_bit(
+            self, medium, omega, k):
+        # one lossless k = omega sqrt(eps) sqrt(mu): omega / (1/sqrt(eps mu))
+        # read 6.671281903962896 at eps_rel = 4 and 2.2e38 at eps mu = 3e-324
+        vac = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
+        cond = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
+        assert vac.k == cond.k == cond.dispersion.k == medium.lossless_wavenumber(omega) == k
+        assert np.array_equal(vac.B0, cond.B0)
 
     def test_zero_attenuation_pair_shares_the_non_conducting_carrier(self):
         # one carrier serves both classes: with s = 0 and the same k the

@@ -13,7 +13,7 @@ from btkit.errors import (
 )
 from btkit.maxwell_conductor import ConductorWavePair, wave_residual
 from btkit.maxwell_vacuum import FieldPair, WavePair, _norm, maxwell_residual, plane_wave
-from btkit.media import CONSTANTS, MediumParams, VACUUM
+from btkit.media import EPSILON0, MU0, MediumParams, VACUUM
 from btkit.verify import Grid4D
 
 from helpers import (
@@ -23,7 +23,7 @@ from helpers import (
     random_transverse_amplitude,
 )
 
-C = CONSTANTS.c
+C = 1.0 / math.sqrt(EPSILON0 * MU0)   # the vacuum light speed
 OMEGA = 2.0 * math.pi * 1.0e8
 SEAWATER = MediumParams.relative(81.0, 1.0, 4.0)
 LOSSY = MediumParams(2.0 * VACUUM.epsilon, VACUUM.mu, 0.01)
@@ -34,7 +34,7 @@ class TestConstants:
         assert C == pytest.approx(299792458.0, rel=1e-9)
 
     def test_vacuum_medium_speed(self):
-        assert VACUUM.wave_speed == pytest.approx(C, rel=1e-12)
+        assert VACUUM.lossless_wavenumber(OMEGA) == pytest.approx(OMEGA / C, rel=1e-12)
         assert not VACUUM.is_conducting
 
     @pytest.mark.parametrize("kwargs", [
@@ -52,6 +52,15 @@ class TestConstants:
         # each factor is fine; the wave speed 1/sqrt(eps mu) is not
         with pytest.raises(InvalidParameterError, match="epsilon \\* mu"):
             MediumParams(epsilon, mu)
+
+    def test_numpy_scalars_are_stored_as_floats_and_checked_without_warnings(self):
+        # the suite turns RuntimeWarnings into errors: numpy's overflow
+        # warnings on eps * mu came before the documented refusal
+        with pytest.raises(InvalidParameterError, match="epsilon \\* mu"):
+            MediumParams(np.float64(1e200), np.float64(1e200))
+        medium = MediumParams(np.float64(2.0), np.float32(0.5), np.int64(3))
+        assert [type(v) for v in medium.to_dict().values()] == [float, float, float]
+        assert medium == MediumParams(2.0, 0.5, 3.0)
 
 
 class TestConjugation:
@@ -147,6 +156,22 @@ class TestExtremeInputs:
         pair = WavePair(E0, [0.0, 0.0, 1.0], 1e9)
         assert pair.e_scale == pytest.approx(math.hypot(*E0), rel=1e-3)
         assert low <= maxwell_residual(pair, pair.default_grid()).max_abs <= high
+
+    @pytest.mark.parametrize("omega, amplitude", [(1e-292, 1.0), (1e-250, 1e-60)])
+    def test_wrong_pairs_fail_where_unit_axis_partials_underflow(self, omega, amplitude):
+        # k = 1e-15 omega: Ampere's terms, about k |B0| on unit axes, were
+        # subnormal or 0, and every pair below read 0.0, the wrong ones too
+        medium = MediumParams(1.0, 1e-30)
+        pair = WavePair([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], omega, medium)
+        grid = pair.default_grid()
+        assert maxwell_residual(pair, grid).max_abs < 1e-15
+        wrong = FieldPair(pair.E, lambda r, t: 1.5 * pair.B(r, t), pair.k,
+                          pair.e_scale, pair.b_scale, medium)
+        assert maxwell_residual(wrong, grid).max_abs == pytest.approx(0.5, rel=1e-9)
+        other = WavePair([amplitude, 0.0, 0.0], [0.0, 0.0, 1.0], omega, MediumParams(1.001, 1e-30))
+        probe = FieldPair(other.E, other.B, other.k, other.e_scale, other.b_scale, medium)
+        report = maxwell_residual(probe, other.default_grid())
+        assert report.max_abs == pytest.approx(1.0 - 1.0 / 1.001, rel=1e-6)
 
     @pytest.mark.parametrize("medium", [VACUUM, MediumParams(1.0, 1.0)], ids=["vacuum", "unit"])
     @pytest.mark.parametrize("amplitude", [1.0, 1e-302, 1e-310, 1e-320])
@@ -356,7 +381,7 @@ class TestResiduals:
 class TestNonConductingMedium:
     def test_slower_speed_and_larger_wavenumber(self):
         medium = MediumParams.relative(4.0, 1.0)
-        assert medium.wave_speed == pytest.approx(C / 2.0, rel=1e-12)
+        assert medium.lossless_wavenumber(OMEGA) == pytest.approx(2.0 * OMEGA / C, rel=1e-12)
         pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, medium)
         assert pair.k == pytest.approx(2.0 * OMEGA / C, rel=1e-12)
         np.testing.assert_allclose(pair.B0, [0.0, 2.0 / C, 0.0], rtol=1e-12)
@@ -365,6 +390,25 @@ class TestNonConductingMedium:
         medium = MediumParams.relative(2.25, 1.0)
         pair = WavePair([0.0, 3.0, 0.0], [1.0, 0.0, 0.0], OMEGA, medium)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
+
+    def test_subnormal_epsilon_mu_keeps_the_digits_of_its_factors(self):
+        # eps * mu = 3e-324 rounds to the least subnormal 4.9e-324: a k taken
+        # from the product read 2.2227587494850774e38, 28% high, and passed
+        medium = MediumParams(1e-300, 3e-24)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e200, medium)
+        assert pair.k == 1.732050807568877e38
+        assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-15
+
+    @pytest.mark.parametrize("factor", [1.002, 1 / 1.002])
+    def test_a_pair_of_a_nearby_medium_fails_where_eps_mu_is_subnormal(self, factor):
+        # both media round eps * mu to the same subnormal: a scan that
+        # multiplied by that product read 0.0 for this pair
+        medium = MediumParams(1e-300, 3e-24)
+        other = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e200,
+                         MediumParams(1e-300 * factor, 3e-24))
+        probe = FieldPair(other.E, other.B, other.k, other.e_scale, other.b_scale, medium)
+        report = maxwell_residual(probe, other.default_grid())
+        assert report.max_abs == pytest.approx(abs(1.0 - 1.0 / factor), rel=1e-6)
 
     def test_conducting_medium_needs_the_conductor_pair(self):
         medium = MediumParams(VACUUM.epsilon, VACUUM.mu, sigma=1.0)
