@@ -42,8 +42,10 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 CASES_DIR = HERE / "cases"
 sys.path.insert(0, str(HERE.parents[1] / "src"))
+sys.path.insert(0, str(HERE.parent))
 
 from btkit import cli  # noqa: E402
+from helpers import random_commuting_pair, random_matrix  # noqa: E402
 
 REL = 1e-12
 RESIDUAL_ABS = 1e-3   # residual figures may move by this fraction of the tolerance
@@ -156,18 +158,34 @@ def _matrix_text(values) -> str:
     return json.dumps([[float(v) for v in row] for row in values])
 
 
+def _hierarchy_flags(A, B, M) -> list:
+    """A level-3 hierarchy on the default 41 x 41 grid, every matrix complex."""
+    argv = ["chiral", "hierarchy"]
+    for name, mat in (("a", A), ("b", B), ("m", M)):
+        argv += [f"--{name}-re", _matrix_text(mat.real), f"--{name}-im", _matrix_text(mat.imag)]
+    return argv + ["--levels", "3", "--verify"]
+
+
 def _hierarchy_argv(seed: int) -> list:
-    """A level-3 hierarchy at 41 x 41 on commuting generators B = p(A), n = 2 or 3."""
+    """A hierarchy on commuting generators B = p(A), n = 2 or 3."""
     rng = np.random.default_rng(seed)
     n = 2 if seed < 6 else 3
     A = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     c = rng.uniform(-0.5, 0.5, 3)
     B = c[0] * A + c[1] * np.eye(n) + c[2] * (A @ A)
     M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    argv = ["chiral", "hierarchy"]
-    for name, mat in (("a", A), ("b", B), ("m", M)):
-        argv += [f"--{name}-re", _matrix_text(mat.real), f"--{name}-im", _matrix_text(mat.imag)]
-    return argv + ["--levels", "3", "--verify"]
+    return _hierarchy_flags(A, B, M)
+
+
+def _complex_hierarchy_argv() -> list:
+    """The 3 x 3 seed and M of the library tests' ``default_rng(1003)``.
+
+    Its generators are dense and complex at the scale of the benchmark's
+    seeds, so every real and imaginary block of a commutator carries weight.
+    """
+    rng = np.random.default_rng(1003)
+    A, B = random_commuting_pair(rng, 3)
+    return _hierarchy_flags(A, B, random_matrix(rng, 3))
 
 
 def cases() -> dict:
@@ -180,6 +198,7 @@ def cases() -> dict:
     out.update((name, (argv, {})) for name, argv in {**EDGE_CASES, **EM_PATHS}.items())
     out.update(ENVIRONMENTS)
     out.update((f"hierarchy-seed-{seed:02d}", (_hierarchy_argv(seed), {})) for seed in range(12))
+    out["chiral-hierarchy-3x3-complex"] = (_complex_hierarchy_argv(), {})
     return out
 
 
