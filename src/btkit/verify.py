@@ -146,11 +146,23 @@ class Grid4D:
 
     @classmethod
     def for_wave(cls, wavenumber: float, omega: float, samples: int = 9) -> "Grid4D":
-        """Grid spanning one wavelength per spatial axis and one period."""
+        """Grid spanning one wavelength per spatial axis and one period.
+
+        A wave whose k underflows to 0, or whose wavelength or period
+        overflows, has no such grid; the refusal names k and omega.
+        """
+        wavenumber, omega = float(wavenumber), float(omega)
+        wave = f"k={wavenumber!r}, omega={omega!r}"
+        if wavenumber == 0.0 and omega > 0:
+            raise InvalidGridError(f"wavenumber is 0 or underflows to 0 ({wave}): "
+                                   "no wavelength to span")
         if not wavenumber > 0 or not omega > 0:
-            raise InvalidGridError("for_wave needs positive wavenumber and omega")
+            raise InvalidGridError(f"for_wave needs positive wavenumber and omega, got {wave}")
         wavelength = 2.0 * math.pi / wavenumber
         period = 2.0 * math.pi / omega
+        for name, span in (("wavelength 2 pi / k", wavelength), ("period 2 pi / omega", period)):
+            if span == math.inf:
+                raise InvalidGridError(f"{name} overflows the float range ({wave})")
         return cls(
             0.0, wavelength, 0.0, wavelength, 0.0, wavelength, 0.0, period,
             samples, samples, samples, samples,

@@ -123,8 +123,9 @@ EDGE_CASES = {
     "grid-error-before-step": ["classic", "sine-gordon", "--nx", "1", "--h", "0"],
 }
 # em paths that no README example takes: a dielectric medium, the sigma = 0
-# conductor with its dispersion, a complex amplitude with a phase alpha, and
-# media whose eps * mu is subnormal, which k and the scans never round alone
+# conductor with its dispersion, a complex amplitude with a phase alpha,
+# media whose eps * mu is subnormal, which k and the scans never round alone,
+# and waves whose k underflows or whose wavelength overflows, refused
 EM_PATHS = {
     "medium-dielectric-json": ["em", "medium", "--epsilon-rel", "2.25", "--mu-rel", "1",
                                "--omega", "1e9", "--verify", "--format", "json"],
@@ -146,6 +147,11 @@ EM_PATHS = {
     "conductor-subnormal-eps-mu-sigma-1e-300": [
         "em", "conductor", "--epsilon", "1e-300", "--mu", "1e-20", "--sigma", "1e-300",
         "--omega", "1e200", "--verify"],
+    "medium-wavenumber-underflow": ["em", "medium", "--epsilon", "1", "--mu", "1e-48",
+                                    "--omega", "1e-300"],
+    "medium-wavelength-overflow": ["em", "medium", "--epsilon", "1", "--mu", "1e-15",
+                                   "--omega", "1e-300"],
+    "vacuum-wavelength-overflow": ["em", "vacuum", "--omega", "1e-310"],
 }
 ENVIRONMENTS = {
     "env-step-1e-5": (["classic", "sine-gordon", "--verify"], {"BTKIT_H": "1e-5"}),

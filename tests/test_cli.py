@@ -183,6 +183,23 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv, message", [
+        (["em", "medium", "--epsilon", "1", "--mu", "1e-48", "--omega", "1e-300"],
+         "wavenumber is 0 or underflows to 0 (k=0.0, omega=1e-300): no wavelength to span"),
+        (["em", "medium", "--epsilon", "1", "--mu", "1e-15", "--omega", "1e-300"],
+         "wavelength 2 pi / k overflows the float range "
+         "(k=3.162277660168379e-308, omega=1e-300)"),
+        (["em", "vacuum", "--omega", "1e-310"],
+         "wavelength 2 pi / k overflows the float range (k=3.33563e-319, omega=1e-310)"),
+    ], ids=["k-underflow", "wavelength-overflow", "vacuum-wavelength-overflow"])
+    def test_wave_with_no_grid_is_one_error_line_naming_k_and_omega(self, argv, message):
+        # the grid refused these waves without naming them: "for_wave needs
+        # positive wavenumber and omega", or "x bounds must satisfy min <
+        # max, got [0.0, inf]"
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            EXIT_PRECONDITION, "", f"btkit: error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
         (["em", "vacuum", "--omega", "1", "--e0-re", "1e200", "0", "1e200", "--verify"],
          "amplitude is not transverse"),
         (["em", "medium", "--omega", "1", "--epsilon", "1e100", "--mu", "1e100",

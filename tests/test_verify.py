@@ -544,6 +544,22 @@ class TestGrids:
         assert grid.t_max == pytest.approx(2.0 * math.pi / omega)
         assert grid.nx == grid.nt == 9
 
+    @pytest.mark.parametrize("k, omega, message", [
+        (0.0, 1e-300, r"wavenumber is 0 or underflows to 0 \(k=0.0, omega=1e-300\)"),
+        (np.float64(3e-308), 1e-300,
+         r"wavelength 2 pi / k overflows the float range \(k=3e-308, omega=1e-300\)"),
+        (1.0, 1e-310, r"period 2 pi / omega overflows the float range \(k=1.0, omega=1e-310\)"),
+        (-1.0, 1.0, r"needs positive wavenumber and omega, got k=-1.0, omega=1.0"),
+        (1.0, math.nan, r"needs positive wavenumber and omega, got k=1.0, omega=nan"),
+    ], ids=["k-zero", "wavelength-overflow", "period-overflow", "k-negative", "omega-nan"])
+    def test_for_wave_refuses_a_wave_with_no_grid_naming_k_and_omega(self, k, omega, message):
+        # an underflowed k read "for_wave needs positive wavenumber and
+        # omega", and an infinite wavelength "x bounds must satisfy min < max"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidGridError, match=message):
+                Grid4D.for_wave(k, omega)
+
     def test_report_invariant_rms_le_max(self):
         with pytest.raises(ValueError):
             ResidualReport(max_abs=1.0, rms=2.0, n_points=4, worst_point=(0.0, 0.0))
