@@ -51,11 +51,13 @@ starts from.  For an exponential seed it is exactly the constant pair
 (A, B): the seed runs the conditioning check on its samples once per grid
 and returns its read-only (n, n) generators themselves, so a whole
 hierarchy and its symmetry scans share one check, never see the rounding
-of g, and take each commutator [A, P] as two BLAS products over the
-lattice.  The field-equation scan and the potential difference or
-integrate the connection, so they broadcast it to node tables; the
-field-equation scan therefore reads rounding level for an exponential
-seed (the stencils applied to a constant).  That scan is a real check for
+of g, and take each commutator [A, P] over the whole lattice as one real
+product: the table's (nodes, 2 n^2) float view times the real form of
+ad(A) = A^T (x) I - I (x) A, built once per call.  The field-equation
+scan and the potential difference or integrate the connection, so they
+broadcast it to node tables; the field-equation scan therefore reads
+rounding level for an exponential seed (the stencils applied to a
+constant).  That scan is a real check for
 tabulated seeds, whose connection is solved node by node from lattice
 derivatives of the samples.  Fields other than the exponential seed
 rebuild the connection on each call, since their samples may change
@@ -218,15 +220,39 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] over stacked (broadcasting) matrices.
 
     A constant operand ``a``, one (n, n) matrix such as an exponential
-    seed's connection, takes two BLAS products over the whole stack: ``b a``
-    as one (m, n) @ (n, n) product and ``a b`` as one tensordot.  A stacked
-    ``a`` takes one outer product per k, which for the small matrices of a
-    chiral seed beats a stacked matmul's BLAS call per matrix.
+    seed's connection, is one fixed linear map on the n^2 entries of each
+    matrix P of ``b``.  With vec(P) listing the entries row by row, as the
+    table's memory does, vec(a P - P a) = vec(P) ad(a), where
+    ad(a) = a^T (x) I - I (x) a (Van Loan, J. Comput. Appl. Math. 123,
+    2000).  For a complex table each entry c of ad(a) is the real block
+    [[Re c, Im c], [-Im c, Re c]], which multiplies an entry's (re, im)
+    pair from the right, so the whole stack is one real
+    (m, 2 n^2) @ (2 n^2, 2 n^2) product on the table's float view, with a
+    contiguous output; ad(a) is built once per call.  A stacked ``a`` takes
+    one outer product per k, which for the small matrices of a chiral seed
+    beats a stacked matmul's BLAS call per matrix.
     """
     if a.ndim == 2:
-        ba = (b.reshape(-1, a.shape[-1]) @ a).reshape(b.shape)
-        ab = np.tensordot(b, a, axes=([-2], [1])).swapaxes(-1, -2)
-        return np.subtract(ab, ba, out=ba)
+        n = a.shape[-1]
+        dtype = np.result_type(a, b)
+        table = np.ascontiguousarray(b, dtype=dtype)
+        if dtype.kind == "c":
+            table = table.view(table.real.dtype)
+            rho = np.empty((n, n, 2, 2), table.dtype)
+            rho[..., 0, 0] = rho[..., 1, 1] = a.real
+            rho[..., 0, 1] = a.imag
+            rho[..., 1, 0] = -a.imag
+        else:
+            rho = a[..., None, None]
+        # ad[k, j, s; i, l, u] = rho[i, k, s, u] [j == l] - [k == i] rho[j, l, s, u],
+        # row (k, j, s) for part s of P[k, j], column (i, l, u) likewise
+        pair = rho.shape[-1]
+        ad = np.zeros((n, n, pair, n, n, pair), table.dtype)
+        diagonal = np.arange(n)
+        ad[:, diagonal, :, :, diagonal, :] = rho.transpose(1, 2, 0, 3)
+        ad[diagonal, :, :, diagonal, :, :] -= rho.transpose(0, 2, 1, 3)
+        ad = ad.reshape(n * n * pair, -1)
+        return (table.reshape(-1, len(ad)) @ ad).view(dtype).reshape(b.shape)
     return sum(a[..., :, k, None] * b[..., None, k, :] - b[..., :, k, None] * a[..., None, k, :]
                for k in range(a.shape[-1]))
 

@@ -916,6 +916,35 @@ def test_commutator_matches_matrix_products(n):
     for a, b in ((stack, stack[::-1]), (single, stack), (stack, single), (single, single.T),
                  (single, table), (single, view)):
         np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0, atol=1e-13)
+    # a constant a against the tables a seed's connection meets: a large
+    # imaginary part, a read-only table (as ExpSeedField samples are) and a
+    # broadcast view with zero strides
+    frozen = table.copy()
+    frozen.setflags(write=False)
+    broadcast = np.broadcast_to(single, (4, 3, n, n))
+    for a, b in ((single.real + 1e8j * single.imag, table), (single, frozen),
+                 (single, broadcast), (single.real, table), (single, table.real)):
+        scale = np.max(np.abs(a)) * np.max(np.abs(b))
+        np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0,
+                                   atol=1e-13 * scale)
+    assert _commutator(single.real, table.real).dtype == float
+    # entries near 1e+-150: products stay in range, and so must the kernel's
+    for a_scale, b_scale in ((1e150, 1e150), (1e-150, 1e-150), (1e150, 1e-150)):
+        a, b = a_scale * single, b_scale * table
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            got, want = _commutator(a, b), commutator(a, b)
+        # an entry that underflowed to 0 would miss a tolerance this small
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * a_scale * b_scale)
+    # one inf node: the same nodes come out non-finite (inf * 0 in the real
+    # product may make every entry of that node nan), and the rest agree
+    spoiled = table.copy()
+    spoiled[2, 3, 0, n - 1] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = _commutator(single, spoiled), commutator(single, spoiled)
+    bad = ~np.isfinite(got).all(axis=(-2, -1))
+    assert np.array_equal(bad, ~np.isfinite(want).all(axis=(-2, -1)))
+    assert np.argwhere(bad).tolist() == [[2, 3]]
+    np.testing.assert_allclose(got[~bad], want[~bad], rtol=0, atol=1e-13)
 
 
 class TestConnection:
