@@ -224,35 +224,29 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrix P of ``b``.  With vec(P) listing the entries row by row, as the
     table's memory does, vec(a P - P a) = vec(P) ad(a), where
     ad(a) = a^T (x) I - I (x) a (Van Loan, J. Comput. Appl. Math. 123,
-    2000).  For a complex table each entry c of ad(a) is the real block
-    [[Re c, Im c], [-Im c, Re c]], which multiplies an entry's (re, im)
-    pair from the right, so the whole stack is one real
-    (m, 2 n^2) @ (2 n^2, 2 n^2) product on the table's float view, with a
-    contiguous output; ad(a) is built once per call.  A stacked ``a`` takes
-    one outer product per k, which for the small matrices of a chiral seed
-    beats a stacked matmul's BLAS call per matrix.
+    2000).  Each entry c of ad(a) becomes the real block [[Re c, Im c],
+    [-Im c, Re c]], which multiplies an entry's (re, im) pair from the
+    right, so the whole stack is one real (m, 2 n^2) @ (2 n^2, 2 n^2)
+    product on the float view of ``b`` as a complex table, with a
+    contiguous complex output; ad(a) is built once per call.  A stacked
+    ``a`` takes one outer product per k, which for the small matrices of a
+    chiral seed beats a stacked matmul's BLAS call per matrix.
     """
     if a.ndim == 2:
         n = a.shape[-1]
-        dtype = np.result_type(a, b)
-        table = np.ascontiguousarray(b, dtype=dtype)
-        if dtype.kind == "c":
-            table = table.view(table.real.dtype)
-            rho = np.empty((n, n, 2, 2), table.dtype)
-            rho[..., 0, 0] = rho[..., 1, 1] = a.real
-            rho[..., 0, 1] = a.imag
-            rho[..., 1, 0] = -a.imag
-        else:
-            rho = a[..., None, None]
-        # ad[k, j, s; i, l, u] = rho[i, k, s, u] [j == l] - [k == i] rho[j, l, s, u],
-        # row (k, j, s) for part s of P[k, j], column (i, l, u) likewise
-        pair = rho.shape[-1]
-        ad = np.zeros((n, n, pair, n, n, pair), table.dtype)
+        rho = np.empty((n, n, 2, 2))
+        rho[..., 0, 0] = rho[..., 1, 1] = a.real
+        rho[..., 0, 1] = a.imag
+        rho[..., 1, 0] = -a.imag
+        # ad[k, j, s; i, l, u] = rho[i, k, s, u] [j == l] - [k == i] rho[j, l, s, u]:
+        # row (k, j, s) reads part s of P[k, j], column (i, l, u) gives part u
+        # of [a, P][i, l]
+        ad = np.zeros((n, n, 2, n, n, 2))
         diagonal = np.arange(n)
         ad[:, diagonal, :, :, diagonal, :] = rho.transpose(1, 2, 0, 3)
         ad[diagonal, :, :, diagonal, :, :] -= rho.transpose(0, 2, 1, 3)
-        ad = ad.reshape(n * n * pair, -1)
-        return (table.reshape(-1, len(ad)) @ ad).view(dtype).reshape(b.shape)
+        table = np.ascontiguousarray(b, dtype=complex).view(float).reshape(-1, 2 * n * n)
+        return (table @ ad.reshape(2 * n * n, -1)).view(complex).reshape(b.shape)
     return sum(a[..., :, k, None] * b[..., None, k, :] - b[..., :, k, None] * a[..., None, k, :]
                for k in range(a.shape[-1]))
 
