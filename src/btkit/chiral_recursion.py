@@ -57,12 +57,12 @@ ad(A) = A^T (x) I - I (x) A, built once per call.  The field-equation
 scan and the potential difference or integrate the connection, so they
 broadcast it to node tables; the field-equation scan therefore reads
 rounding level for an exponential seed (the stencils applied to a
-constant).  That scan is a real check for
-tabulated seeds, whose connection is solved node by node from lattice
-derivatives of the samples.  Fields other than the exponential seed
-rebuild the connection on each call, since their samples may change
-between calls.  The conditioning check runs an SVD only on nodes whose
-Frobenius-norm bound comes near its limit.
+constant).  That scan is a real check for tabulated seeds, whose
+connection is solved node by node from lattice derivatives of the
+samples.  Fields other than the exponential seed rebuild the connection
+on each call, since their samples may change between calls.  The
+conditioning check runs an SVD only on nodes whose Frobenius-norm bound
+comes near its limit.
 
 The seed's samples come from ``_expm``, a numpy Pade [13/13] matrix
 exponential with scaling and squaring that takes a whole stack of
