@@ -1,7 +1,13 @@
 """Golden corpus of ``btkit`` command-line runs: write it, or check against it.
 
     python tests/golden/regen.py            # rewrite tests/golden/cases/*.json
+    python tests/golden/regen.py NAME...    # write only the named cases
     python tests/golden/regen.py --check    # compare; exit 1 naming each changed case
+
+A full rewrite also rewrites records whose numbers moved only in their last
+digits on this machine's BLAS and libm, so a change that records or moves a
+few cases writes those by name, and the diff of ``tests/golden/cases`` shows
+only them.
 
 Each case is one argv (and environment) run through ``btkit.cli.main`` in
 this process, twice: the two runs must give identical bytes on stdout and
@@ -153,6 +159,17 @@ EM_PATHS = {
                                    "--omega", "1e-300"],
     "vacuum-wavelength-overflow": ["em", "vacuum", "--omega", "1e-310"],
 }
+# exponential seeds with generators of large norm, whose conditioning is
+# decided node by node on their samples: e^(20 x) reaches cond e^40 at
+# x = -1 and is refused; a unitary seed of any norm passes
+CONDITIONING = {
+    "chiral-residual-ill-conditioned": ["chiral", "residual", "--a-re", "[[20, 0], [0, -20]]",
+                                        "--b-re", "[[0, 0], [0, 0]]", "--verify"],
+    "chiral-hierarchy-unitary-large-norm": [
+        "chiral", "hierarchy", "--a-re", "[[0, 0], [0, 0]]", "--a-im", "[[14, 0], [0, -9]]",
+        "--b-re", "[[0, 0], [0, 0]]", "--b-im", "[[3, 0], [0, 5]]", "--m-re", "[[0, 1], [1, 0]]",
+        "--levels", "3", "--verify"],
+}
 ENVIRONMENTS = {
     "env-step-1e-5": (["classic", "sine-gordon", "--verify"], {"BTKIT_H": "1e-5"}),
     "env-step-malformed": (["classic", "laplace", "--nx", "1"], {"BTKIT_H": "tiny"}),
@@ -201,7 +218,8 @@ def cases() -> dict:
         plain = [a for a in argv if a not in ("--format", "both")]
         out[f"readme-{name}-json"] = (plain + ["--format", "json"], {})
         out[f"readme-{name}-both"] = (plain + ["--format", "both"], {})
-    out.update((name, (argv, {})) for name, argv in {**EDGE_CASES, **EM_PATHS}.items())
+    out.update((name, (argv, {}))
+               for name, argv in {**EDGE_CASES, **EM_PATHS, **CONDITIONING}.items())
     out.update(ENVIRONMENTS)
     out.update((f"hierarchy-seed-{seed:02d}", (_hierarchy_argv(seed), {})) for seed in range(12))
     out["chiral-hierarchy-3x3-complex"] = (_complex_hierarchy_argv(), {})
@@ -365,8 +383,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="compare with the recorded corpus instead of rewriting it")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="write only these cases, leaving every other file as it is")
     args = parser.parse_args(argv)
+    if args.check and args.names:
+        parser.error("--check compares the whole corpus; it takes no case names")
     wanted = cases()
+    unknown = [name for name in args.names if name not in wanted]
+    if unknown:
+        parser.error(f"not a case: {', '.join(unknown)}")
     recorded = {path.stem for path in CASES_DIR.glob("*.json")}
     if args.check:
         changed = sorted(recorded ^ set(wanted))
@@ -384,8 +409,11 @@ def main(argv=None) -> int:
         print(f"{len(wanted) - len(changed)} of {len(wanted)} cases unchanged")
         return 1 if changed else 0
     CASES_DIR.mkdir(exist_ok=True)
-    for name in recorded - set(wanted):
-        (CASES_DIR / f"{name}.json").unlink()
+    if args.names:
+        wanted = {name: wanted[name] for name in dict.fromkeys(args.names)}
+    else:
+        for name in recorded - set(wanted):
+            (CASES_DIR / f"{name}.json").unlink()
     for name, (case_argv, env) in wanted.items():
         (CASES_DIR / f"{name}.json").write_text(_dump(run_case(case_argv, env)),
                                                 encoding="utf-8")
