@@ -48,21 +48,28 @@ potential X is that field itself.
 
 The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
 starts from.  For an exponential seed it is exactly the constant pair
-(A, B): the seed runs the conditioning check on its samples once per grid
-and returns its read-only (n, n) generators themselves, so a whole
-hierarchy and its symmetry scans share one check, never see the rounding
-of g, and take each commutator [A, P] over the whole lattice as one real
-product: the table's (nodes, 2 n^2) float view times the real form of
-ad(A) = A^T (x) I - I (x) A, built once per call.  The field-equation
-scan and the potential difference or integrate the connection, so they
-broadcast it to node tables; the field-equation scan therefore reads
-rounding level for an exponential seed (the stencils applied to a
-constant).  That scan is a real check for tabulated seeds, whose
-connection is solved node by node from lattice derivatives of the
+(A, B): the seed checks its conditioning once per grid and returns its
+read-only (n, n) generators themselves, so a whole hierarchy and its
+symmetry scans share one check, never see the rounding of g, and take
+each commutator [A, P] over the whole lattice as one real product: the
+table's (nodes, 2 n^2) float view times the real form of
+ad(A) = A^T (x) I - I (x) A, built once per call.  The check is a closed
+form where one applies: |e^M|_2 <= e^|M|_2 (Moler and Van Loan, SIAM
+Review 45, 2003) gives cond_2 g <= e^(2 r) on the grid's rectangle, with
+r = |A|_2 max |x| + |B|_2 max |t|.  When 2 r <= ln 1e11, a tenth of the
+limit, the seed passes without a sample computed; otherwise the check runs
+node by node on its samples.  So g is sampled only when something reads
+it: that check, the q = g Phi table, or a library caller.
+
+The field-equation scan and the potential difference or integrate the
+connection, so they broadcast it to node tables; the field-equation scan
+therefore reads rounding level for an exponential seed (the stencils
+applied to a constant).  That scan is a real check for tabulated seeds,
+whose connection is solved node by node from lattice derivatives of the
 samples.  Fields other than the exponential seed rebuild the connection
 on each call, since their samples may change between calls.  The
-conditioning check runs an SVD only on nodes whose Frobenius-norm bound
-comes near its limit.
+node-by-node conditioning check runs an SVD only on nodes whose
+Frobenius-norm bound comes near its limit.
 
 The seed's samples come from ``_expm``, a numpy Pade [13/13] matrix
 exponential with scaling and squaring that takes a whole stack of
@@ -92,6 +99,9 @@ from .verify import (Grid2D, ResidualReport, _matrix_pair, _scaled, magnitude,
 _MIN_NODES = 6          # one-sided second-derivative stencils need 6 nodes
 _COMMUTE_TOL = 1e-12
 _COND_LIMIT = 1e12
+# an exponential seed whose exponent bound r has 2 r at most this has
+# cond_2 <= e^(2 r) <= _COND_LIMIT / 10 on every node
+_COND_BOUND_EXPONENT = math.log(_COND_LIMIT / 10)
 _PATH_TOL = 1e-6
 
 
@@ -331,11 +341,17 @@ class ExpSeedField(MatrixField):
     three calls of the batched Pade ``_expm``.
     Derivative samples use the closed forms g_x = A g and g_xx = A (A g)
     (B in t), and the connection is the (n, n) pair (A, B) itself, returned
-    once the grid's samples pass the invertibility check.  Grid samples are
-    computed once per grid and returned read-only, and the check runs once
-    per grid; the generators are read-only copies, so nothing cached can go
-    stale.  A grid that fails the check is not recorded and raises again on
-    the next call.
+    once the grid passes the conditioning check.  Its first step is the
+    bound cond_2 g <= e^(2 r), r = |A|_2 max |x| + |B|_2 max |t| over the
+    grid's rectangle: with 2 r <= ln(_COND_LIMIT / 10) every node is at
+    least ten times inside the limit, which leaves room for the rounding of
+    the samples, and r also bounds each factor ``__call__`` exponentiates,
+    so the grid passes unsampled.  Past that, the invertibility check runs
+    on the grid's samples, node by node.  Grid samples are computed when
+    first asked for, once per grid, and returned read-only, and the check
+    runs once per grid; the generators are read-only copies, so nothing
+    cached can go stale.  A grid that fails the check is not recorded and
+    raises again on the next call.
     """
 
     def __init__(self, A, B):
@@ -364,8 +380,9 @@ class ExpSeedField(MatrixField):
         X, T = np.broadcast_arrays(np.asarray(x, float), np.asarray(t, float))
         xs, ix = np.unique(X, return_inverse=True)
         ts, it = np.unique(T, return_inverse=True)
-        x0 = 0.5 * (xs[0] + xs[-1])
-        t0 = 0.5 * (ts[0] + ts[-1])
+        # halves first: the sum of two far nodes can overflow
+        x0 = 0.5 * xs[0] + 0.5 * xs[-1]
+        t0 = 0.5 * ts[0] + 0.5 * ts[-1]
         # a huge generator overflows to inf (and inf * 0 to nan), which the
         # invertibility check reports as a SingularMatrixError; the floating
         # point warnings add nothing
@@ -390,9 +407,18 @@ class ExpSeedField(MatrixField):
 
     def connection(self, grid: Grid2D):
         if grid not in self._checked:
-            _check_invertible(self.sample(grid), grid)
+            # a bound past the float range (inf, or nan) takes the node check too
+            if not 2.0 * self._exponent_bound(grid) <= _COND_BOUND_EXPONENT:
+                _check_invertible(self.sample(grid), grid)
             self._checked.add(grid)
         return self._connection
+
+    def _exponent_bound(self, grid: Grid2D) -> float:
+        """r >= |A x + B t|_2 over the grid's rectangle; inf or nan past the float range."""
+        x_far = max(abs(float(grid.x_min)), abs(float(grid.x_max)))
+        t_far = max(abs(float(grid.t_min)), abs(float(grid.t_max)))
+        return (float(np.linalg.norm(self.A, 2)) * x_far
+                + float(np.linalg.norm(self.B, 2)) * t_far)
 
     def to_dict(self):
         return {

@@ -159,9 +159,10 @@ EM_PATHS = {
                                    "--omega", "1e-300"],
     "vacuum-wavelength-overflow": ["em", "vacuum", "--omega", "1e-310"],
 }
-# exponential seeds with generators of large norm, whose conditioning is
+# exponential seeds past the conditioning bound cond_2 g <= e^(2 r) <= 1e11,
 # decided node by node on their samples: e^(20 x) reaches cond e^40 at
-# x = -1 and is refused; a unitary seed of any norm passes
+# x = -1 and is refused; a unitary seed of any norm passes, also on a grid
+# whose centre x0 = (x_min + x_max) / 2 would overflow
 CONDITIONING = {
     "chiral-residual-ill-conditioned": ["chiral", "residual", "--a-re", "[[20, 0], [0, -20]]",
                                         "--b-re", "[[0, 0], [0, 0]]", "--verify"],
@@ -169,6 +170,9 @@ CONDITIONING = {
         "chiral", "hierarchy", "--a-re", "[[0, 0], [0, 0]]", "--a-im", "[[14, 0], [0, -9]]",
         "--b-re", "[[0, 0], [0, 0]]", "--b-im", "[[3, 0], [0, 5]]", "--m-re", "[[0, 1], [1, 0]]",
         "--levels", "3", "--verify"],
+    "chiral-residual-far-grid-unitary": ["chiral", "residual", "--a-re", "[[0.0]]",
+                                         "--a-im", "[[1e-300]]", "--b-re", "[[0.0]]",
+                                         "--x-min", "1e308", "--x-max", "1.7e308", "--verify"],
 }
 ENVIRONMENTS = {
     "env-step-1e-5": (["classic", "sine-gordon", "--verify"], {"BTKIT_H": "1e-5"}),

@@ -69,6 +69,10 @@ def test_json_only_runs_evaluate_nothing_for_the_table(monkeypatch, capsys):
     spans = _spans_module(monkeypatch)
     runs = [
         ["chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE, "--m-re", M_RE, "--verify"],
+        # a unitary seed past the conditioning bound: its check samples g
+        ["chiral", "hierarchy", "--a-re", "[[0, 0], [0, 0]]", "--a-im", "[[14, 0], [0, -9]]",
+         "--b-re", "[[0, 0], [0, 0]]", "--b-im", "[[3, 0], [0, 5]]", "--m-re", M_RE,
+         "--verify"],
         ["classic", "laplace", "--verify"],
     ]
     tracer = spans.Tracer()
@@ -83,6 +87,10 @@ def test_json_only_runs_evaluate_nothing_for_the_table(monkeypatch, capsys):
 
     figures = spans.op_layers(tracer.spans, {op: True for op in range(len(runs))},
                               {op: 41 * 41 for op in range(len(runs))})
+    # the README seed is within its conditioning bound, so nothing samples it
+    assert figures[0]["cli.evaluated_points"] == 0
+    # the unitary seed and the classic run evaluate, so the guard below is not vacuous
+    assert figures[1]["cli.evaluated_points"] > 0
+    assert figures[2]["cli.evaluated_points"] > 0
     for op in range(len(runs)):
-        assert figures[op]["cli.evaluated_points"] > 0
         assert figures[op]["cli.unused_points"] == 0

@@ -63,6 +63,23 @@ def seed_triple(seed, n=3):
     return A, B, M
 
 
+def unitary_triple(seed, n=3, norm=14.0):
+    """Commuting anti-Hermitian generators, |A|_2 = ``norm``, plus a generic M.
+
+    g = exp(A x + B t) is unitary, so cond_2 g = 1 on every node, while
+    the exponent bound e^(2 |A| + 2 |B|) on [-1, 1]^2 is past 1e11: the
+    seed's conditioning is decided on its samples.
+    """
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    h /= np.linalg.norm(h, 2)
+    c = rng.uniform(-2.0, 2.0, 3)
+    A = 1j * norm * h
+    B = 1j * (c[0] * np.eye(n) + c[1] * h + c[2] * h @ h)
+    return A, B, random_matrix(rng, n)
+
+
 @pytest.fixture(scope="module")
 def exp_setup():
     A, B, M = seed_triple(7)
@@ -948,7 +965,7 @@ def test_commutator_matches_matrix_products(n):
 
 class TestConnection:
     def test_hierarchy_and_its_scans_build_the_connection_once(self, monkeypatch):
-        A, B, M = seed_triple(31)
+        A, B, M = unitary_triple(31)
         g = ExpSeedField(A, B)
         g.sample(GRID)
         for deriv in (1, 2):        # the lattice stencils solve for their weights once
@@ -961,6 +978,17 @@ class TestConnection:
         # one Frobenius pass, and no SVD on a well-conditioned seed
         assert (_cond_kinds(conds), len(solves)) == ((1, 0), 0)
 
+    def test_a_seed_within_its_bound_is_never_sampled(self, monkeypatch):
+        # |A|, |B| of seed 31 keep cond_2 g below e^(2 |A| + 2 |B|) <= 1e11
+        A, B, M = seed_triple(31)
+        g = ExpSeedField(A, B)
+        counts = [_counting(monkeypatch, chiral_recursion.np.linalg, name)
+                  for name in ("cond", "solve")]
+        counts.append(_counting(monkeypatch, chiral_recursion, "_expm"))
+        for item in hierarchy(g, M, 3, GRID):
+            symmetry_residual(item.phi, g, GRID)
+        assert counts == [[], [], []]
+
     def test_hierarchy_and_its_scans_compare_no_node_arrays(self, monkeypatch):
         A, B, M = seed_triple(31)
         g = ExpSeedField(A, B)
@@ -971,7 +999,7 @@ class TestConnection:
         assert calls == [[], []]
 
     def test_exp_seed_connection_is_shared_read_only_and_exact(self, monkeypatch):
-        A, B, _ = seed_triple(7)
+        A, B, _ = unitary_triple(7)
         g = ExpSeedField(A, B)
         conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
         U, V = g.connection(GRID)
@@ -989,6 +1017,20 @@ class TestConnection:
             assert rebuilt.shape == (GRID.nx, GRID.nt, 3, 3)
             assert np.max(np.abs(rebuilt - np.broadcast_to(built, rebuilt.shape))) < 1e-12
 
+    def test_a_seed_within_its_bound_shares_its_exact_connection_unsampled(self, monkeypatch):
+        A, B, _ = seed_triple(7)
+        g = ExpSeedField(A, B)
+        conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
+        expms = _counting(monkeypatch, chiral_recursion, "_expm")
+        U, V = g.connection(GRID)
+        assert U is g.A and V is g.B
+        assert g.connection(Grid2D()) is g.connection(GRID)
+        assert (conds, expms) == ([], [])
+        for built, gen, rebuilt in zip((U, V), (A, B), MatrixField.connection(g, GRID)):
+            assert not built.flags.writeable
+            assert np.array_equal(built, gen)
+            assert np.max(np.abs(rebuilt - np.broadcast_to(built, rebuilt.shape))) < 1e-12
+
     def test_failed_check_is_not_cached(self, monkeypatch):
         # cond(g) reaches e^40 at x = 1, beyond the invertibility limit
         g = ExpSeedField(np.diag([20.0, -20.0]), np.zeros((2, 2)))
@@ -1000,7 +1042,7 @@ class TestConnection:
         assert _cond_kinds(conds) == (2, 2)
 
     def test_each_grid_gets_its_own_check(self, monkeypatch):
-        A, B, _ = seed_triple(7)
+        A, B, _ = unitary_triple(7)
         g = ExpSeedField(A, B)
         conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
         small = Grid2D(nx=21, nt=17)
@@ -1009,6 +1051,51 @@ class TestConnection:
             assert U is g.A and V is g.B
         assert _cond_kinds(conds) == (2, 0)
         assert [args[0].shape for args in conds] == [(41 * 41, 3, 3), (21 * 17, 3, 3)]
+
+    def test_an_ill_conditioned_seed_is_refused_at_its_first_bad_node(self):
+        # 2 r = 40 is past the bound's limit; the samples reach cond e^40
+        g = ExpSeedField(np.diag([20.0, -20.0]), np.zeros((2, 2)))
+        with pytest.raises(SingularMatrixError) as caught:
+            g.connection(GRID)
+        assert caught.value.point == (-1.0, -1.0)
+        assert caught.value.cond == pytest.approx(np.exp(40.0), rel=1e-9)
+
+    @pytest.mark.parametrize("norm", [14.0, 1e3])
+    def test_a_unitary_seed_of_large_norm_passes_on_its_samples(self, monkeypatch, norm):
+        A, B, _ = unitary_triple(7, norm=norm)
+        g = ExpSeedField(A, B)
+        expms = _counting(monkeypatch, chiral_recursion, "_expm")
+        U, V = g.connection(GRID)
+        assert U is g.A and V is g.B
+        assert len(expms) == 3          # the samples were computed and checked
+        assert np.linalg.cond(g.sample(GRID)).max() < 1.0 + 1e-9
+
+    def test_a_far_grid_centres_its_samples_without_overflow(self):
+        # x0 = (x_min + x_max) / 2 overflowed, and the inf centre read as a
+        # singular node; the exponent bound here, 1.7e8, is past the limit
+        g = ExpSeedField([[1e-300j]], [[0.0]])
+        grid = Grid2D(x_min=1e308, x_max=1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                U, V = g.connection(grid)
+        assert U is g.A and V is g.B
+        # |g| = 1; squaring up exp(3.5e7 i) keeps about eight digits
+        np.testing.assert_allclose(np.abs(g.sample(grid)), 1.0, rtol=1e-6)
+        assert chiral_residual(g, grid).max_abs == 0.0
+
+    def test_each_grid_gets_its_own_bound(self, monkeypatch):
+        A, B, _ = seed_triple(7)
+        g = ExpSeedField(A, B)
+        conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
+        expms = _counting(monkeypatch, chiral_recursion, "_expm")
+        bounds = _counting(monkeypatch, ExpSeedField, "_exponent_bound")
+        small = Grid2D(nx=21, nt=17)
+        for grid in (GRID, small, GRID, small):
+            U, V = g.connection(grid)
+            assert U is g.A and V is g.B
+        assert (conds, expms) == ([], [])
+        assert [args[1] for args in bounds] == [GRID, small]
 
 
 def _svd_check(g_samples, grid):
