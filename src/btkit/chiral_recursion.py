@@ -407,14 +407,14 @@ class ExpSeedField(MatrixField):
 
     def connection(self, grid: Grid2D):
         if grid not in self._checked:
-            # a bound past the float range (inf, or nan) takes the node check too
+            # a bound past the float range (inf) takes the node check too
             if not 2.0 * self._exponent_bound(grid) <= _COND_BOUND_EXPONENT:
                 _check_invertible(self.sample(grid), grid)
             self._checked.add(grid)
         return self._connection
 
     def _exponent_bound(self, grid: Grid2D) -> float:
-        """r >= |A x + B t|_2 over the grid's rectangle; inf or nan past the float range."""
+        """r >= |A x + B t|_2 over the grid's rectangle; inf past the float range."""
         x_far = max(abs(float(grid.x_min)), abs(float(grid.x_max)))
         t_far = max(abs(float(grid.t_min)), abs(float(grid.t_max)))
         return (float(np.linalg.norm(self.A, 2)) * x_far

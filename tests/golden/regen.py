@@ -4,8 +4,8 @@
     python tests/golden/regen.py NAME...    # write only the named cases
     python tests/golden/regen.py --check    # compare; exit 1 naming each changed case
 
-A full rewrite also rewrites records whose numbers moved only in their last
-digits on this machine's BLAS and libm, so a change that records or moves a
+A full rewrite also rewrites records whose numbers differ only in their
+last digits under another BLAS or libm, so a change that records or moves a
 few cases writes those by name, and the diff of ``tests/golden/cases`` shows
 only them.
 

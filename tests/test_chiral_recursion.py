@@ -1071,8 +1071,8 @@ class TestConnection:
         assert np.linalg.cond(g.sample(GRID)).max() < 1.0 + 1e-9
 
     def test_a_far_grid_centres_its_samples_without_overflow(self):
-        # x0 = (x_min + x_max) / 2 overflowed, and the inf centre read as a
-        # singular node; the exponent bound here, 1.7e8, is past the limit
+        # x_min + x_max overflows, so a centre formed from it would be inf and
+        # read as a singular node; the exponent bound, 1.7e8, is past the limit
         g = ExpSeedField([[1e-300j]], [[0.0]])
         grid = Grid2D(x_min=1e308, x_max=1.7e308)
         with warnings.catch_warnings():
