@@ -72,13 +72,13 @@ class DispersionSolution:
 
     def __post_init__(self):
         if not (self.k > 0.0 and math.isfinite(self.k)):
-            raise InvalidParameterError(f"wavenumber must be positive, got {self.k}")
+            raise InvalidParameterError(f"wavenumber must be finite and positive, got {self.k}")
         if not (0.0 <= self.s <= self.k * (1.0 + 1e-12)):
             raise InvalidParameterError(
                 f"attenuation must satisfy 0 <= s <= k, got s={self.s}, k={self.k}"
             )
-        if not self.omega > 0.0:
-            raise InvalidParameterError(f"omega must be positive, got {self.omega}")
+        if not (self.omega > 0.0 and math.isfinite(self.omega)):
+            raise InvalidParameterError(f"omega must be finite and positive, got {self.omega}")
         if abs(math.tan(self.phi) - self.s / self.k) > _BRANCH_TOL * max(1.0, self.s / self.k):
             raise InvalidParameterError(
                 f"phi={self.phi} is not the phase of k + i s (tan phi != s/k)"
@@ -128,7 +128,7 @@ def dispersion_solve(medium: MediumParams, omega: float) -> DispersionSolution:
     the check.
     """
     if not (omega > 0.0 and math.isfinite(omega)):
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
+        raise InvalidParameterError(f"omega must be finite and positive, got {omega}")
     eps, mu, sigma = medium.epsilon, medium.mu, medium.sigma
     if sigma <= eps * omega:
         loss_tangent = _quotient((sigma,), (eps, omega))

@@ -86,31 +86,29 @@ def _check_transverse(tau: np.ndarray, E0: np.ndarray) -> None:
 class WavePair:
     """The conjugate (E, B) plane wave of a transverse amplitude ``E0`` in a linear medium.
 
-    Validates and holds ``E0``, ``tau``, ``omega`` and ``alpha``, which
-    ``to_dict`` records.  Rejects non-transverse amplitudes and non-unit
-    directions outright; nothing is silently projected or renormalized.
-    The complex amplitude carries the polarization phase, so ``alpha`` is
-    only recorded.  With ``real`` set the evaluators return real parts: the
-    real pair of a linearly polarized E0R is ``WavePair(E0R * exp(1j *
-    alpha), ..., alpha=alpha, real=True)``, E = E0R cos(k . r - omega t +
-    alpha), with B in phase (trailing by the dispersion angle phi in a
-    conductor).  Evaluators take r with shape (..., 3) and broadcastable t
-    and return (..., 3) arrays.  The wavenumber k and attenuation s come
-    from ``_wavenumber``: the medium's ``lossless_wavenumber`` and 0 here,
-    the dispersion's in ``ConductorWavePair``.
+    Validates and holds ``E0``, ``tau`` and ``omega``, which ``to_dict``
+    records.  Rejects non-transverse amplitudes and non-unit directions
+    outright; nothing is silently projected or renormalized.  The complex
+    amplitude carries the polarization phase.  With ``real`` set the
+    evaluators return real parts: the real pair of a linearly polarized E0R
+    is ``WavePair(E0R * exp(1j * alpha), ..., real=True)``, E = E0R cos(k .
+    r - omega t + alpha), with B in phase (trailing by the dispersion angle
+    phi in a conductor).  Evaluators take r with shape (..., 3) and
+    broadcastable t and return (..., 3) arrays.  The wavenumber k and
+    attenuation s come from ``_wavenumber``: the medium's
+    ``lossless_wavenumber`` and 0 here, the dispersion's in
+    ``ConductorWavePair``.
     """
 
     def __init__(self, E0, tau, omega: float, medium: MediumParams = VACUUM,
-                 alpha: float = 0.0, real: bool = False):
+                 real: bool = False):
         self.E0 = _as_vec3(E0, "E0")
         self.tau = _check_direction(_as_vec3(tau, "tau", float))
-        omega, alpha = float(omega), float(alpha)
+        omega = float(omega)
         if not (omega > 0.0 and math.isfinite(omega)):
-            raise InvalidParameterError(f"omega must be positive, got {omega}")
-        if not math.isfinite(alpha):
-            raise InvalidParameterError(f"alpha must be finite, got {alpha}")
+            raise InvalidParameterError(f"omega must be finite and positive, got {omega}")
         _check_transverse(self.tau, self.E0)
-        self.omega, self.alpha = omega, alpha
+        self.omega = omega
         self.medium = medium
         self.real = real
         self.k, self.s = self._wavenumber()
@@ -159,7 +157,7 @@ class WavePair:
 
     def to_dict(self) -> dict:
         return {"E0_re": self.E0.real.tolist(), "E0_im": self.E0.imag.tolist(),
-                "tau": self.tau.tolist(), "omega": self.omega, "alpha": self.alpha}
+                "tau": self.tau.tolist(), "omega": self.omega}
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,13 @@ class MediumParams:
         for name in ("epsilon", "mu", "sigma"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise InvalidParameterError(f"permittivity must be positive, got {self.epsilon}")
+            raise InvalidParameterError(
+                f"permittivity must be finite and positive, got {self.epsilon}")
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise InvalidParameterError(f"permeability must be positive, got {self.mu}")
+            raise InvalidParameterError(f"permeability must be finite and positive, got {self.mu}")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
-            raise InvalidParameterError(f"conductivity must be non-negative, got {self.sigma}")
+            raise InvalidParameterError(
+                f"conductivity must be finite and non-negative, got {self.sigma}")
         # an input check, not a need of btkit's arithmetic (k and the scans
         # never form eps * mu): the medium's 1/v^2 = eps mu must be a float,
         # so that its speed exists and a run's k checks as omega sqrt(eps mu)

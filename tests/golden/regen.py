@@ -9,14 +9,14 @@ last digits under another BLAS or libm, so a change that records or moves a
 few cases writes those by name, and the diff of ``tests/golden/cases`` shows
 only them.
 
-Each case is one argv (and environment) run through ``btkit.cli.main`` in
-this process, twice: the two runs must give identical bytes on stdout and
-stderr and the same warnings, which is the determinism half of the CLI
-contract.  A case file records the exit code, stderr, the warnings raised
-(category and message, no source location), the JSON envelope, and for CSV
-output its header, row count, a fixed sample of rows and the ``sha256`` of
-the whole table on the machine that wrote the file: a regenerated table
-whose digest is unchanged is byte-identical there.  ``--check`` does not
+Each case is one argv run through ``btkit.cli.main`` in this process,
+twice: the two runs must give identical bytes on stdout and stderr and the
+same warnings, which is the determinism half of the CLI contract.  A case
+file records the exit code, stderr, the warnings raised (category and
+message, no source location), the JSON envelope, and for CSV output its
+header, row count, a fixed sample of rows and the ``sha256`` of the whole
+table on the machine that wrote the file: a regenerated table whose digest
+is unchanged is byte-identical there.  ``--check`` does not
 compare digests, so that another BLAS or libm can pass.
 
 Comparison rules: exit codes, keys and their order, strings, booleans and
@@ -81,8 +81,8 @@ README_EXAMPLES = {
                          "--m-re", M_RE, "--levels", "3", "--verify"],
 }
 
-# scale and step cases of ROADMAP item 3, the step's echo and refusals, and
-# lattice, grid-span and matrix-flag edges
+# scale cases of ROADMAP item 3, a grid ten old steps wide, and lattice,
+# grid-span and matrix-flag edges
 EDGE_CASES = {
     "laplace-alpha-1e3": ["classic", "laplace", "--alpha", "1000", "--verify"],
     "laplace-alpha-1e7": ["classic", "laplace", "--alpha", "1e7", "--beta", "3",
@@ -116,22 +116,14 @@ EDGE_CASES = {
     "chiral-wide-lattice-potential": ["chiral", "potential", "--a-re", "[[0]]", "--b-re", "[[0]]",
                                       "--x-min", "-1e300", "--x-max", "1e300"],
     "chiral-string-entry": ["chiral", "residual", "--a-re", '[["1"]]', "--b-re", "[[1]]"],
-    "classic-step-2e-4": ["classic", "liouville", "--h", "2e-4", "--verify"],
-    "classic-step-zero": ["classic", "laplace", "--h", "0"],
     "classic-ten-steps-wide": ["classic", "laplace", "--x-min", "0", "--x-max", "0.01",
                                "--nx", "11", "--verify"],
-    "chiral-step-1e308": ["chiral", "residual", "--a-re", A_RE, "--b-re", B_RE,
-                          "--h", "1e308", "--verify"],
-    "chiral-step-nan": ["chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--h", "nan"],
-    "em-step-half": ["em", "vacuum", "--omega", "1e9", "--h", "0.5", "--verify"],
-    "em-step-negative": ["em", "medium", "--epsilon-rel", "2", "--omega", "1e9",
-                         "--h", "-1", "--verify"],
-    "grid-error-before-step": ["classic", "sine-gordon", "--nx", "1", "--h", "0"],
+    "grid-one-node": ["classic", "sine-gordon", "--nx", "1"],
 }
 # em paths that no README example takes: a dielectric medium, the sigma = 0
-# conductor with its dispersion, a complex amplitude with a phase alpha,
-# media whose eps * mu is subnormal, which k and the scans never round alone,
-# and waves whose k underflows or whose wavelength overflows, refused
+# conductor with its dispersion, a complex amplitude whose parts differ in
+# phase, media whose eps * mu is subnormal, which k and the scans never round
+# alone, and waves whose k underflows or whose wavelength overflows, refused
 EM_PATHS = {
     "medium-dielectric-json": ["em", "medium", "--epsilon-rel", "2.25", "--mu-rel", "1",
                                "--omega", "1e9", "--verify", "--format", "json"],
@@ -139,9 +131,9 @@ EM_PATHS = {
                                "--omega", "1e9", "--verify", "--format", "both"],
     "conductor-sigma-zero": ["em", "conductor", "--epsilon-rel", "4", "--sigma", "0",
                              "--omega", "1e9", "--verify"],
-    "vacuum-complex-amplitude-alpha": [
+    "vacuum-complex-amplitude": [
         "em", "vacuum", "--omega", "1e9", "--e0-re", "0", "1", "0", "--e0-im", "0", "0.5", "0",
-        "--tau", "1", "0", "0", "--alpha", "0.3", "--verify", "--format", "both"],
+        "--tau", "1", "0", "0", "--verify", "--format", "both"],
     "medium-subnormal-eps-mu": ["em", "medium", "--epsilon", "1e-300", "--mu", "3e-24",
                                 "--omega", "1e200", "--verify"],
     "conductor-subnormal-eps-mu-sigma-zero": [
@@ -173,11 +165,6 @@ CONDITIONING = {
     "chiral-residual-far-grid-unitary": ["chiral", "residual", "--a-re", "[[0.0]]",
                                          "--a-im", "[[1e-300]]", "--b-re", "[[0.0]]",
                                          "--x-min", "1e308", "--x-max", "1.7e308", "--verify"],
-}
-ENVIRONMENTS = {
-    "env-step-1e-5": (["classic", "sine-gordon", "--verify"], {"BTKIT_H": "1e-5"}),
-    "env-step-malformed": (["classic", "laplace", "--nx", "1"], {"BTKIT_H": "tiny"}),
-    "em-env-step": (["em", "vacuum", "--omega", "1e9", "--verify"], {"BTKIT_H": "2e-4"}),
 }
 
 
@@ -224,7 +211,6 @@ def cases() -> dict:
         out[f"readme-{name}-both"] = (plain + ["--format", "both"], {})
     out.update((name, (argv, {}))
                for name, argv in {**EDGE_CASES, **EM_PATHS, **CONDITIONING}.items())
-    out.update(ENVIRONMENTS)
     out.update((f"hierarchy-seed-{seed:02d}", (_hierarchy_argv(seed), {})) for seed in range(12))
     out["chiral-hierarchy-3x3-complex"] = (_complex_hierarchy_argv(), {})
     return out
@@ -232,12 +218,12 @@ def cases() -> dict:
 
 @contextlib.contextmanager
 def _environment(env: dict):
-    """``env`` set, ``BTKIT_H`` unset unless ``env`` names it, and 80 columns.
+    """``env`` set, and 80 columns.
 
     argparse wraps a usage message to the terminal's width, which ``COLUMNS``
     fixes.
     """
-    env = {"BTKIT_H": None, "COLUMNS": "80", **env}
+    env = {"COLUMNS": "80", **env}
     saved = {key: os.environ.get(key) for key in env}
     for key, value in env.items():
         if value is None:

@@ -265,7 +265,7 @@ def test_criterion_5_conductor_fields():
     d = dispersion_solve(medium, omega)
     tau = np.array([0.0, 0.0, 1.0])
     real_pair = ConductorWavePair(np.exp(0.3j) * np.array([2.0, 0.0, 0.0]), tau, omega, medium,
-                                  alpha=0.3, real=True)
+                                  real=True)
     r0 = np.array([0.1, -0.2, 0.4])
     amp_e, psi_e = fourier_phase(lambda t: real_pair.E(r0, t)[0], omega)
     amp_b, psi_b = fourier_phase(lambda t: real_pair.B(r0, t)[1], omega)

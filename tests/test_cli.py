@@ -144,7 +144,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["classic", "laplace", "--alpha", "nan"],
         ["classic", "liouville", "--C", "nan"],
-        ["em", "vacuum", "--freq", "1e9", "--alpha", "inf"],
+        ["em", "vacuum", "--omega", "nan"],
     ], ids=lambda argv: " ".join(argv[:2]))
     def test_non_finite_parameter_is_one_error_line(self, argv):
         # unchecked, each would compute its result, then fail to serialize the parameter
@@ -209,8 +209,8 @@ class TestExitCodes:
         (["em", "vacuum", "--omega", "1", "--e0-re", "1.5e308", "1.5e308", "0", "--verify"],
          "normalization scale |E0| k = inf overflows"),
         (["chiral", "potential", "--a-re", "[[1e-152]]", "--b-re", "[[1e160]]",
-          "--x-min", "-2e151", "--x-max", "2e151", "--t-min", "-1e-300", "--t-max", "1e-300",
-          "--h", "1e-304"], "axis-ordered integrals overflow"),
+          "--x-min", "-2e151", "--x-max", "2e151", "--t-min", "-1e-300", "--t-max", "1e-300"],
+         "axis-ordered integrals overflow"),
         (["chiral", "hierarchy", "--a-re", "[[0]]", "--b-re", "[[0]]", "--m-re", "[[1]]",
           "--x-min", "-1e160", "--x-max", "1e160", "--verify"],
          "lattice spacing dx = 5e+158 is too wide to square"),
@@ -234,12 +234,18 @@ class TestExitCodes:
         (["chiral", "residual", "--a-re", "[[0]]", "--b-re", "[[0]]",
           "--x-min", "-1e308", "--x-max", "1e308", "--verify"],
          "x span max - min overflows the float range, got [-1e+308, 1e+308]\n"),
+        (["em", "vacuum", "--freq", "1e308"], "omega must be finite and positive, got inf\n"),
+        (["em", "conductor", "--omega", "1e300", "--epsilon", "1", "--sigma-over-eps-omega",
+          "1e300"], "conductivity must be finite and non-negative, got inf\n"),
+        (["em", "conductor", "--omega", "1e9", "--sigma-over-eps-omega", "nan"],
+         "conductivity must be finite and non-negative, got nan\n"),
     ], ids=["longitudinal-1e200", "partner-overflow-json", "partner-overflow-csv",
             "normalization-overflow", "potential-overflow", "hierarchy-wide-lattice",
             "hierarchy-narrow-lattice", "hierarchy-narrow-lattice-1e-300",
             "residual-subnormal-lattice",
             "potential-wide-lattice-seed-1", "potential-wide-lattice-seed-2",
-            "commutator-overflow", "classic-span-overflow", "chiral-span-overflow"])
+            "commutator-overflow", "classic-span-overflow", "chiral-span-overflow",
+            "omega-overflow", "loss-tangent-overflow", "loss-tangent-nan"])
     def test_overflowing_input_is_one_error_line(self, argv, message):
         # each once passed wrongly, wrote nan cells or ended in a traceback,
         # with a RuntimeWarning ahead of it
@@ -347,11 +353,11 @@ class TestExitCodes:
 class TestNegativeNumbers:
     def test_exponent_form_is_a_value_not_an_option(self, capsys):
         code, out, _ = run(capsys, "em", "vacuum", "--omega", "1e9",
-                           "--e0-im", "-5.3e-05", "0.2", "0", "--alpha", "-1.5E+00")
+                           "--e0-re", "-1.5E+00", "0", "0", "--e0-im", "-5.3e-05", "0.2", "0")
         assert code == EXIT_OK
         params = json.loads(out)["params"]
+        assert params["E0_re"] == [-1.5, 0.0, 0.0]
         assert params["E0_im"] == [-5.3e-05, 0.2, 0.0]
-        assert params["alpha"] == -1.5
 
     @pytest.mark.parametrize("value", ["-2e0", "-2.e0", "-.5e1", "-1e-300"])
     def test_grid_bounds_in_exponent_form(self, capsys, value):
@@ -733,6 +739,8 @@ USAGE_ERRORS = (
     ["chiral", "residual", "--a-re", "[[0.1, 0.2]", "--b-re", "[[0.3]]"],
     ["classic", "wave"],
     ["verify", "missing-spec.json"],
+    ["classic", "liouville", "--h", "2e-4", "--verify"],
+    ["em", "vacuum", "--omega", "1e9", "--alpha", "0.3"],
 )
 # a matrix flag whose entry is not a JSON number: argv, the flag, the entry shown
 MATRIX_ENTRY_ERRORS = (
@@ -901,22 +909,54 @@ class TestImportBoundary:
                                            for name in ("residual", "potential", "hierarchy")]
 
 
-class TestStepOverrides:
-    def test_env_var_sets_step(self, capsys, monkeypatch):
-        monkeypatch.setenv("BTKIT_H", "1e-5")
-        _, out, _ = run(capsys, "classic", "liouville")
-        assert json.loads(out)["grid"]["h"] == 1e-5
+class TestRemovedInputs:
+    """No flag or variable sets what no computation reads, and no flag is abbreviated."""
 
-    def test_flag_beats_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("BTKIT_H", "1e-5")
-        _, out, _ = run(capsys, "classic", "liouville", "--h", "2e-4")
-        assert json.loads(out)["grid"]["h"] == 2e-4
-
-    def test_malformed_env_var_is_usage_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [
+        ("classic", "liouville", "--verify"),
+        ("em", "vacuum", "--omega", "1e9", "--verify", "--format", "both"),
+        ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--verify"),
+    ], ids=lambda argv: argv[0])
+    def test_btkit_h_changes_no_output(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("BTKIT_H", raising=False)
+        plain = run(capsys, *argv)
         monkeypatch.setenv("BTKIT_H", "tiny")
-        code, _, err = run(capsys, "classic", "liouville")
-        assert code == EXIT_USAGE
-        assert "BTKIT_H" in err
+        assert run(capsys, *argv) == plain
+        assert plain[0] == EXIT_OK
+
+    @pytest.mark.parametrize("argv", [
+        ("classic", "liouville", "--h", "2e-4", "--verify"),
+        ("em", "vacuum", "--omega", "1e9", "--h", "2e-4"),
+        ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--h", "2e-4", "--verify"),
+        ("em", "vacuum", "--omega", "1e9", "--alpha", "0.3"),
+        ("em", "conductor", "--omega", "1e9", "--alpha", "0", "--sigma", "1"),
+    ], ids=["classic-h", "em-h", "chiral-h", "vacuum-alpha", "conductor-alpha"])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        # with prefixes allowed, argparse would read --h as --help: help text, exit 0
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        flag = next(a for a in argv if a in ("--h", "--alpha"))
+        value = argv[argv.index(flag) + 1]
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+    @pytest.mark.parametrize("argv, rest", [
+        (("chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE, "--m-re", M_RE), ("--lev", "2")),
+        (("classic", "liouville"), ("--verif",)),
+        (("classic", "laplace"), ("--alph", "2")),
+        (("em", "vacuum", "--omega", "1e9"), ("--samp", "3")),
+        (("em", "conductor", "--omega", "1e9"), ("--sigma-over", "2")),
+    ], ids=["levels", "verify", "alpha", "samples", "sigma-over-eps-omega"])
+    def test_a_prefix_of_a_flag_is_a_usage_error(self, capsys, argv, rest):
+        code, out, err = run(capsys, *argv, *rest)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(rest)}\n")
+
+    def test_em_params_end_with_the_fixed_alpha(self, capsys):
+        # as grid.h ends every grid (TestEchoedStep); result.spec echoes params
+        for sub in ("vacuum", "medium", "conductor"):
+            doc = json.loads(run(capsys, "em", sub, "--omega", "1e9")[1])
+            assert list(doc["params"].items())[-1] == ("alpha", 0.0)
+            assert doc["result"]["spec"] == doc["params"]
 
 
 class TestExactScans:
@@ -971,11 +1011,6 @@ class TestEchoedStep:
         "potential": (),
         "hierarchy": ("--m-re", M_RE, "--levels", "2"),
     }
-    GROUPS = {
-        "classic": ("classic", "laplace"),
-        "em": ("em", "vacuum", "--omega", "1e9"),
-        "chiral": ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE),
-    }
 
     @pytest.mark.parametrize("sub", list(CHIRAL))
     def test_chiral_runs_accept_it_and_echo_the_step(self, capsys, sub):
@@ -996,42 +1031,12 @@ class TestEchoedStep:
         for scan in doc["verify"]["scans"].values():
             assert scan["max_abs"] < 1e-12
 
-    @pytest.mark.parametrize("step", ["1e308", "0.5"])
-    @pytest.mark.parametrize("group", list(GROUPS))
-    def test_runs_accept_any_finite_positive_step(self, capsys, group, step):
-        code, out, err = run(capsys, *self.GROUPS[group], "--h", step, "--verify")
-        assert (code, err) == (EXIT_OK, "")
-        doc = json.loads(out)
-        assert doc["grid"]["h"] == float(step)
-        assert list(doc["grid"])[-1] == "h"
-        assert doc["verify"]["passed"] is True
-
     def test_em_echoes_the_scalar_step_after_its_lattice(self, capsys):
-        _, out, _ = run(capsys, *self.GROUPS["em"])
+        _, out, _ = run(capsys, "em", "vacuum", "--omega", "1e9")
         assert list(json.loads(out)["grid"]) == [
             "x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "t_min", "t_max",
             "nx", "ny", "nz", "nt", "h"]
         assert json.loads(out)["grid"]["h"] == 1e-4
-
-    @pytest.mark.parametrize("group", [
-        ("classic", "laplace"),
-        ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE),
-    ], ids=["classic", "chiral"])
-    def test_step_errors_come_after_usage_and_grid_errors(self, capsys, monkeypatch, group):
-        monkeypatch.setenv("BTKIT_H", "tiny")
-        code, _, err = run(capsys, *group, "--nx", "1")
-        assert code == EXIT_USAGE and "BTKIT_H" in err
-        monkeypatch.delenv("BTKIT_H")
-        code, _, err = run(capsys, *group, "--nx", "1", "--h", "0")
-        assert (code, err) == (EXIT_PRECONDITION,
-                               "btkit: error: x needs at least 2 samples, got 1\n")
-
-    @pytest.mark.parametrize("step", ["0", "-1e-4", "nan", "inf"])
-    @pytest.mark.parametrize("group", list(GROUPS))
-    def test_step_must_still_be_finite_and_positive(self, capsys, group, step):
-        code, out, err = run(capsys, *self.GROUPS[group], "--h", step)
-        assert (code, out) == (EXIT_PRECONDITION, "")
-        assert err == f"btkit: error: stencil step must be finite and positive, got {float(step)}\n"
 
 
 class TestFileOutputs:
@@ -1197,6 +1202,22 @@ class TestVerifySpecFiles:
         assert payload["params"]["E0_re"] == [1.0, 0.0, 0.0]
         assert payload["params"]["tau"] == [0.0, 0.0, 1.0]
         assert payload["verify"]["passed"] is True
+
+    @pytest.mark.parametrize("params, flags, exit_code", [
+        ({"omega": 1e9, "e0_re": [True, False, False]},
+         ["--omega", "1e9", "--e0-re", "true", "false", "false"], EXIT_USAGE),
+        ({"omega": 1e9, "e0_re": [0, 1, 0], "tau": [1, 0, 0]},
+         ["--omega", "1e9", "--e0-re", "0", "1", "0", "--tau", "1", "0", "0"], EXIT_OK),
+    ], ids=["booleans", "numbers"])
+    def test_a_spec_and_its_direct_call_agree(self, capsys, tmp_path, params, flags,
+                                              exit_code):
+        # a list of booleans was read as the numbers 1 and 0: exit 0 where
+        # the direct call exits 64
+        spec = tmp_path / "wave.json"
+        spec.write_text(json.dumps({"command": ["em", "vacuum"], "params": params}))
+        code, out, _ = run(capsys, "verify", str(spec))
+        assert (code, out) == run(capsys, "em", "vacuum", *flags, "--verify")[:2]
+        assert code == exit_code
 
     def test_section_that_is_not_an_object_is_usage_error(self, capsys, tmp_path):
         spec = tmp_path / "spec.json"

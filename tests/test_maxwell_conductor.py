@@ -125,10 +125,9 @@ class TestDispersion:
         assert np.all(phis < math.pi / 4.0)
 
     def test_bad_inputs_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            dispersion_solve(SYNTH, 0.0)
-        with pytest.raises(InvalidParameterError):
-            dispersion_solve(SYNTH, -5.0)
+        for omega in (0.0, -5.0, math.inf, math.nan):
+            with pytest.raises(InvalidParameterError, match="omega must be finite and positive"):
+                dispersion_solve(SYNTH, omega)
         # eps * omega is subnormal but not 0, and k ~ 3.3e-240 squares to 0,
         # which the self-check divides by
         for sigma in (0.0, 1e-300):
@@ -140,6 +139,10 @@ class TestDispersion:
             DispersionSolution(k=1.0, s=2.0, phi=math.atan2(2.0, 1.0), omega=1.0)
         with pytest.raises(InvalidParameterError):
             DispersionSolution(k=2.0, s=1.0, phi=0.3, omega=1.0)
+        with pytest.raises(InvalidParameterError, match="wavenumber must be finite and positive"):
+            DispersionSolution(k=math.inf, s=0.0, phi=0.0, omega=1.0)
+        with pytest.raises(InvalidParameterError, match="omega must be finite and positive"):
+            DispersionSolution(k=1.0, s=0.0, phi=0.0, omega=math.inf)
 
     def test_json_shape_including_null_skin_depth(self):
         sol = dispersion_solve(MediumParams(EPSILON0, MU0, 0.0), 1e9)
@@ -218,7 +221,7 @@ class TestConjugation:
     def test_conducting_pairs_are_wave_pairs(self):
         pairs = (ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, SYNTH),
                  ConductorWavePair(np.exp(0.3j) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0], 1.0,
-                                   SYNTH, alpha=0.3, real=True))
+                                   SYNTH, real=True))
         for pair in pairs:
             assert isinstance(pair, WavePair)
             assert (pair.k, pair.s) == (pair.dispersion.k, pair.dispersion.s)
@@ -266,7 +269,7 @@ class TestRealFields:
         omega = 1.0
         alpha = 0.4
         pair = ConductorWavePair(np.exp(1j * alpha) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0],
-                                 omega, SYNTH, alpha=alpha, real=True)
+                                 omega, SYNTH, real=True)
         d = pair.dispersion
         r0 = np.array([0.0, 0.0, 0.35])
         e_amp, e_phase = fourier_phase(lambda t: pair.E(r0, t)[0], omega)
@@ -277,7 +280,7 @@ class TestRealFields:
     def test_amplitude_decays_by_e_over_one_skin_depth(self):
         omega = 1.0
         pair = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
-                                 omega, SYNTH, alpha=0.0, real=True)
+                                 omega, SYNTH, real=True)
         depth = pair.dispersion.skin_depth
         amp0, _ = fourier_phase(lambda t: pair.E(np.zeros(3), t)[0], omega)
         amp1, _ = fourier_phase(lambda t: pair.E(np.array([0.0, 0.0, depth]), t)[0], omega)
@@ -287,14 +290,14 @@ class TestRealFields:
         omega = 1.0e8
         medium = MediumParams(2.0 * EPSILON0, MU0, 0.01)
         pair = ConductorWavePair(np.exp(1j * 0.7) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0],
-                                 omega, medium, alpha=0.7, real=True)
+                                 omega, medium, real=True)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-5
 
     def test_phase_at_origin_is_alpha_plus_phi(self):
         omega = 1.0
         alpha = 1.2
         pair = ConductorWavePair(np.exp(1j * alpha) * np.array([1.0, 0.0, 0.0]), [0.0, 0.0, 1.0],
-                                 omega, SYNTH, alpha=alpha, real=True)
+                                 omega, SYNTH, real=True)
         _, b_phase = fourier_phase(lambda t: pair.B(np.zeros(3), t)[1], omega)
         assert phase_difference(b_phase, alpha + pair.dispersion.phi) == pytest.approx(
             0.0, abs=1e-10

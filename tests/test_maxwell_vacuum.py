@@ -1,5 +1,6 @@
 """Plane-wave conjugation and field-equation scans in non-conducting media."""
 
+import inspect
 import math
 import re
 
@@ -44,6 +45,16 @@ class TestConstants:
     ])
     def test_bad_medium_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
+            MediumParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epsilon=math.inf, mu=1.0), "permittivity must be finite and positive, got inf"),
+        (dict(epsilon=1.0, mu=math.nan), "permeability must be finite and positive, got nan"),
+        (dict(epsilon=1.0, mu=1.0, sigma=math.inf),
+         "conductivity must be finite and non-negative, got inf"),
+    ], ids=["epsilon", "mu", "sigma"])
+    def test_a_non_finite_medium_is_refused_as_not_finite(self, kwargs, message):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             MediumParams(**kwargs)
 
     @pytest.mark.parametrize("epsilon, mu", [(1e300, 1e300), (1e-200, 1e-200)],
@@ -103,13 +114,14 @@ class TestConjugation:
 
     @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf])
     def test_bad_frequency_rejected(self, omega):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="omega must be finite and positive"):
             WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], omega)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
-    def test_non_finite_phase_rejected(self, alpha):
-        with pytest.raises(InvalidParameterError, match="alpha"):
-            WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=alpha)
+    def test_the_amplitude_carries_the_phase(self):
+        # no phase argument: a polarization phase is put into E0 itself
+        for family in (WavePair, ConductorWavePair):
+            assert list(inspect.signature(family).parameters) == [
+                "E0", "tau", "omega", "medium", "real"]
 
     def test_first_curl_relation_and_its_redundant_twin(self):
         rng = np.random.default_rng(7)
@@ -215,7 +227,7 @@ class TestExtremeInputs:
     @pytest.mark.parametrize("build", [
         lambda a: WavePair([a, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9),
         lambda a: WavePair(np.array([0.0, a, 0.0]) * np.exp(0.3j), [0.6, 0.0, 0.8], 1e9,
-                           MediumParams.relative(2.25, 1.0), alpha=0.3, real=True),
+                           MediumParams.relative(2.25, 1.0), real=True),
         lambda a: ConductorWavePair([a, 0.0, 0.0], [0.0, 0.6, 0.8], 1e8, SEAWATER),
     ], ids=["vacuum", "medium", "conductor"])
     def test_a_pair_is_scanned_as_the_fields_it_holds(self, build, amplitude):
@@ -421,13 +433,13 @@ class TestNonConductingMedium:
 class TestRealFields:
     def test_real_pair_passes_field_equations(self):
         pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * 0.4), [0.0, 0.0, 1.0], OMEGA,
-                        alpha=0.4, real=True)
+                        real=True)
         assert maxwell_residual(pair, pair.default_grid()).max_abs < 1e-6
 
     def test_real_fields_oscillate_in_phase(self):
         alpha = 0.7
         pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * alpha), [0.0, 0.0, 1.0], OMEGA,
-                        alpha=alpha, real=True)
+                        real=True)
         r0 = np.array([0.1, -0.2, 0.55])
         e_amp, e_phase = fourier_phase(lambda t: pair.E(r0, t)[0], OMEGA)
         b_amp, b_phase = fourier_phase(lambda t: pair.B(r0, t)[1], OMEGA)
@@ -437,21 +449,20 @@ class TestRealFields:
     def test_real_part_phase_includes_alpha(self):
         alpha = 1.1
         pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * alpha), [0.0, 0.0, 1.0], OMEGA,
-                        alpha=alpha, real=True)
+                        real=True)
         _, e_phase = fourier_phase(lambda t: pair.E(np.zeros(3), t)[0], OMEGA)
         # at r = 0 the extracted phase is exactly alpha
         assert phase_difference(e_phase, alpha) == pytest.approx(0.0, abs=1e-12)
 
     def test_evaluators_return_real_arrays(self):
         pair = WavePair(np.array([1.0, 0.0, 0.0]) * np.exp(1j * 0.0), [0.0, 0.0, 1.0], OMEGA,
-                        alpha=0.0, real=True)
+                        real=True)
         assert not np.iscomplexobj(pair.E(np.zeros(3), 0.0))
 
 
 class TestSerialization:
     def test_spec_json_shape(self):
-        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA, alpha=0.3)
+        pair = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], OMEGA)
         d = pair.to_dict()
-        assert list(d) == ["E0_re", "E0_im", "tau", "omega", "alpha"]
+        assert list(d) == ["E0_re", "E0_im", "tau", "omega"]
         assert d["E0_re"] == [1.0, 0.0, 0.0]
-        assert d["alpha"] == 0.3
