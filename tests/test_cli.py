@@ -930,7 +930,16 @@ class TestRemovedInputs:
         ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--h", "2e-4", "--verify"),
         ("em", "vacuum", "--omega", "1e9", "--alpha", "0.3"),
         ("em", "conductor", "--omega", "1e9", "--alpha", "0", "--sigma", "1"),
-    ], ids=["classic-h", "em-h", "chiral-h", "vacuum-alpha", "conductor-alpha"])
+        ("classic", "laplace", "--h", "2e-4"),
+        ("classic", "sine-gordon", "--h", "1e-3", "--verify"),
+        ("em", "medium", "--omega", "1e9", "--h", "2e-4"),
+        ("em", "conductor", "--omega", "1e9", "--sigma", "1", "--h", "2e-4"),
+        ("chiral", "potential", "--a-re", A_RE, "--b-re", B_RE, "--h", "2e-4"),
+        ("chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE, "--m-re", M_RE, "--h", "2e-4"),
+        ("em", "medium", "--omega", "1e9", "--alpha", "0.3"),
+    ], ids=["classic-h", "em-h", "chiral-h", "vacuum-alpha", "conductor-alpha",
+            "laplace-h", "sine-gordon-h", "medium-h", "conductor-h", "potential-h",
+            "hierarchy-h", "medium-alpha"])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         # with prefixes allowed, argparse would read --h as --help: help text, exit 0
         code, out, err = run(capsys, *argv)
@@ -950,6 +959,29 @@ class TestRemovedInputs:
         code, out, err = run(capsys, *argv, *rest)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.endswith(f"error: unrecognized arguments: {' '.join(rest)}\n")
+
+    @pytest.mark.parametrize("spec, argv", [
+        ({"command": ["classic", "liouville"], "grid": {"h": 2e-4}},
+         ("classic", "liouville", "--h", "0.0002")),
+        ({"command": ["em", "vacuum"], "params": {"omega": 1e9}, "grid": {"h": 2e-4}},
+         ("em", "vacuum", "--omega", "1e9", "--h", "0.0002")),
+        ({"command": ["chiral", "residual"], "params": {"a_re": A_RE, "b_re": B_RE},
+          "grid": {"h": 2e-4}},
+         ("chiral", "residual", "--a-re", A_RE, "--b-re", B_RE, "--h", "0.0002")),
+        ({"command": ["em", "vacuum"], "params": {"omega": 1e9, "alpha": 0.3}},
+         ("em", "vacuum", "--omega", "1e9", "--alpha", "0.3")),
+        ({"command": ["em", "conductor"], "params": {"omega": 1e9, "sigma": 1, "alpha": 0}},
+         ("em", "conductor", "--omega", "1e9", "--sigma", "1", "--alpha", "0")),
+    ], ids=["classic-h", "em-h", "chiral-h", "vacuum-alpha", "conductor-alpha"])
+    def test_a_spec_naming_a_removed_input_is_a_usage_error(self, capsys, tmp_path, spec,
+                                                            argv):
+        # a spec's grid and params become flags, so it is refused as the direct call is
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == run(capsys, *argv, "--verify")[:2] == (EXIT_USAGE, "")
+        value = argv[-1]
+        assert err.endswith(f"error: unrecognized arguments: {argv[-2]} {value}\n")
 
     def test_em_params_end_with_the_fixed_alpha(self, capsys):
         # as grid.h ends every grid (TestEchoedStep); result.spec echoes params
