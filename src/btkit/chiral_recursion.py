@@ -40,7 +40,10 @@ rest) product, not a complex one with three quarters of its multiplies by
 zero imaginary parts.  The product is then scaled by the spacing, or by
 its reciprocal power for a derivative: no scaled copy of a matrix is
 built, and only the symmetry scan's second derivatives square the
-spacing.  The potential and
+spacing.  The result is C-contiguous in the table's own axis order, along
+t too, where the product is copied back once the transposed input is
+freed: the sums, maxima and commutators that read it run on contiguous
+memory, and none copies it again.  The potential and
 the recursion step share one integrator: it always computes both axis
 orders, their disagreement is the integrability diagnostic, and it
 returns a TabulatedField that carries it as ``path_disagreement``.  The
@@ -53,7 +56,8 @@ read-only (n, n) generators themselves, so a whole hierarchy and its
 symmetry scans share one check, never see the rounding of g, and take
 each commutator [A, P] over the whole lattice as one real product: the
 table's (nodes, 2 n^2) float view times the real form of
-ad(A) = A^T (x) I - I (x) A, built once per call.  The check is a closed
+ad(A) = A^T (x) I - I (x) A, built once per distinct generator and kept
+read-only, so a hierarchy and its scans build two.  The check is a closed
 form where one applies: |e^M|_2 <= e^|M|_2 (Moler and Van Loan, SIAM
 Review 45, 2003) gives cond_2 g <= e^(2 r) on the grid's rectangle, with
 r = |A|_2 max |x| + |B|_2 max |t|.  When 2 r <= ln 1e11, a tenth of the
@@ -158,16 +162,24 @@ def _integral_matrix_unit(n_nodes: int):
 def _along(operator: np.ndarray, values: np.ndarray, axis: int, scale: float) -> np.ndarray:
     """``scale`` times the unit-spacing ``operator`` applied along ``axis``.
 
-    One real product on the table's (nodes, -1) float view, ``axis`` first.
+    One real product on the table's (nodes, -1) float view, ``axis`` first,
+    returned C-contiguous in the table's own axis order.  Off axis 0 the
+    product comes out with ``axis`` first, and it is copied back only once
+    the transposed input is freed, so the copy raises no peak: the caller's
+    table and two others, as for the product itself.
     """
-    moved = np.ascontiguousarray(np.moveaxis(values, axis, 0))
+    moved = np.ascontiguousarray(values.swapaxes(0, axis))
+    shape, dtype = moved.shape, moved.dtype
     is_complex = np.iscomplexobj(moved)
-    rows = (moved.view(moved.real.dtype) if is_complex else moved).reshape(len(moved), -1)
-    out = operator @ rows
+    if is_complex:
+        moved = moved.view(moved.real.dtype)
+    out = operator @ moved.reshape(shape[0], -1)
+    del moved
     out *= scale
     if is_complex:
-        out = out.view(moved.dtype)
-    return np.moveaxis(out.reshape(moved.shape), 0, axis)
+        out = out.view(dtype)
+    out = out.reshape(shape)
+    return out if axis == 0 else np.ascontiguousarray(out.swapaxes(0, axis))
 
 
 def _lattice_derivative(values: np.ndarray, spacing: float, axis: int,
@@ -226,6 +238,32 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r.reshape(shape)
 
 
+@lru_cache(maxsize=8)
+def _real_ad(shape: tuple, dtype: str, data: bytes) -> np.ndarray:
+    """The read-only real (2 n^2, 2 n^2) form of ad(a) for ``_commutator``.
+
+    Keyed on the bytes of the (n, n) matrix a, so one generator's map is
+    built once and serves every commutator a hierarchy and its scans take
+    with it, and an equal copy of a shares it; a handful of maps are kept.
+    """
+    a = np.frombuffer(data, dtype=dtype).reshape(shape)
+    n = shape[-1]
+    rho = np.empty((n, n, 2, 2))
+    rho[..., 0, 0] = rho[..., 1, 1] = a.real
+    rho[..., 0, 1] = a.imag
+    rho[..., 1, 0] = -a.imag
+    # ad[k, j, s; i, l, u] = rho[i, k, s, u] [j == l] - [k == i] rho[j, l, s, u]:
+    # row (k, j, s) reads part s of P[k, j], column (i, l, u) gives part u
+    # of [a, P][i, l]
+    ad = np.zeros((n, n, 2, n, n, 2))
+    diagonal = np.arange(n)
+    ad[:, diagonal, :, :, diagonal, :] = rho.transpose(1, 2, 0, 3)
+    ad[diagonal, :, :, diagonal, :, :] -= rho.transpose(0, 2, 1, 3)
+    ad = ad.reshape(2 * n * n, -1)
+    ad.setflags(write=False)
+    return ad
+
+
 def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """[a, b] over stacked (broadcasting) matrices.
 
@@ -238,25 +276,16 @@ def _commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     [-Im c, Re c]], which multiplies an entry's (re, im) pair from the
     right, so the whole stack is one real (m, 2 n^2) @ (2 n^2, 2 n^2)
     product on the float view of ``b`` as a complex table, with a
-    contiguous complex output; ad(a) is built once per call.  A stacked
-    ``a`` takes one outer product per k, which for the small matrices of a
-    chiral seed beats a stacked matmul's BLAS call per matrix.
+    contiguous complex output.  ad(a) is built once per distinct
+    generator, by ``_real_ad``.  A stacked ``a`` takes one outer product
+    per k, which for the small matrices of a chiral seed beats a stacked
+    matmul's BLAS call per matrix.
     """
     if a.ndim == 2:
         n = a.shape[-1]
-        rho = np.empty((n, n, 2, 2))
-        rho[..., 0, 0] = rho[..., 1, 1] = a.real
-        rho[..., 0, 1] = a.imag
-        rho[..., 1, 0] = -a.imag
-        # ad[k, j, s; i, l, u] = rho[i, k, s, u] [j == l] - [k == i] rho[j, l, s, u]:
-        # row (k, j, s) reads part s of P[k, j], column (i, l, u) gives part u
-        # of [a, P][i, l]
-        ad = np.zeros((n, n, 2, n, n, 2))
-        diagonal = np.arange(n)
-        ad[:, diagonal, :, :, diagonal, :] = rho.transpose(1, 2, 0, 3)
-        ad[diagonal, :, :, diagonal, :, :] -= rho.transpose(0, 2, 1, 3)
+        ad = _real_ad(a.shape, a.dtype.str, a.tobytes())
         table = np.ascontiguousarray(b, dtype=complex).view(float).reshape(-1, 2 * n * n)
-        return (table @ ad.reshape(2 * n * n, -1)).view(complex).reshape(b.shape)
+        return (table @ ad).view(complex).reshape(b.shape)
     return sum(a[..., :, k, None] * b[..., None, k, :] - b[..., :, k, None] * a[..., None, k, :]
                for k in range(a.shape[-1]))
 

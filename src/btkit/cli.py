@@ -72,12 +72,20 @@ class _Parser(argparse.ArgumentParser):
 
     A flag must be spelled in full, not abbreviated to a prefix.  Negative
     numbers in exponent form (``-5.3e-05``) are read as values, not as
-    unknown options.
+    unknown options.  A subcommand's parser reports an unrecognized
+    argument itself, with its own usage line, not the root's.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # a parser with subcommands passes theirs up; the root reports its own
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

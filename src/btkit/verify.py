@@ -349,12 +349,21 @@ def magnitude(values: np.ndarray, point_ndim: int) -> np.ndarray:
     parts are entries of their own: the max of |Re| and |Im| over every
     component, taken by one ``abs`` and one ``max``.  A non-finite entry
     in either part makes the point's value non-finite.
+
+    The ``abs`` writes an (entries, points) table, so the ``max`` runs
+    along its first axis over contiguous rows: a max along a short last
+    axis of a few entries per point is numpy's slowest reduction shape,
+    several times slower.  A max is exact, so the layout changes no digit.
     """
     arr = np.ascontiguousarray(values)
     points = arr.shape[:point_ndim]
     if np.iscomplexobj(arr):
         arr = arr.view(arr.real.dtype)
-    return np.abs(arr.reshape(points + (-1,))).max(axis=-1)
+    rows = arr.reshape(math.prod(points), -1)
+    table = np.empty(rows.shape[::-1], dtype=rows.dtype)
+    np.abs(rows, out=table.T)
+    peaks = table.max(axis=0)
+    return peaks.reshape(points) if points else peaks[0]
 
 
 def _scaled(values: np.ndarray):

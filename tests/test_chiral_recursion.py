@@ -262,11 +262,14 @@ class TestFloatViewKernels:
         for axis in (0, 1):
             spacing = 2.0 / (table.shape[axis] - 1)
             for deriv in (1, 2):
-                self.assert_close(_lattice_derivative(table, spacing, axis, deriv),
-                                  _complex_derivative(table, spacing, axis, deriv),
+                got = _lattice_derivative(table, spacing, axis, deriv)
+                # contiguous on both axes, so later sums and products run unstrided
+                assert got.flags.c_contiguous
+                self.assert_close(got, _complex_derivative(table, spacing, axis, deriv),
                                   _stencil_terms(table, spacing, axis, deriv))
-            self.assert_close(_cumulative_integral(table, spacing, axis),
-                              _complex_cumulative_integral(table, spacing, axis),
+            got = _cumulative_integral(table, spacing, axis)
+            assert got.flags.c_contiguous
+            self.assert_close(got, _complex_cumulative_integral(table, spacing, axis),
                               _integral_terms(table, spacing, axis))
         np.testing.assert_array_equal(table, before)
 
@@ -278,11 +281,13 @@ class TestFloatViewKernels:
             table = rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
                                                   if is_complex else 0)
             for axis in range(min(2, len(shape))):
-                self.assert_close(_lattice_derivative(table, 0.05, axis, 2),
-                                  _complex_derivative(table, 0.05, axis, 2),
+                got = _lattice_derivative(table, 0.05, axis, 2)
+                assert got.flags.c_contiguous
+                self.assert_close(got, _complex_derivative(table, 0.05, axis, 2),
                                   _stencil_terms(table, 0.05, axis, 2))
-                self.assert_close(_cumulative_integral(table, 0.05, axis),
-                                  _complex_cumulative_integral(table, 0.05, axis),
+                got = _cumulative_integral(table, 0.05, axis)
+                assert got.flags.c_contiguous
+                self.assert_close(got, _complex_cumulative_integral(table, 0.05, axis),
                                   _integral_terms(table, 0.05, axis))
 
 
@@ -921,14 +926,46 @@ def _cond_kinds(calls):
     return fro, len(calls) - fro
 
 
+def test_one_commutator_map_per_generator():
+    real_ad = chiral_recursion._real_ad
+    rng = np.random.default_rng(11)
+    # more distinct generators than the maps kept, of two sizes, one of them real
+    generators = [random_matrix(rng, 2 + i % 2) for i in range(11)]
+    generators[4] = generators[4].real.copy()
+    tables = {n: rng.standard_normal((5, 7, n, n)) + 1j * rng.standard_normal((5, 7, n, n))
+              for n in (2, 3)}
+    real_ad.cache_clear()
+    for _ in range(2):
+        for a in generators:
+            b = tables[len(a)]
+            np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0, atol=1e-13)
+    # each generator's map is reused while kept, and rebuilt after eviction
+    info = real_ad.cache_info()
+    assert info.currsize == info.maxsize < len(generators)
+    assert info.misses == 2 * len(generators)
+    for a in generators[-2:]:
+        b = tables[len(a)]
+        np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0, atol=1e-13)
+    assert real_ad.cache_info().hits == 2
+    # the map is read-only, and a generator edited in place gets a map of its own
+    ad = real_ad(generators[-1].shape, generators[-1].dtype.str, generators[-1].tobytes())
+    assert not ad.flags.writeable
+    with pytest.raises(ValueError):
+        ad[0, 0] = 1.0
+    a, b = generators[-1].copy(), tables[len(generators[-1])]
+    _commutator(a, b)
+    a[0, 1] += 1.0
+    np.testing.assert_allclose(_commutator(a, b), commutator(a, b), rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_commutator_matches_matrix_products(n):
     rng = np.random.default_rng(n)
     stack = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
     single = random_matrix(rng, n)
     table = rng.standard_normal((6, 8, n, n)) + 1j * rng.standard_normal((6, 8, n, n))
-    # what _lattice_derivative returns along axis 1: a moveaxis view
-    view = _lattice_derivative(table, 0.25, 1)
+    # a strided operand: the table with its two lattice axes swapped
+    view = table.swapaxes(0, 1)
     assert not view.flags.c_contiguous
     for a, b in ((stack, stack[::-1]), (single, stack), (stack, single), (single, single.T),
                  (single, table), (single, view)):

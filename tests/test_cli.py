@@ -7,6 +7,7 @@ stdout, or written files.  Determinism checks compare raw bytes.
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -959,6 +960,10 @@ class TestRemovedInputs:
         code, out, err = run(capsys, *argv, *rest)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.endswith(f"error: unrecognized arguments: {' '.join(rest)}\n")
+        # the subcommand's own usage, which lists the flag that was meant
+        usage = err[:err.index(f"\nbtkit {argv[0]} {argv[1]}: error: ")]
+        assert usage.startswith(f"usage: btkit {argv[0]} {argv[1]} [-h] ")
+        assert re.search(rf"{re.escape(rest[0])}[\w-]", usage)
 
     @pytest.mark.parametrize("spec, argv", [
         ({"command": ["classic", "liouville"], "grid": {"h": 2e-4}},

@@ -7,6 +7,10 @@ ones.  Permittivity, permeability and frequency are log-uniform over
 An exponential chiral seed's conditioning is checked both ways too: the
 bound from its generators' norms and the node-by-node check on its samples
 give the same verdict, on seeds scaled to either side of the bound's limit.
+
+``verify.magnitude``, the per-point reduction every scan ends in, is checked
+against the plain max along each point's entries: real and complex tables
+of 0 to 4 point axes with non-finite and zero-size entries.
 """
 
 import math
@@ -18,6 +22,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from btkit.chiral_recursion import (  # noqa: E402
     _COND_BOUND_EXPONENT,
@@ -33,7 +38,7 @@ from btkit.errors import (  # noqa: E402
 from btkit.maxwell_conductor import ConductorWavePair  # noqa: E402
 from btkit.maxwell_vacuum import FieldPair, WavePair, maxwell_residual  # noqa: E402
 from btkit.media import MediumParams  # noqa: E402
-from btkit.verify import Grid2D  # noqa: E402
+from btkit.verify import Grid2D, magnitude  # noqa: E402
 from helpers import random_commuting_pair  # noqa: E402
 
 TOLERANCE = TOLERANCES["em medium"]
@@ -148,3 +153,53 @@ def test_the_conditioning_bound_and_the_node_check_agree(n, seed, kind, grid, lo
     g = ExpSeedField(scale * A, scale * B)
     by_bound = _verdict(lambda: g.connection(grid))
     assert by_bound == _verdict(lambda: _check_invertible(g.sample(grid), grid))
+
+
+# the float parts of a table: any finite value, signed zeros, subnormals,
+# and often +-inf or NaN
+parts = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+         | st.sampled_from((math.nan, math.inf, -math.inf)))
+
+
+@st.composite
+def residual_tables(draw):
+    """(table, point_ndim): 0-4 point axes, 0-2 entry axes, now and then one side 0."""
+    point_ndim = draw(st.integers(0, 4))
+    shape = list(draw(hnp.array_shapes(min_dims=point_ndim, max_dims=point_ndim + 2,
+                                       min_side=1, max_side=4)))
+    if shape and draw(st.integers(0, 4)) == 0:
+        shape[draw(st.integers(0, len(shape) - 1))] = 0
+    if draw(st.booleans()):
+        elements = st.builds(complex, parts, parts)
+        dtype = np.complex128
+    else:
+        elements, dtype = parts, np.float64
+    table = draw(hnp.arrays(dtype, tuple(shape), elements=elements))
+    # a transposed layout: magnitude reads entries in C order whatever the layout
+    if draw(st.booleans()):
+        table = np.asfortranarray(table)
+    return table, point_ndim
+
+
+@draws
+@given(residual_tables())
+def test_magnitude_is_the_max_along_each_points_entries(drawn):
+    values, point_ndim = drawn
+    view = np.ascontiguousarray(values)
+    if np.iscomplexobj(view):
+        view = view.view(float)
+    points = values.shape[:point_ndim]
+    try:
+        want = np.abs(view.reshape(points + (-1,))).max(axis=-1)
+    except ValueError:
+        # an empty table has no max: an ambiguous reshape or an empty reduction
+        with pytest.raises(ValueError):
+            magnitude(values, point_ndim)
+        return
+    got = magnitude(values, point_ndim)
+    assert type(got) is type(want) and got.shape == want.shape == points
+    assert got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    # bit for bit, but for a NaN's payload: which NaN a max keeps is numpy's choice
+    assert got[~nan].tobytes() == want[~nan].tobytes()
