@@ -28,26 +28,31 @@ Numerics
 Hierarchy fields live on the grid lattice: each recursion output is a
 TabulatedField defined on the nodes of its Grid2D and nowhere else (other
 nodes raise InvalidGridError), so no interpolant's kinks are differenced,
-and no field is differenced by a small step.  Every lattice operator is
-one cached, read-only unit-spacing matrix: the fourth-order stencils
-(5-point interior, one-sided at edges) and the line integral, cumulative
-trapezoid with the Euler-Maclaurin endpoint term, exact for cubics; so
-levels 0 through 3 of an exponential-seed hierarchy are exact to rounding
-on the default grids.  A node table, the operator's axis first, is read
+and no field is differenced by a small step.  The lattice operators are
+the fourth-order stencils (5-point interior, one-sided at edges) and the
+line integral, cumulative trapezoid with the Euler-Maclaurin endpoint
+term, exact for cubics; so levels 0 through 3 of an exponential-seed
+hierarchy are exact to rounding on the default grids.  Each is a banded
+unit-spacing matrix, kept as cached, read-only dense blocks of
+_BLOCK_ROWS rows on the columns they reach (banded products as in Golub
+and Van Loan, Matrix Computations, 4th ed., 1.2), and no (nodes, nodes)
+array is ever built: its memory is linear in the nodes.  The integral's
+rows are dense left of the band, where they all weigh the nodes alike,
+so each of its blocks has one more row, whose product is the running sum
+that later rows carry.  A node table, the operator's axis first, is read
 as a (nodes, -1) float matrix through the float view of its complex
-entries, so each application is one real (nodes, nodes) @ (nodes, 2 *
-rest) product, not a complex one with three quarters of its multiplies by
-zero imaginary parts.  The product is then scaled by the spacing, or by
-its reciprocal power for a derivative: no scaled copy of a matrix is
-built, and only the symmetry scan's second derivatives square the
-spacing.  The result is C-contiguous in the table's own axis order, along
-t too, where the product is copied back once the transposed input is
-freed: the sums, maxima and commutators that read it run on contiguous
-memory, and none copies it again.  The potential and
-the recursion step share one integrator: it always computes both axis
-orders, their disagreement is the integrability diagnostic, and it
-returns a TabulatedField that carries it as ``path_disagreement``.  The
-potential X is that field itself.
+entries, so each block is one real product, not a complex one with three
+quarters of its multiplies by zero imaginary parts.  The product is then
+scaled by the spacing, or by its reciprocal power for a derivative: no
+scaled copy of an operator is built, and only the symmetry scan's second
+derivatives square the spacing.  The result is C-contiguous in the
+table's own axis order, along t too, where the product is copied back
+once the transposed input is freed: the sums, maxima and commutators that
+read it run on contiguous memory, and none copies it again.  The
+potential and the recursion step share one integrator: it always
+computes both axis orders, their disagreement is the integrability
+diagnostic, and it returns a TabulatedField that carries it as
+``path_disagreement``.  The potential X is that field itself.
 
 The connection U = g^-1 g_x, V = g^-1 g_t is what every operator here
 starts from.  For an exponential seed it is exactly the constant pair
@@ -107,6 +112,11 @@ _COND_LIMIT = 1e12
 # cond_2 <= e^(2 r) <= _COND_LIMIT / 10 on every node
 _COND_BOUND_EXPONENT = math.log(_COND_LIMIT / 10)
 _PATH_TOL = 1e-6
+# rows per block of a lattice operator, by measurement (one BLAS thread): one
+# n = 3 first derivative on 41 x 41 nodes takes 40 us, against 74 us as a
+# dense (nodes, nodes) product, and 12 to 24 rows do about as well; level-3
+# hierarchies on 41^2 to 641^2 nodes time within their noise from 8 to 24 rows
+_BLOCK_ROWS = 16
 
 
 # --- fourth-order lattice calculus ---------------------------------------
@@ -120,52 +130,105 @@ def _fd_weights(offsets, deriv: int) -> np.ndarray:
     return np.linalg.solve(vander, rhs)
 
 
+def _stencil_block(n_nodes: int, deriv: int, r0: int, r1: int) -> tuple:
+    """Rows r0..r1-1 of the unit-spacing differentiation matrix D, 4th order.
+
+    Returns (c0, block), block = D[r0:r1, c0:c0 + width] on the columns
+    those rows reach; D itself is never built.  A row is the 5-point
+    central stencil, or at the two nodes nearest each end a one-sided one,
+    5 nodes wide for a first derivative and 6 for a second.
+    """
+    width = 5 if deriv == 1 else 6
+    c0 = max(0, min(r0 - 2, n_nodes - width))
+    block = np.zeros((r1 - r0, min(n_nodes, max(r1 + 2, width)) - c0))
+    rows = np.arange(max(r0, 2), min(r1, n_nodes - 2))
+    for offset, weight in zip(range(-2, 3), _fd_weights(np.arange(-2, 3), deriv)):
+        block[rows - r0, rows + offset - c0] = weight
+    for i in (0, 1):
+        if r0 <= i < r1:                    # c0 is 0 here
+            block[i - r0, :width] = _fd_weights(np.arange(width) - i, deriv)
+        if r0 <= n_nodes - 1 - i < r1:      # and the block ends at the last node
+            block[n_nodes - 1 - i - r0, -width:] = _fd_weights(np.arange(1 - width, 1) + i,
+                                                               deriv)
+    return c0, block
+
+
 @lru_cache(maxsize=None)
-def _diff_matrix_unit(n_nodes: int, deriv: int):
-    """Dense differentiation matrix on n unit-spaced nodes, 4th order."""
+def _diff_blocks(n_nodes: int, deriv: int) -> tuple:
+    """D on n unit-spaced nodes as read-only (r0, r1, c0, block) row blocks.
+
+    Each block is D[r0:r1, c0:c0 + width], _BLOCK_ROWS rows (the last may
+    hold fewer), and every full block of central-stencil rows is the same
+    band, so they share one array: the operator's memory is linear in the
+    nodes.
+    """
     if n_nodes < _MIN_NODES:
         raise InvalidGridError(
             f"lattice derivatives need at least {_MIN_NODES} nodes per axis, got {n_nodes}"
         )
-    width = 5 if deriv == 1 else 6
-    mat = np.zeros((n_nodes, n_nodes))
-    rows = np.arange(2, n_nodes - 2)
-    for offset, weight in zip(range(-2, 3), _fd_weights(np.arange(-2, 3), deriv)):
-        mat[rows, rows + offset] = weight
-    for i in (0, 1):
-        mat[i, :width] = _fd_weights(np.arange(width) - i, deriv)
-        mat[-1 - i, -width:] = _fd_weights(np.arange(1 - width, 1) + i, deriv)
-    mat.setflags(write=False)
-    return mat
+    blocks, central = [], None
+    for r0 in range(0, n_nodes, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, n_nodes)
+        if 2 <= r0 and r0 + _BLOCK_ROWS <= n_nodes - 2:
+            if central is None:
+                central = _stencil_block(n_nodes, deriv, r0, r1)[1]
+                central.setflags(write=False)
+            blocks.append((r0, r1, r0 - 2, central))
+        else:
+            c0, block = _stencil_block(n_nodes, deriv, r0, r1)
+            block.setflags(write=False)
+            blocks.append((r0, r1, c0, block))
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=None)
-def _integral_matrix_unit(n_nodes: int):
+def _integral_blocks(n_nodes: int) -> tuple:
     """Corrected trapezoid from node 0 on n unit-spaced nodes, exact for cubics.
 
     W = T - (D1 - 1 D1[0]) / 12, the cumulative trapezoid T less the Euler-
-    Maclaurin term, built in place with no other (nodes, nodes) table alive.
+    Maclaurin term, as read-only (r0, r1, c0, block) blocks on the rows and
+    columns of D1's.  Left of its c0, every row of a block has the same
+    weights: 1/2 at node 0 and 1 past it from T, plus D1[0] / 12.  So each
+    block but the last has one row more, those weights on its columns left
+    of the next block's c0: its product is the sum that all later rows
+    carry.
     """
-    d1 = _diff_matrix_unit(n_nodes, 1)
-    mat = np.tri(n_nodes, k=-1)
-    mat[1:, 0] = 0.5
-    mat.flat[n_nodes + 1::n_nodes + 1] = 0.5
+    d1 = _diff_blocks(n_nodes, 1)
     band = 5                # D1's one-sided edge stencils span five nodes
-    for offset in range(1 - band, band):
-        i = np.arange(max(0, -offset), min(n_nodes, n_nodes - offset))
-        mat[i, i + offset] -= d1[i, i + offset] / 12.0
-    mat[:, :band] += d1[0, :band] / 12.0
-    mat.setflags(write=False)
-    return mat
+    edge = d1[0][3][0, :band] / 12.0
+    blocks, shared = [], {}
+    for (r0, r1, c0, d), c0_next in zip(d1, [b[2] for b in d1[1:]] + [None]):
+        # right of D1[0]'s columns a block depends only on D1's block and
+        # the offsets, so a run of central blocks shares one array too
+        key = (id(d), r0 - c0, None if c0_next is None else c0_next - c0)
+        if c0 >= band and key in shared:
+            blocks.append((r0, r1, c0, shared[key]))
+            continue
+        cols = np.arange(c0, c0 + d.shape[1])
+        rows = [(cols < r) + 0.5 * (cols == r) - 0.5 * (cols == 0) for r in range(r0, r1)]
+        if c0_next is not None:
+            rows.append(np.where(cols < c0_next, 1.0 - 0.5 * (cols == 0), 0.0))
+        w = np.array(rows)
+        w[:r1 - r0] -= d / 12.0
+        w[:, :max(0, band - c0)] += edge[c0:]
+        w.setflags(write=False)
+        shared[key] = w
+        blocks.append((r0, r1, c0, w))
+    return tuple(blocks)
 
 
-def _along(operator: np.ndarray, values: np.ndarray, axis: int, scale: float) -> np.ndarray:
-    """``scale`` times the unit-spacing ``operator`` applied along ``axis``.
+def _along(blocks: tuple, values: np.ndarray, axis: int, scale: float) -> np.ndarray:
+    """``scale`` times a unit-spacing operator applied along ``axis``.
 
-    One real product on the table's (nodes, -1) float view, ``axis`` first,
-    returned C-contiguous in the table's own axis order.  Off axis 0 the
-    product comes out with ``axis`` first, and it is copied back only once
-    the transposed input is freed, so the copy raises no peak: the caller's
+    The operator is its (r0, r1, c0, block) row blocks: on the table's
+    (nodes, -1) float view, ``axis`` first, each block is one real product
+    with the rows its columns reach, written straight into rows r0..r1-1,
+    and the whole is scaled after.  A block with one row more than that
+    writes it on the next block's first row, before that block's product
+    overwrites it: a sum that every later row carries.  The result is
+    C-contiguous in the table's own axis order: off axis 0 the product
+    comes out with ``axis`` first, and it is copied back only once the
+    transposed input is freed, so the copy raises no peak: the caller's
     table and two others, as for the product itself.
     """
     moved = np.ascontiguousarray(values.swapaxes(0, axis))
@@ -173,8 +236,16 @@ def _along(operator: np.ndarray, values: np.ndarray, axis: int, scale: float) ->
     is_complex = np.iscomplexobj(moved)
     if is_complex:
         moved = moved.view(moved.real.dtype)
-    out = operator @ moved.reshape(shape[0], -1)
-    del moved
+    slab = moved.reshape(shape[0], -1)
+    out = np.empty(slab.shape)
+    carry = None
+    for r0, r1, c0, block in blocks:
+        np.matmul(block, slab[c0:c0 + block.shape[1]], out=out[r0:r0 + block.shape[0]])
+        if carry is not None:
+            out[r0:r1] += carry
+        if block.shape[0] > r1 - r0:
+            carry = out[r1].copy() if carry is None else carry + out[r1]
+    del moved, slab
     out *= scale
     if is_complex:
         out = out.view(dtype)
@@ -185,13 +256,13 @@ def _along(operator: np.ndarray, values: np.ndarray, axis: int, scale: float) ->
 def _lattice_derivative(values: np.ndarray, spacing: float, axis: int,
                         deriv: int = 1) -> np.ndarray:
     # a numpy power: a square out of range reads inf or 0, not a Python error
-    return _along(_diff_matrix_unit(values.shape[axis], deriv), values, axis,
+    return _along(_diff_blocks(values.shape[axis], deriv), values, axis,
                   np.float64(spacing) ** -deriv)
 
 
 def _cumulative_integral(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
     """Antiderivative from node 0 along ``axis``: corrected trapezoid, exact for cubics."""
-    return _along(_integral_matrix_unit(values.shape[axis]), values, axis, spacing)
+    return _along(_integral_blocks(values.shape[axis]), values, axis, spacing)
 
 
 # Pade [13/13] coefficients b_k / b_0, and the 1-norm below which it meets
@@ -628,12 +699,13 @@ def _integrate(rx: np.ndarray, rt: np.ndarray, grid: Grid2D, base: np.ndarray,
         gx = _cumulative_integral(rx, grid.dx, 0)
         gt = _cumulative_integral(rt, grid.dt, 1)
         # each path sum is built in place on one axis integral, so no more
-        # than four node tables are alive here
+        # than four node tables are alive here; the line subtracted is a
+        # copy, so numpy need not buffer an operand that overlaps its output
         x_leg = (gx[:, j0] - gx[i0, j0])[:, None]
         t_leg = (gt[i0, :] - gt[i0, j0])[None, :]
-        x_then_t = np.subtract(gt, gt[:, j0][:, None], out=gt)
+        x_then_t = np.subtract(gt, gt[:, j0, None].copy(), out=gt)
         x_then_t += x_leg
-        t_then_x = np.subtract(gx, gx[i0, :][None, :], out=gx)
+        t_then_x = np.subtract(gx, gx[i0].copy(), out=gx)
         t_then_x += t_leg
         disagreement = float(np.max(np.abs(x_then_t - t_then_x)))
     x_span, t_span = grid.x_max - grid.x_min, grid.t_max - grid.t_min

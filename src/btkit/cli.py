@@ -120,6 +120,8 @@ def _emit_json(obj) -> str:
         return _format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if callable(obj):       # a value built only when JSON is written
+        return _emit_json(obj())
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -369,9 +371,10 @@ def _run_chiral(args):
                 else _complex_matrix(args.base_re, args.base_im, "base"))
         params["base"] = None if base is None else _matrix_pair(base)
         pot = chiral_recursion.potential(g, grid, base=base)
+        # the node table is listed only if JSON is written
         result = {
             "seed": g.to_dict(),
-            "potential": pot.to_dict(),
+            "potential": pot.to_dict,
             "path_disagreement": pot.path_disagreement,
         }
         scans = {"chiral": chiral_recursion.chiral_residual(g, grid)} if args.verify else {}

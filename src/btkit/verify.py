@@ -13,13 +13,18 @@ only finite differences; they act on node tables.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyDomainError, InvalidGridError
+
+
+def _field_dict(obj) -> dict:
+    """A flat dataclass's fields by name, in order; unlike ``asdict``, no deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def _check_axis(name: str, lo: float, hi: float, n: int) -> None:
@@ -98,7 +103,7 @@ class Grid2D:
         return self._mesh
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -169,7 +174,7 @@ class Grid4D:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _field_dict(self)
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ class ResidualReport:
         return self.max_abs < tolerance
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _field_dict(self)
 
 
 def _linear(ufunc, x, y) -> list:

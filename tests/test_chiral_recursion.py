@@ -29,6 +29,7 @@ from btkit.chiral_recursion import (
     _commutator,
     _cumulative_integral,
     _expm,
+    _fd_weights,
     _lattice_derivative,
     chiral_defect_samples,
     chiral_residual,
@@ -139,18 +140,27 @@ class TestLatticeCalculus:
             _lattice_derivative(np.zeros(5), 0.1, axis=0, deriv=1)
 
     def test_integral_operator_is_a_cached_read_only_cubic_rule(self, monkeypatch):
-        nodes = 23
-        chiral_recursion._diff_matrix_unit(nodes, 1)
-        chiral_recursion._integral_matrix_unit.cache_clear()
+        height = chiral_recursion._BLOCK_ROWS
+        nodes = 2 * height + 7
+        chiral_recursion._diff_blocks(nodes, 1)
+        chiral_recursion._integral_blocks.cache_clear()
         solves = _counting(monkeypatch, chiral_recursion.np.linalg, "solve")
-        W = chiral_recursion._integral_matrix_unit(nodes)
-        # built from the cached stencil alone, once per node count
+        blocks = chiral_recursion._integral_blocks(nodes)
+        # built from the cached stencil blocks alone, once per node count
         assert solves == []
-        assert W is chiral_recursion._integral_matrix_unit(nodes)
-        assert W.shape == (nodes, nodes) and not W.flags.writeable
-        assert not W[0].any()
-        with pytest.raises(ValueError):
-            W[1, 1] = 0.0
+        assert blocks is chiral_recursion._integral_blocks(nodes)
+        # read-only row blocks of one height; all but the last carry one row more
+        assert [(r0, r1) for r0, r1, _, _ in blocks] == [
+            (0, height), (height, 2 * height), (2 * height, nodes)]
+        assert [block.shape[0] for _, _, _, block in blocks] == [height + 1, height + 1, 7]
+        for _, _, _, block in blocks:
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 0.0
+        assert not blocks[0][3][0].any()
+        # together they are W, row for row
+        np.testing.assert_allclose(_cumulative_integral(np.eye(nodes), 1.0, 0),
+                                   _dense_integral(nodes), rtol=0, atol=1e-15)
         # a cubic in x times a cubic in t, integrated along each axis
         grid = Grid2D(-1.0, 2.0, -0.5, 1.5, nodes, nodes)
         X, T = grid.mesh()
@@ -161,6 +171,22 @@ class TestLatticeCalculus:
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(_cumulative_integral(f, grid.dt, 1), ft - ft[:, :1],
                                    rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nx, nt", [(6, 4001), (4001, 6)])
+    def test_cold_operators_take_memory_linear_in_the_nodes(self, nx, nt):
+        # one dense (nodes, nodes) operator at 4001 nodes would take 128 MB
+        g = ExpSeedField([[0.1, 0.2], [0.0, -0.1]], [[0.3, 0.1], [0.0, 0.2]])
+        grid = Grid2D(nx=nx, nt=nt)
+        chiral_recursion._diff_blocks.cache_clear()
+        chiral_recursion._integral_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            chiral_defect_samples(g, grid)
+            potential(g, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4001 * 4001 * 8
 
     def test_an_operator_is_applied_without_a_scaled_copy(self):
         # once the operators are built, a defect scan on a 2001 x 6 lattice
@@ -177,11 +203,38 @@ class TestLatticeCalculus:
         assert peak < 2001 * 2001 * 8
 
 
-def _complex_derivative(values, spacing, axis, deriv=1):
-    """The complex-product lattice derivative the float-view kernel replaced."""
-    mat = chiral_recursion._diff_matrix_unit(values.shape[axis], deriv) / spacing ** deriv
+def _dense_derivative(nodes, deriv):
+    """The dense unit-spacing differentiation matrix, from the stencil weights."""
+    width = 5 if deriv == 1 else 6
+    mat = np.zeros((nodes, nodes))
+    rows = np.arange(2, nodes - 2)
+    for offset, weight in zip(range(-2, 3), _fd_weights(np.arange(-2, 3), deriv)):
+        mat[rows, rows + offset] = weight
+    for i in (0, 1):
+        mat[i, :width] = _fd_weights(np.arange(width) - i, deriv)
+        mat[-1 - i, -width:] = _fd_weights(np.arange(1 - width, 1) + i, deriv)
+    return mat
+
+
+def _dense_integral(nodes):
+    """W = T - (D1 - 1 D1[0]) / 12: the cumulative trapezoid less the Euler-Maclaurin term."""
+    d1 = _dense_derivative(nodes, 1)
+    trapezoid = np.tri(nodes, k=-1)
+    trapezoid[1:, 0] = 0.5
+    trapezoid[np.arange(1, nodes), np.arange(1, nodes)] = 0.5
+    return trapezoid - (d1 - d1[0]) / 12.0
+
+
+def _dense_along(mat, values, axis):
+    """The dense operator ``mat`` applied along ``axis`` as one complex product."""
     moved = np.moveaxis(values, axis, 0)
     return np.moveaxis(np.tensordot(mat, moved, axes=(1, 0)), 0, axis)
+
+
+def _complex_derivative(values, spacing, axis, deriv=1):
+    """The complex-product lattice derivative the float-view kernel replaced."""
+    return _dense_along(_dense_derivative(values.shape[axis], deriv) / spacing ** deriv,
+                        values, axis)
 
 
 def _complex_cumulative_integral(values, spacing, axis):
@@ -206,7 +259,7 @@ def _stencil_terms(values, spacing, axis, deriv):
     Where the terms cancel, as on a constant table, two summation orders
     agree only to a few ulps of this sum, not of the result.
     """
-    weights = np.abs(chiral_recursion._diff_matrix_unit(values.shape[axis], deriv))
+    weights = np.abs(_dense_derivative(values.shape[axis], deriv))
     moved = np.moveaxis(np.abs(values), axis, 0)
     return np.moveaxis(np.tensordot(weights / spacing ** deriv, moved, axes=(1, 0)), 0, axis)
 
@@ -221,9 +274,9 @@ def _integral_terms(values, spacing, axis):
     return np.moveaxis(terms, 0, axis)
 
 
-def _kernel_table(nodes, n, is_complex, layout):
+def _kernel_table(nodes, n, is_complex, layout, other=None):
     """A (nodes, other, n, n) table in the layouts the lattice kernels receive."""
-    other = 6 if nodes > 6 else 41
+    other = other or (6 if nodes > 6 else 41)
     shape = (nodes, other, n, n)
     rng = np.random.default_rng(nodes * 100 + n * 10 + is_complex)
 
@@ -272,6 +325,25 @@ class TestFloatViewKernels:
             self.assert_close(got, _complex_cumulative_integral(table, spacing, axis),
                               _integral_terms(table, spacing, axis))
         np.testing.assert_array_equal(table, before)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "moveaxis", "constant", "varying-rows"])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_every_block_edge_matches_the_dense_operators(self, is_complex, layout):
+        # fewer nodes than one block, exactly one, and a last block of every
+        # height from one row up, on both axes
+        height = chiral_recursion._BLOCK_ROWS
+        for nodes in range(6, 3 * height + 3):
+            table = _kernel_table(nodes, 2, is_complex, layout, other=nodes)
+            for axis in (0, 1):
+                spacing = 2.0 / (nodes - 1)
+                for deriv in (1, 2):
+                    got = _lattice_derivative(table, spacing, axis, deriv)
+                    want = _dense_along(_dense_derivative(nodes, deriv) / spacing ** deriv,
+                                        table, axis)
+                    self.assert_close(got, want, _stencil_terms(table, spacing, axis, deriv))
+                got = _cumulative_integral(table, spacing, axis)
+                want = _dense_along(_dense_integral(nodes) * spacing, table, axis)
+                self.assert_close(got, want, _integral_terms(table, spacing, axis))
 
     @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
     def test_kernels_take_tables_of_any_rank(self, is_complex):
@@ -1006,8 +1078,8 @@ class TestConnection:
         g = ExpSeedField(A, B)
         g.sample(GRID)
         for deriv in (1, 2):        # the lattice stencils solve for their weights once
-            chiral_recursion._diff_matrix_unit(GRID.nx, deriv)
-            chiral_recursion._diff_matrix_unit(GRID.nt, deriv)
+            chiral_recursion._diff_blocks(GRID.nx, deriv)
+            chiral_recursion._diff_blocks(GRID.nt, deriv)
         conds = _counting(monkeypatch, chiral_recursion.np.linalg, "cond")
         solves = _counting(monkeypatch, chiral_recursion.np.linalg, "solve")
         for item in hierarchy(g, M, 3, GRID):

@@ -19,8 +19,9 @@ import pytest
 
 import btkit
 from btkit import classic_bts, cli, maxwell_conductor, maxwell_vacuum
-from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, chiral_defect_samples,
-                                    chiral_residual, hierarchy, potential)
+from btkit.chiral_recursion import (ExpSeedField, SymmetryCharacteristic, TabulatedField,
+                                    chiral_defect_samples, chiral_residual, hierarchy,
+                                    potential)
 from btkit.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_USAGE, EXIT_VERIFY, main
 from btkit.errors import BtkitError
 from btkit.maxwell_vacuum import WavePair
@@ -655,6 +656,26 @@ class TestJsonOnlyRuns:
         assert code == EXIT_OK
         # Cauchy-Riemann 8 and two Laplacians of 5 (tests/test_verify.py counts)
         assert len(calls) <= 8 + 5 + 5
+
+
+class TestCsvOnlyRuns:
+    """The potential's JSON node table is listed only when JSON is written."""
+
+    def test_potential_lists_its_table_only_for_json(self, capsys, monkeypatch):
+        calls = []
+        to_dict = TabulatedField.to_dict
+        monkeypatch.setattr(TabulatedField, "to_dict",
+                            lambda field: calls.append(field) or to_dict(field))
+        argv = ["chiral", "potential", "--a-re", A3_RE, "--b-re", B3_RE,
+                "--nx", "12", "--nt", "10", "--verify", "--format"]
+        outputs = {}
+        for fmt in ("json", "csv", "both"):
+            calls.clear()
+            code, outputs[fmt], err = run(capsys, *argv, fmt)
+            assert (code, err) == (EXIT_OK, "")
+            assert len(calls) == (0 if fmt == "csv" else 1)
+        assert outputs["csv"].startswith("x,t,X_0_0_re,")
+        assert outputs["both"] == outputs["json"] + outputs["csv"]
 
 
 class TestChiralResidual:
