@@ -21,11 +21,10 @@ _EXPORTS = {name: module for module, names in {
         "TabulatedField", "chiral_defect_samples", "chiral_residual", "hierarchy",
         "potential", "recursion_step", "symmetry_residual"),
     "classic_bts": (
-        "ScalarField2D", "XYMatchResult", "bt_residual_cr", "bt_residual_liouville",
-        "bt_residual_sine_gordon", "harmonic_conjugate_match", "harmonic_conjugate_quadratic",
-        "harmonic_quadratic", "laplace_residual", "liouville_from_trivial",
-        "liouville_residual", "monomial_xy", "sine_gordon_from_vacuum", "sine_gordon_residual",
-        "xy_family_match", "zero_field"),
+        "ScalarField2D", "bt_residual_cr", "bt_residual_liouville", "bt_residual_sine_gordon",
+        "harmonic_conjugate_quadratic", "harmonic_quadratic", "laplace_residual",
+        "liouville_from_trivial", "liouville_residual", "monomial_xy",
+        "sine_gordon_from_vacuum", "sine_gordon_residual", "zero_field"),
     "errors": (
         "BtkitError", "EmptyDomainError", "IntegrabilityError", "InvalidGridError",
         "InvalidParameterError", "NonCommutingError", "NormalizationError",

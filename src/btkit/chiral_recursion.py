@@ -162,10 +162,6 @@ def _diff_blocks(n_nodes: int, deriv: int) -> tuple:
     band, so they share one array: the operator's memory is linear in the
     nodes.
     """
-    if n_nodes < _MIN_NODES:
-        raise InvalidGridError(
-            f"lattice derivatives need at least {_MIN_NODES} nodes per axis, got {n_nodes}"
-        )
     blocks, central = [], None
     for r0 in range(0, n_nodes, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, n_nodes)
@@ -255,7 +251,7 @@ def _along(blocks: tuple, values: np.ndarray, axis: int, scale: float) -> np.nda
 
 def _lattice_derivative(values: np.ndarray, spacing: float, axis: int,
                         deriv: int = 1) -> np.ndarray:
-    # a numpy power: a square out of range reads inf or 0, not a Python error
+    # the spacing passed _require_lattice(grid, deriv), so this power is finite and nonzero
     return _along(_diff_blocks(values.shape[axis], deriv), values, axis,
                   np.float64(spacing) ** -deriv)
 
@@ -570,6 +566,7 @@ class TabulatedField(MatrixField):
         return self._lattice_d(grid, axis, 2)
 
     def _lattice_d(self, grid: Grid2D, axis: int, deriv: int) -> np.ndarray:
+        _require_lattice(grid, deriv)
         values = self.sample(grid)
         spacing = (grid.dx, grid.dt)[axis]
         return _lattice_derivative(values, spacing, axis, deriv)
@@ -604,20 +601,28 @@ class TabulatedField(MatrixField):
 
 # --- operators -------------------------------------------------------------
 
-def _require_lattice(grid: Grid2D) -> None:
+def _require_lattice(grid: Grid2D, deriv: int = 1) -> None:
     """Reject lattices the fourth-order operators cannot serve.
 
     Each scales its product after it by the spacing or its reciprocal, so
-    a spacing must be a normal float; the symmetry scan alone also squares it.
+    a spacing must be a normal float; a second derivative divides by its
+    square, which must be one too.
     """
     if grid.nx < _MIN_NODES or grid.nt < _MIN_NODES:
         raise InvalidGridError(
             f"lattice operators need at least {_MIN_NODES} nodes per axis, "
             f"got {grid.nx} x {grid.nt}"
         )
-    for name, spacing in (("dx", grid.dx), ("dt", grid.dt)):
+    spacings = (("dx", grid.dx), ("dt", grid.dt))
+    for name, spacing in spacings:
         if not sys.float_info.min <= spacing <= sys.float_info.max:
             raise InvalidGridError(f"lattice spacing {name} = {spacing!r} is not a normal float")
+    if deriv == 2:
+        for name, spacing in spacings:
+            if not sys.float_info.min <= spacing * spacing <= sys.float_info.max:
+                width = "wide" if spacing > 1.0 else "narrow"
+                raise InvalidGridError(
+                    f"lattice spacing {name} = {spacing!r} is too {width} to square")
 
 
 def _check_invertible(g_samples: np.ndarray, grid: Grid2D) -> None:
@@ -663,13 +668,7 @@ def chiral_residual(g: MatrixField, grid: Grid2D) -> ResidualReport:
 
 def symmetry_residual(phi: MatrixField, g: MatrixField, grid: Grid2D) -> ResidualReport:
     """Scan of the linearized symmetry condition for Phi on the seed g."""
-    _require_lattice(grid)
-    # the second derivatives divide by a square that must be a normal float
-    for name, spacing in (("dx", grid.dx), ("dt", grid.dt)):
-        if not sys.float_info.min <= spacing * spacing <= sys.float_info.max:
-            width = "wide" if spacing > 1.0 else "narrow"
-            raise InvalidGridError(
-                f"lattice spacing {name} = {spacing!r} is too {width} to square")
+    _require_lattice(grid, deriv=2)
     # phi first: a phi on other nodes fails before the seed samples, checks
     # and caches anything for this grid
     px = phi.d1_samples(grid, 0)

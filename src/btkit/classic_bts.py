@@ -117,67 +117,35 @@ def harmonic_quadratic(alpha: float, beta: float, gamma: float) -> ScalarField2D
 
 
 def harmonic_conjugate_quadratic(alpha: float, beta: float, gamma: float) -> ScalarField2D:
-    """The conjugate partner 2 alpha x t - gamma x + beta t of harmonic_quadratic."""
+    """The conjugate partner 2 alpha x t - gamma x + beta t of harmonic_quadratic.
+
+    For u = alpha (x^2 - t^2) + beta x + gamma t the general quadratic
+    candidate v = kappa x t + lambda x + mu t meets u_x = v_t, u_t = -v_x
+    exactly when
+
+        kappa = 2 alpha,  mu = beta,  lambda = -gamma.
+
+    The additive constant of v is fixed to zero; any other choice is
+    equally conjugate.
+    """
     return ScalarField2D("harmonic_conjugate_quadratic",
                          {"alpha": alpha, "beta": beta, "gamma": gamma})
 
 
 def monomial_xy(coefficient: float) -> ScalarField2D:
-    """u(x, t) = c x t; harmonic, but conjugate to no nonzero member of itself."""
+    """u(x, t) = c x t; harmonic, but conjugate to no nonzero member of itself.
+
+    For u = alpha x t and v = beta x t the Cauchy-Riemann relations read
+
+        u_x - v_t = alpha t - beta x,   u_t + v_x = alpha x + beta t,
+
+    zero for all (x, t) only if alpha = beta = 0.
+    """
     return ScalarField2D("monomial_xy", {"coefficient": coefficient})
 
 
 def zero_field() -> ScalarField2D:
     return ScalarField2D("zero", {})
-
-
-def harmonic_conjugate_match(alpha: float, beta: float, gamma: float):
-    """Harmonic pair (u, v) conjugate under the Cauchy-Riemann relations.
-
-    For u = alpha (x^2 - t^2) + beta x + gamma t the general quadratic
-    candidate v = kappa x t + lambda x + mu t matches exactly when
-
-        kappa = 2 alpha,  mu = beta,  lambda = -gamma,
-
-    so v = 2 alpha x t - gamma x + beta t.  The additive constant of v is
-    fixed to zero; any other choice is equally conjugate.
-    """
-    u = harmonic_quadratic(alpha, beta, gamma)
-    v = harmonic_conjugate_quadratic(alpha, beta, gamma)
-    return u, v
-
-
-@dataclass(frozen=True)
-class XYMatchResult:
-    """Outcome of matching u = alpha x t against candidates v = beta x t.
-
-    The relations u_x = v_t, u_t = -v_x force alpha t = beta x and
-    alpha x = -beta t for all (x, t): only alpha = beta = 0 survives.
-    ``constraints`` carries the forced equations for inspection.
-    """
-
-    alpha: float
-    beta: float
-    conjugate: bool
-    constraints: tuple
-    u: ScalarField2D
-    v: ScalarField2D
-
-
-def xy_family_match(alpha: float, beta: float) -> XYMatchResult:
-    """Test whether u = alpha x t and v = beta x t are a conjugate pair."""
-    constraints = (
-        "u_x - v_t = alpha*t - beta*x, zero for all (x, t) only if alpha = beta = 0",
-        "u_t + v_x = alpha*x + beta*t, zero for all (x, t) only if alpha = beta = 0",
-    )
-    return XYMatchResult(
-        alpha=alpha,
-        beta=beta,
-        conjugate=(alpha == 0.0 and beta == 0.0),
-        constraints=constraints,
-        u=monomial_xy(alpha),
-        v=monomial_xy(beta),
-    )
 
 
 def liouville_from_trivial(C: float) -> ScalarField2D:

@@ -1,4 +1,4 @@
-"""Command-line front end: generators, conjugacy solvers, verification scans.
+"""Command-line front end: solution generators and the scans that certify them.
 
 Subcommand grammar::
 
@@ -274,7 +274,8 @@ def _run_classic(args):
 
     grid = _grid2d(args)
     if args.sub == "laplace":
-        u, v = classic_bts.harmonic_conjugate_match(args.alpha, args.beta, args.gamma)
+        u = classic_bts.harmonic_quadratic(args.alpha, args.beta, args.gamma)
+        v = classic_bts.harmonic_conjugate_quadratic(args.alpha, args.beta, args.gamma)
         params = {"alpha": args.alpha, "beta": args.beta, "gamma": args.gamma}
         result = {"u": u.to_dict(), "v": v.to_dict()}
         scans = {

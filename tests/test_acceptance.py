@@ -34,7 +34,8 @@ from btkit import (
     bt_residual_liouville,
     bt_residual_sine_gordon,
     dispersion_solve,
-    harmonic_conjugate_match,
+    harmonic_conjugate_quadratic,
+    harmonic_quadratic,
     hierarchy,
     liouville_from_trivial,
     liouville_residual,
@@ -47,7 +48,6 @@ from btkit import (
     sine_gordon_residual,
     symmetry_residual,
     wave_residual,
-    xy_family_match,
     zero_field,
 )
 from helpers import (
@@ -113,22 +113,25 @@ def test_criterion_2_harmonic_conjugacy():
 
     # coefficient mapping, each slot isolated so float arithmetic is exact
     alpha, beta, gamma = 0.7, -1.3, 2.9
-    _, v_a = harmonic_conjugate_match(alpha, 0.0, 0.0)
+    v_a = harmonic_conjugate_quadratic(alpha, 0.0, 0.0)
     checks.append(("kappa=2alpha", v_a(1.25, 3.0) == 2.0 * alpha * 1.25 * 3.0))
-    _, v_b = harmonic_conjugate_match(0.0, beta, 0.0)
+    v_b = harmonic_conjugate_quadratic(0.0, beta, 0.0)
     checks.append(("mu=beta", v_b(1.25, 3.0) == beta * 3.0))
-    _, v_g = harmonic_conjugate_match(0.0, 0.0, gamma)
+    v_g = harmonic_conjugate_quadratic(0.0, 0.0, gamma)
     checks.append(("lambda=-gamma", v_g(1.25, 3.0) == -(gamma * 1.25)))
-    u, v = harmonic_conjugate_match(alpha, beta, gamma)
+    u = harmonic_quadratic(alpha, beta, gamma)
+    v = harmonic_conjugate_quadratic(alpha, beta, gamma)
     checks.append(("params_stored_exactly",
                    u.params == {"alpha": alpha, "beta": beta, "gamma": gamma}
                    and v.params == {"alpha": alpha, "beta": beta, "gamma": gamma}))
 
-    trivial = xy_family_match(0.0, 0.0)
-    nontrivial = xy_family_match(1.0, 1.0)
-    checks.append(("trivial_pair_conjugate", trivial.conjugate is True))
-    checks.append(("nontrivial_pair_rejected", nontrivial.conjugate is False))
+    # the xy family is certified by its scan: the defect peaks at |a| + |b|
+    trivial = bt_residual_cr(monomial_xy(0.0), monomial_xy(0.0), Grid2D())
+    opposite = bt_residual_cr(monomial_xy(2.0), monomial_xy(-2.0), Grid2D())
     residual = bt_residual_cr(monomial_xy(1.0), monomial_xy(1.0), Grid2D())
+    checks.append(("trivial_pair_conjugate", trivial.max_abs == 0.0))
+    checks.append(("nontrivial_pair_rejected",
+                   residual.max_abs > 0.5 and opposite.max_abs == 4.0))
     checks.append(("xy_pair_residual>0.5", residual.max_abs > 0.5))
 
     _report(2, "harmonic conjugacy (quadratic match exact, xy family trivial)", checks)

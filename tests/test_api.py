@@ -45,14 +45,12 @@ PUBLIC_API = [
     "TransversalityError",
     "VACUUM",
     "WavePair",
-    "XYMatchResult",
     "bt_residual_cr",
     "bt_residual_liouville",
     "bt_residual_sine_gordon",
     "chiral_defect_samples",
     "chiral_residual",
     "dispersion_solve",
-    "harmonic_conjugate_match",
     "harmonic_conjugate_quadratic",
     "harmonic_quadratic",
     "hierarchy",
@@ -69,14 +67,13 @@ PUBLIC_API = [
     "sine_gordon_residual",
     "symmetry_residual",
     "wave_residual",
-    "xy_family_match",
     "zero_field",
 ]
 
 
 class TestPublicApi:
     def test_all_matches_the_snapshot(self):
-        assert len(PUBLIC_API) == 53
+        assert len(PUBLIC_API) == 50
         assert sorted(btkit.__all__) == PUBLIC_API
 
     def test_every_name_resolves(self):

@@ -52,6 +52,10 @@ from helpers import polynomial_degree, random_commuting_pair, random_matrix
 GRID = Grid2D()
 
 
+def _zero_table(grid):
+    return TabulatedField(grid, np.zeros((grid.nx, grid.nt, 1, 1)))
+
+
 def commutator(a, b):
     return a @ b - b @ a
 
@@ -136,8 +140,9 @@ class TestLatticeCalculus:
         np.testing.assert_allclose(got, expected, atol=1e-13)
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(InvalidGridError):
-            _lattice_derivative(np.zeros(5), 0.1, axis=0, deriv=1)
+        grid = Grid2D(nx=5)
+        with pytest.raises(InvalidGridError, match="at least 6 nodes per axis, got 5 x 41"):
+            _zero_table(grid).d1_samples(grid, 0)
 
     def test_integral_operator_is_a_cached_read_only_cubic_rule(self, monkeypatch):
         height = chiral_recursion._BLOCK_ROWS
@@ -792,23 +797,32 @@ class TestPotential:
             recursion_step(TabulatedField(grid, table), ExpSeedField(np.zeros((2, 2)),
                                                                      np.zeros((2, 2))), grid)
 
+    @pytest.mark.parametrize("operator", [
+        lambda grid: symmetry_residual(ConstantField([[1.0]]), ExpSeedField([[0.0]], [[0.0]]),
+                                       grid),
+        lambda grid: _zero_table(grid).d2_samples(grid, 0),
+        lambda grid: _zero_table(grid).d2_samples(grid, 1),
+    ], ids=["symmetry_residual", "d2_samples-x", "d2_samples-t"])
     @pytest.mark.parametrize("grid, name", [
         (Grid2D(-1e300, 1e300), "dx = 5e+298 is too wide"),
         (Grid2D(t_min=-1e160, t_max=1e160), "dt = 5e+158 is too wide"),
         (Grid2D(t_min=-1e-160, t_max=1e-160), "dt = 5e-162 is too narrow"),
         (Grid2D(-1e-300, 1e-300), "dx = 5e-302 is too narrow"),
     ], ids=["dx", "dt", "dt-narrow", "dx-narrow"])
-    def test_symmetry_scan_rejects_a_spacing_it_cannot_square(self, grid, name):
-        # its second derivatives divide by a square outside the normal range:
-        # inf, 0 or a subnormal short of digits
+    def test_second_derivatives_reject_a_spacing_they_cannot_square(self, operator, grid, name):
+        # they divide by a square outside the normal range: inf, 0 or a
+        # subnormal short of digits
         with pytest.raises(InvalidGridError, match=re.escape(f"lattice spacing {name} to square")):
-            symmetry_residual(ConstantField([[1.0]]), ExpSeedField([[0.0]], [[0.0]]), grid)
+            operator(grid)
 
     @pytest.mark.parametrize("operator", [
         chiral_residual, potential,
         lambda g, grid: recursion_step(ConstantField([[1.0]]), g, grid),
         lambda g, grid: symmetry_residual(ConstantField([[1.0]]), g, grid),
-    ], ids=["chiral_residual", "potential", "recursion_step", "symmetry_residual"])
+        lambda g, grid: _zero_table(grid).d1_samples(grid, 1),
+        lambda g, grid: _zero_table(grid).d2_samples(grid, 1),
+    ], ids=["chiral_residual", "potential", "recursion_step", "symmetry_residual",
+            "d1_samples", "d2_samples"])
     def test_a_subnormal_spacing_is_rejected(self, operator):
         # its reciprocal overflows: a derivative read inf, with a RuntimeWarning
         grid = Grid2D(t_min=-1e-310, t_max=1e-310)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from btkit.classic_bts import (
     bt_residual_cr,
     bt_residual_liouville,
     bt_residual_sine_gordon,
-    harmonic_conjugate_match,
+    harmonic_conjugate_quadratic,
     harmonic_quadratic,
     laplace_residual,
     liouville_from_trivial,
@@ -17,7 +19,6 @@ from btkit.classic_bts import (
     monomial_xy,
     sine_gordon_from_vacuum,
     sine_gordon_residual,
-    xy_family_match,
     zero_field,
 )
 from btkit.classic_bts import ScalarField2D
@@ -25,12 +26,14 @@ from btkit.errors import EmptyDomainError, InvalidParameterError
 from btkit.verify import Grid2D
 
 GRID = Grid2D()  # [-1, 1]^2, 41 x 41
+draws = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
 class TestHarmonicConjugates:
     def test_matched_coefficients_are_exact(self):
         # v = kappa x t + lambda x + mu t with kappa = 2 alpha, mu = beta, lambda = -gamma
-        u, v = harmonic_conjugate_match(1.0, 2.0, 3.0)
+        u = harmonic_quadratic(1.0, 2.0, 3.0)
+        v = harmonic_conjugate_quadratic(1.0, 2.0, 3.0)
         assert v.params == {"alpha": 1.0, "beta": 2.0, "gamma": 3.0}
         # spot values computed by hand from v = 2 x t - 3 x + 2 t
         assert v(1.5, -0.7) == 2.0 * 1.5 * -0.7 - 3.0 * 1.5 + 2.0 * -0.7
@@ -39,20 +42,18 @@ class TestHarmonicConjugates:
 
     @pytest.mark.parametrize("abc", [(1.0, 0.0, 0.0), (0.0, 1.0, -2.0), (0.7, -1.3, 2.9)])
     def test_matched_pair_satisfies_relations(self, abc):
-        u, v = harmonic_conjugate_match(*abc)
-        report = bt_residual_cr(u, v, GRID)
+        report = bt_residual_cr(harmonic_quadratic(*abc), harmonic_conjugate_quadratic(*abc), GRID)
         assert report.max_abs < 1e-10
 
     @pytest.mark.parametrize("abc", [(1.0, 2.0, 3.0), (0.5, 0.0, -1.0)])
     def test_both_fields_are_harmonic(self, abc):
-        u, v = harmonic_conjugate_match(*abc)
-        assert laplace_residual(u, GRID).max_abs < 1e-6
-        assert laplace_residual(v, GRID).max_abs < 1e-6
+        assert laplace_residual(harmonic_quadratic(*abc), GRID).max_abs < 1e-6
+        assert laplace_residual(harmonic_conjugate_quadratic(*abc), GRID).max_abs < 1e-6
 
     def test_match_is_linear_in_parameters(self):
-        _, v1 = harmonic_conjugate_match(1.0, -2.0, 0.5)
-        _, v2 = harmonic_conjugate_match(0.3, 1.1, -0.7)
-        _, v12 = harmonic_conjugate_match(1.3, -0.9, -0.2)
+        v1 = harmonic_conjugate_quadratic(1.0, -2.0, 0.5)
+        v2 = harmonic_conjugate_quadratic(0.3, 1.1, -0.7)
+        v12 = harmonic_conjugate_quadratic(1.3, -0.9, -0.2)
         x, t = np.meshgrid(np.linspace(-1, 1, 7), np.linspace(-1, 1, 7), indexing="ij")
         np.testing.assert_allclose(v12(x, t), v1(x, t) + v2(x, t), atol=1e-14)
 
@@ -63,27 +64,39 @@ class TestHarmonicConjugates:
         assert report.max_abs == pytest.approx(2.0, abs=1e-9)
 
     def test_constant_shift_of_u_stays_conjugate(self):
-        u, v = harmonic_conjugate_match(1.0, 2.0, 3.0)
+        u = harmonic_quadratic(1.0, 2.0, 3.0)
+        v = harmonic_conjugate_quadratic(1.0, 2.0, 3.0)
         shifted = lambda x, t: u(x, t) + 17.0
         assert bt_residual_cr(shifted, v, GRID).max_abs < 1e-10
 
+    @draws
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+           st.sampled_from(["beta", "gamma"]))
+    def test_scans_read_the_partner_zero_and_a_shifted_one_past_tolerance(
+            self, alpha, beta, gamma, shifted):
+        u = harmonic_quadratic(alpha, beta, gamma)
+        v = harmonic_conjugate_quadratic(alpha, beta, gamma)
+        for report in (bt_residual_cr(u, v, GRID), laplace_residual(u, GRID),
+                       laplace_residual(v, GRID)):
+            assert report.max_abs == 0.0
+        # v_t or v_x moves by 1e-3 everywhere: the CLI's 1e-6 tolerance fails it
+        params = {"alpha": alpha, "beta": beta, "gamma": gamma}
+        params[shifted] += 1e-3
+        report = bt_residual_cr(u, harmonic_conjugate_quadratic(**params), GRID)
+        assert report.max_abs >= 1e-3 - 1e-12
+
 
 class TestXYFamily:
-    def test_only_trivial_member_is_conjugate(self):
-        result = xy_family_match(2.0, -2.0)
-        assert not result.conjugate
-        assert len(result.constraints) == 2
-        assert xy_family_match(0.0, 0.0).conjugate
-
-    def test_nonconjugate_pair_has_large_residual(self):
-        result = xy_family_match(2.0, -2.0)
-        report = bt_residual_cr(result.u, result.v, GRID)
-        assert report.max_abs > 1.0
-
-    def test_unit_pair_residual_exceeds_half(self):
-        result = xy_family_match(1.0, 1.0)
-        report = bt_residual_cr(result.u, result.v, GRID)
-        assert report.max_abs > 0.5
+    @draws
+    @given(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150))
+    @example(0.0, 0.0)
+    @example(1.0, 1.0)
+    @example(2.0, -2.0)
+    def test_cauchy_riemann_scan_reads_the_exact_defect(self, alpha, beta):
+        # u_x - v_t = alpha t - beta x and u_t + v_x = alpha x + beta t peak
+        # at the corners of [-1, 1]^2: the pair is conjugate only at (0, 0)
+        report = bt_residual_cr(monomial_xy(alpha), monomial_xy(beta), GRID)
+        assert report.max_abs == abs(alpha) + abs(beta)
 
     def test_member_fields_are_harmonic_individually(self):
         assert laplace_residual(monomial_xy(2.0), GRID).max_abs < 1e-6
@@ -198,7 +211,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("make", [
         lambda value: liouville_from_trivial(value),
-        lambda value: harmonic_conjugate_match(1.0, value, 0.0)[0],
+        lambda value: harmonic_quadratic(1.0, value, 0.0),
         lambda value: sine_gordon_from_vacuum(value, 1.0),
     ], ids=["liouville C", "laplace beta", "sine-gordon a"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -208,7 +221,8 @@ class TestSerialization:
 
 
 # each scan as grid -> report, on fields the CLI gives it
-_U, _V = harmonic_conjugate_match(1.0, 0.5, -0.3)
+_U = harmonic_quadratic(1.0, 0.5, -0.3)
+_V = harmonic_conjugate_quadratic(1.0, 0.5, -0.3)
 _LIOUVILLE = liouville_from_trivial(2.0)
 _KINK = sine_gordon_from_vacuum(1.0, 1.0)
 SCANS = {
@@ -241,13 +255,14 @@ class TestExactDerivatives:
         (1000.0, 0.0, 0.0), (1e7, 3.0, -2.0), (1e200, 0.0, 0.0)])
     def test_large_harmonic_pairs_read_exactly_zero(self, alpha, beta, gamma):
         # a 1e-4 central difference read 6.8e-5, 0.75 and 5.8e92 here
-        u, v = harmonic_conjugate_match(alpha, beta, gamma)
+        u = harmonic_quadratic(alpha, beta, gamma)
+        v = harmonic_conjugate_quadratic(alpha, beta, gamma)
         for report in (bt_residual_cr(u, v, GRID), laplace_residual(u, GRID),
                        laplace_residual(v, GRID)):
             assert report.max_abs == 0.0
 
     def test_second_derivative_that_overflows_is_singular(self):
-        u, _ = harmonic_conjugate_match(1e308, 0.0, 0.0)     # u_xx = 2e308
+        u = harmonic_quadratic(1e308, 0.0, 0.0)     # u_xx = 2e308
         with pytest.raises(EmptyDomainError):
             laplace_residual(u, GRID)
 

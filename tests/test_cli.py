@@ -432,7 +432,8 @@ def _entries(prefix, n):
 def _classic_pair_table():
     grid = Grid2D(nx=7, nt=5)
     X, T = grid.mesh()
-    u, v = classic_bts.harmonic_conjugate_match(1.0, 2.0, -3.0)
+    u = classic_bts.harmonic_quadratic(1.0, 2.0, -3.0)
+    v = classic_bts.harmonic_conjugate_quadratic(1.0, 2.0, -3.0)
     argv = ["classic", "laplace", "--alpha", "1", "--beta", "2", "--gamma", "-3",
             "--nx", "7", "--nt", "5"]
     return argv, ["x", "t", "u", "v"], _reference_table((X, T), u(X, T), v(X, T))

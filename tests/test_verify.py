@@ -188,7 +188,8 @@ class _Counted:
 
 
 _GRID2 = Grid2D(nx=9, nt=7)
-_HARMONIC = classic_bts.harmonic_conjugate_match(1.0, 0.5, -0.3)
+_HARMONIC = (classic_bts.harmonic_quadratic(1.0, 0.5, -0.3),
+             classic_bts.harmonic_conjugate_quadratic(1.0, 0.5, -0.3))
 _LIOUVILLE = (classic_bts.liouville_from_trivial(2.0), classic_bts.zero_field())
 _KINK = (classic_bts.sine_gordon_from_vacuum(1.0, 1.0), classic_bts.zero_field())
 _WAVE = WavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0e9)
