@@ -151,6 +151,29 @@ EM_PATHS = {
                                    "--omega", "1e-300"],
     "vacuum-wavelength-overflow": ["em", "vacuum", "--omega", "1e-310"],
 }
+# tables whose row blocks (one per node of the leading grid axis) are
+# few, odd in size or of unequal row counts: em grids of 2 and 5 nodes per
+# axis, a conductor of 4, a 37 x 23 potential and a 13 x 17 hierarchy
+BLOCK_EDGES = {
+    "vacuum-samples-2-json": ["em", "vacuum", "--omega", "1e9", "--samples", "2", "--verify",
+                              "--format", "json"],
+    "vacuum-samples-2-both": ["em", "vacuum", "--omega", "1e9", "--samples", "2", "--verify",
+                              "--format", "both"],
+    "vacuum-samples-5-json": ["em", "vacuum", "--omega", "1e9", "--samples", "5", "--verify",
+                              "--format", "json"],
+    "vacuum-samples-5-both": ["em", "vacuum", "--omega", "1e9", "--samples", "5", "--verify",
+                              "--format", "both"],
+    "conductor-samples-4-both": ["em", "conductor", "--epsilon-rel", "3", "--mu-rel", "1",
+                                 "--sigma-over-eps-omega", "2", "--omega", "1e9",
+                                 "--samples", "4", "--verify", "--format", "both"],
+    "potential-37x23-json": ["chiral", "potential", "--a-re", A_RE, "--b-re", B_RE,
+                             "--nx", "37", "--nt", "23", "--verify", "--format", "json"],
+    "potential-37x23-both": ["chiral", "potential", "--a-re", A_RE, "--b-re", B_RE,
+                             "--nx", "37", "--nt", "23", "--verify", "--format", "both"],
+    "hierarchy-levels-2-13x17-both": ["chiral", "hierarchy", "--a-re", A_RE, "--b-re", B_RE,
+                                      "--m-re", M_RE, "--levels", "2", "--nx", "13",
+                                      "--nt", "17", "--verify", "--format", "both"],
+}
 # exponential seeds past the conditioning bound cond_2 g <= e^(2 r) <= 1e11,
 # decided node by node on their samples: e^(20 x) reaches cond e^40 at
 # x = -1 and is refused; a unitary seed of any norm passes, also on a grid
@@ -210,7 +233,8 @@ def cases() -> dict:
         out[f"readme-{name}-json"] = (plain + ["--format", "json"], {})
         out[f"readme-{name}-both"] = (plain + ["--format", "both"], {})
     out.update((name, (argv, {}))
-               for name, argv in {**EDGE_CASES, **EM_PATHS, **CONDITIONING}.items())
+               for name, argv in {**EDGE_CASES, **EM_PATHS, **CONDITIONING,
+                                  **BLOCK_EDGES}.items())
     out.update((f"hierarchy-seed-{seed:02d}", (_hierarchy_argv(seed), {})) for seed in range(12))
     out["chiral-hierarchy-3x3-complex"] = (_complex_hierarchy_argv(), {})
     return out
