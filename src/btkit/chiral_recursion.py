@@ -590,12 +590,19 @@ class TabulatedField(MatrixField):
     __rmul__ = __mul__
 
     def to_dict(self):
+        """The lattice's node arrays and the table, as arrays, not lists.
+
+        ``values`` holds the real and imaginary parts as (nx, nt, n * n)
+        views, each node's matrix flattened to one row, which the CLI writes
+        as the list of the rows, node by node in C order.
+        """
+        rows = self.values.reshape(self.grid.nx, self.grid.nt, -1)
         return {
             "n": self.n,
             "family": "tabulated",
-            "x": self.grid.xs.tolist(),
-            "t": self.grid.ts.tolist(),
-            "values": _matrix_pair(self.values.reshape(self.grid.nx * self.grid.nt, -1)),
+            "x": self.grid.xs,
+            "t": self.grid.ts,
+            "values": {"re": rows.real, "im": rows.imag},
         }
 
 

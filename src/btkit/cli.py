@@ -11,7 +11,11 @@ All flags are long-form and spelled in full: a prefix of a flag is a usage
 error.  Output is JSON (default), CSV, or both; JSON is byte-identical for
 identical argv: keys are emitted in fixed order and floats with 17
 significant digits.  CSV always carries a header row and a ``.`` decimal
-point.
+point.  A node table is written one node of the grid's leading axis at a
+time (an x-line of a 2-D grid, an x-slab of a spacetime one), each by one
+``%`` call, so no list or string of a whole table is built; a JSON payload
+is checked whole, and a CSV table's first block built, before anything is
+written, so an error writes nothing.
 
 Exit codes: 0 success; 1 precondition rejected by the library (the message
 names the violated constraint) or a grid too large to allocate; 2 a
@@ -27,7 +31,6 @@ through its module attributes.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import numbers
@@ -100,29 +103,118 @@ def _format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _emit_json(obj) -> str:
+def _row_format(width: int) -> str:
+    return "[" + ", ".join(["%.17g"] * width) + "]"
+
+
+def _json_parts(obj, parts: list) -> None:
+    """Append the JSON text of ``obj`` to ``parts``; a float table of two or more axes stays whole.
+
+    Every value is checked here, so one that cannot be written raises before
+    any text is written.  A float array is checked like ``_format_float``,
+    naming its first non-finite entry in C order.  One of two or more axes
+    is a table: its last axis holds a row's entries and the axes before it
+    index the rows in C order, and its JSON is the list of those rows, for
+    a 2-D array exactly that of its ``tolist()``.
+    """
     if isinstance(obj, (list, tuple)):
         # a table row of plain finite floats is formatted in one call;
         # anything else, a non-finite float included, goes value by value
         if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
-            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
-        return "[" + ", ".join([_emit_json(v) for v in obj]) + "]"
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in obj.items()]
-        return "{" + ", ".join(items) + "}"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, numbers.Integral):   # numpy's integers register here
-        return str(int(obj))
-    if isinstance(obj, numbers.Real):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if callable(obj):       # a value built only when JSON is written
-        return _emit_json(obj())
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            parts.append(_row_format(len(obj)) % tuple(obj))
+            return
+        parts.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _json_parts(value, parts)
+        parts.append("]")
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            parts.append(f"{', ' if i else ''}{json.dumps(str(key))}: ")
+            _json_parts(value, parts)
+        parts.append("}")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, numbers.Integral):   # numpy's integers register here
+        parts.append(str(int(obj)))
+    elif isinstance(obj, numbers.Real):
+        parts.append(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif callable(obj):       # a value built only when JSON is written
+        _json_parts(obj(), parts)
+    else:
+        import numpy as np
+
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        table = np.asarray(obj, dtype=float)
+        finite = np.isfinite(table)
+        if not finite.all():
+            _format_float(float(table[~finite][0]))   # raises, naming the first
+        if table.ndim < 2:
+            _json_parts(table.tolist(), parts)
+        else:
+            parts.append(table)
+
+
+def _json_pieces(obj, end: str = ""):
+    """The JSON text of ``obj`` and ``end``, in pieces to be written in turn.
+
+    Each piece runs up to the end of one slab of a table along its leading
+    axis, formatted by one ``%`` call, so no string of a whole table is
+    built; the text between tables joins the pieces around it.  The whole
+    of ``obj`` is checked before the first piece is given.
+    """
+    parts = []
+    _json_parts(obj, parts)
+    text = []
+    for part in parts:
+        if isinstance(part, str):
+            text.append(part)
+            continue
+        slab = ", ".join([_row_format(part.shape[-1])] * math.prod(part.shape[1:-1]))
+        text.append("[")
+        for i, cells in enumerate(part):
+            text.append((", " if i else "") + slab % tuple(cells.ravel().tolist()))
+            yield "".join(text)
+            text.clear()
+        text.append("]")
+    text.append(end)
+    yield "".join(text)
+
+
+def _emit_json(obj) -> str:
+    return "".join(_json_pieces(obj))
+
+
+def _csv_pieces(columns, blocks):
+    """The CSV text of a table given as float blocks of rows: its header, then a piece per block.
+
+    Each block is formatted by one ``%`` call, a non-finite cell as nan
+    (the block is overwritten so, in place).  The header is given once the
+    first block is built, and each block, its cells and its text are let
+    go as soon as they are used, so no two blocks' worth are alive at once.
+    """
+    import numpy as np
+
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    head = ",".join(columns) + "\n"
+    for block in blocks:
+        block[~np.isfinite(block)] = np.nan  # "%g" would write inf as inf
+        rows, cells = len(block), tuple(block.ravel().tolist())
+        del block
+        text = (row * rows) % cells
+        del cells
+        if head:
+            yield head
+            head = ""
+        yield text
+        del text
 
 
 def _complex_columns(labels):
@@ -134,7 +226,7 @@ def _entry_columns(prefix: str, n: int):
 
 
 def _grid_table(meshes, *blocks):
-    """The CSV table of a grid as one float array, a row per node in C order.
+    """The CSV rows of grid nodes as one float array, a row per node in C order.
 
     A row holds the node's mesh coordinates, then each block's entries at
     that node; a complex entry fills two columns, its real then its
@@ -150,6 +242,12 @@ def _grid_table(meshes, *blocks):
         else:
             parts.append(np.asarray(block, dtype=float).reshape(n, -1))
     return np.hstack(parts)
+
+
+def _x_lines(meshes, *blocks):
+    """The CSV table of a ``Grid2D`` as float blocks, ``_grid_table`` of one x-line each."""
+    for line in zip(*meshes, *blocks):
+        yield _grid_table(line[:len(meshes)], *line[len(meshes):])
 
 
 # --- shared argument plumbing ----------------------------------------------
@@ -309,7 +407,7 @@ def _run_classic(args):
 
     def rows():
         X, T = grid.mesh()
-        return _grid_table((X, T), *(f(X, T) for _, f in fields))
+        return _x_lines((X, T), *(f(X, T) for _, f in fields))
 
     return params, grid.to_dict(), result, scans, (columns, rows)
 
@@ -338,9 +436,10 @@ def _run_em(args):
     scans = {"maxwell": maxwell_vacuum.maxwell_residual(pair, grid)} if args.verify else {}
 
     def rows():
-        meshes = grid.mesh()
-        R = np.stack(meshes[:3], axis=-1)
-        return _grid_table(meshes, pair.E(R, meshes[3]), pair.B(R, meshes[3]))
+        # E and B are sampled one x-slab at a time, as the scan takes them
+        for slab in zip(*grid.mesh()):
+            R = np.stack(slab[:3], axis=-1)
+            yield _grid_table(slab, pair.E(R, slab[3]), pair.B(R, slab[3]))
 
     return params, grid.to_dict(), result, scans, (_EM_COLUMNS, rows)
 
@@ -364,7 +463,7 @@ def _run_chiral(args):
         report = report_from_values(values, (X, T))
         result = {"seed": g.to_dict(), "report": report.to_dict()}
         scans = {"chiral": report} if args.verify else {}
-        table = (["x", "t", "residual"], lambda: _grid_table((X, T), values))
+        table = (["x", "t", "residual"], lambda: _x_lines((X, T), values))
         return params, grid_dict, result, scans, table
 
     if args.sub == "potential":
@@ -380,7 +479,7 @@ def _run_chiral(args):
         }
         scans = {"chiral": chiral_recursion.chiral_residual(g, grid)} if args.verify else {}
         table = (["x", "t"] + _entry_columns("X", g.n),
-                 lambda: _grid_table((X, T), pot.values))
+                 lambda: _x_lines((X, T), pot.values))
         return params, grid_dict, result, scans, table
 
     M = _complex_matrix(args.m_re, args.m_im, "M")
@@ -403,9 +502,11 @@ def _run_chiral(args):
     columns = ["level", "x", "t"] + _entry_columns("phi", g.n) + _entry_columns("q", g.n)
 
     def rows():
-        return np.vstack([_grid_table((np.full_like(X, item.level), X, T),
-                                      item.phi.sample(grid), item.q_samples(grid))
-                          for item in levels])
+        # the first level's q samples g, so anything that can refuse does so
+        # before the first block; later levels reuse those samples
+        for item in levels:
+            yield from _x_lines((np.full_like(X, item.level), X, T),
+                                item.phi.sample(grid), item.q_samples(grid))
 
     return params, grid_dict, result, scans, (columns, rows)
 
@@ -509,14 +610,23 @@ def _build_parser() -> _Parser:
 _RUNNERS = {"classic": _run_classic, "em": _run_em, "chiral": _run_chiral}
 
 
-def _write(chunks, path) -> None:
-    """Write the strings ``chunks`` to ``path``, or to stdout when no path is given."""
+def _write(pieces, path) -> None:
+    """Write the strings ``pieces`` to ``path``, or to stdout when no path is given.
+
+    The first piece is built before anything is opened or written, so a
+    value that cannot be written, or a first block too large to allocate,
+    leaves the destination as it was.
+    """
+    pieces = iter(pieces)
+    first = next(pieces, "")
     try:
         if path:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
+                fh.write(first)
+                fh.writelines(pieces)
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.write(first)
+            sys.stdout.writelines(pieces)
     except OSError as exc:
         raise _UsageError(f"cannot write output: {exc}") from exc
 
@@ -538,16 +648,9 @@ def main(argv=None) -> int:
         payload = {"command": name, "params": params, "grid": {**grid_dict, **_FIXED_GRID},
                    "result": result, "verify": block}
         if args.format in ("json", "both"):
-            _write([_emit_json(payload), "\n"], args.output)
+            _write(_json_pieces(payload, "\n"), args.output)
         if args.format in ("csv", "both"):
-            import numpy as np
-
-            table = rows()
-            table[~np.isfinite(table)] = np.nan  # "%g" would write inf as inf
-            row = ",".join(["%.17g"] * len(columns)) + "\n"
-            _write(itertools.chain([",".join(columns) + "\n"],
-                                   (row % tuple(cells.tolist()) for cells in table)),
-                   args.csv_output)
+            _write(_csv_pieces(columns, rows()), args.csv_output)
     except (_UsageError, BtkitError, MemoryError) as exc:
         # a MemoryError is a grid too large to allocate; numpy names the array
         print(f"btkit: error: {str(exc) or 'out of memory'}", file=sys.stderr)

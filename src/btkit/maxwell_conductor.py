@@ -49,7 +49,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .errors import BtkitError, InvalidParameterError
-from .maxwell_vacuum import WavePair, _taylors
+from .maxwell_vacuum import WavePair, _slab_scan, _taylors
 from .media import MediumParams
 from .verify import (Grid4D, ResidualReport, _mantissas, _relative, _times, magnitude,
                      report_from_values)
@@ -185,13 +185,15 @@ def wave_residual(F, medium: MediumParams, grid: Grid4D,
     |F0| k^2 to make plane-wave reports dimensionless.  The partials are
     exact and each coefficient is applied with one rounding, so a genuine
     wave reads rounding level; ``F`` follows the evaluator contract of
-    ``FieldPair``.
+    ``FieldPair``.  Like ``maxwell_residual``, it scans one x-slab at a time.
     """
-    meshes = grid.mesh()
-    taylor, = _taylors(meshes, F)
-    lap = taylor.diffs(0)[1] + taylor.diffs(1)[1] + taylor.diffs(2)[1]
-    ft, ftt = taylor.diffs(3)
-    residual = (lap - _times(ftt, medium.epsilon, medium.mu)
-                - _times(ft, medium.mu, medium.sigma))
-    vals = _relative(magnitude(residual, meshes[0].ndim), scale)
-    return report_from_values(vals, meshes)
+    def slab_magnitudes(meshes):
+        taylor, = _taylors(meshes, F)
+        lap = taylor.diffs(0)[1] + taylor.diffs(1)[1] + taylor.diffs(2)[1]
+        ft, ftt = taylor.diffs(3)
+        residual = (lap - _times(ftt, medium.epsilon, medium.mu)
+                    - _times(ft, medium.mu, medium.sigma))
+        return _relative(magnitude(residual, meshes[0].ndim), scale)
+
+    mags, meshes = _slab_scan(grid, slab_magnitudes)
+    return report_from_values(mags, meshes)

@@ -217,6 +217,21 @@ def _axis_powers(pair, grid: Grid4D) -> tuple:
     return tuple(min(max(rate + headroom, 0), 1023) for rate in rates)
 
 
+def _slab_scan(grid: Grid4D, slab_magnitudes) -> tuple:
+    """Per-point magnitudes over ``grid``, taken one x-slab of its mesh at a time.
+
+    ``slab_magnitudes`` maps the (y, z, t) meshes of one slab to its
+    points' magnitudes, so a scan's jets span one slab, and only the
+    magnitudes, 8 bytes a point, outlive it.  Returns them with the grid's
+    meshes, for ``report_from_values``.
+    """
+    meshes = grid.mesh()
+    mags = np.empty(meshes[0].shape)
+    for i, slab in enumerate(zip(*meshes)):
+        mags[i] = slab_magnitudes(slab)
+    return mags, meshes
+
+
 def _div_curl(F: Taylor):
     d = [F.d(axis) for axis in range(3)]
     return divergence(d), curl(d)
@@ -233,7 +248,9 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     float range raises InvalidParameterError.  Every pair is scanned as
     given, a ``WavePair`` against the B0 it holds and prints: a partner
     amplitude that underflowed reads as the defect it is.  The evaluators
-    follow the contract of ``FieldPair``.
+    follow the contract of ``FieldPair``.  The jets are built one x-slab of
+    the grid at a time (``_slab_scan``), so a scan's memory beyond the
+    grid's mesh is its per-point magnitudes and one slab's jets.
     """
     # an infinite scale would read every residual it divides as 0
     for name, scale in (("E", pair.e_scale), ("B", pair.b_scale)):
@@ -243,23 +260,26 @@ def maxwell_residual(pair, grid: Grid4D) -> ResidualReport:
     medium = pair.medium
     p, q = _axis_powers(pair, grid)
     k = math.ldexp(pair.k, p)
-    meshes = grid.mesh()
-    E, B = _taylors(meshes, pair.E, pair.B, space=p, time=q)
 
-    # every term in units of the space axes
-    div_e, curl_e = _div_curl(E)
-    div_b, curl_b = _div_curl(B)
-    faraday = curl_e + _times(B.d(3), shift=p - q)
-    ampere = curl_b - _times(E.d(3), medium.epsilon, medium.mu, shift=p - q)
-    if medium.is_conducting:
-        ampere = ampere - _times(E.center, medium.mu, medium.sigma, shift=p)
+    def slab_magnitudes(meshes):
+        E, B = _taylors(meshes, pair.E, pair.B, space=p, time=q)
+        # every term in units of the space axes
+        div_e, curl_e = _div_curl(E)
+        div_b, curl_b = _div_curl(B)
+        faraday = curl_e + _times(B.d(3), shift=p - q)
+        ampere = curl_b - _times(E.d(3), medium.epsilon, medium.mu, shift=p - q)
+        if medium.is_conducting:
+            ampere = ampere - _times(E.center, medium.mu, medium.sigma, shift=p)
 
-    ndim = meshes[0].ndim
-    rows = np.stack((
-        _relative(magnitude(div_e, ndim), pair.e_scale, k),
-        _relative(magnitude(div_b, ndim), pair.b_scale, k),
-        _relative(magnitude(faraday, ndim), pair.e_scale, k),
-        _relative(magnitude(ampere, ndim), pair.b_scale, k),
-    ))
-    return report_from_values(rows.max(axis=0), meshes)
+        ndim = meshes[0].ndim
+        rows = np.stack((
+            _relative(magnitude(div_e, ndim), pair.e_scale, k),
+            _relative(magnitude(div_b, ndim), pair.b_scale, k),
+            _relative(magnitude(faraday, ndim), pair.e_scale, k),
+            _relative(magnitude(ampere, ndim), pair.b_scale, k),
+        ))
+        return rows.max(axis=0)
+
+    mags, meshes = _slab_scan(grid, slab_magnitudes)
+    return report_from_values(mags, meshes)
 

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,26 @@ class TestExitCodes:
         assert proc.stderr.startswith("btkit: error: Unable to allocate 589. TiB for an array")
         assert proc.stderr.count("\n") == 1
 
+    def test_a_table_too_large_to_allocate_writes_no_header(self):
+        # the first CSV block, and the mesh it needs, come before the header
+        proc = run_cli("em", "vacuum", "--omega", "1e9", "--samples", "3000", "--format", "csv")
+        assert (proc.returncode, proc.stdout) == (EXIT_PRECONDITION, "")
+        assert proc.stderr.startswith("btkit: error: Unable to allocate 589. TiB for an array")
+        assert proc.stderr.count("\n") == 1
+
+    def test_non_finite_table_entry_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # the whole payload is checked before its first piece is written
+        table = np.array([[[0.5, 1.0]], [[2.0, -np.inf]]])
+        monkeypatch.setitem(cli._RUNNERS, "classic", lambda args: (
+            {}, {}, {"before": [0.5], "table": table, "after": 1.0}, {}, (["x"], None)))
+        old = tmp_path / "old.json"
+        old.write_text("kept\n")
+        for output in ([], ["--output", str(old)]):
+            code, out, err = run(capsys, "classic", "laplace", *output)
+            assert (code, out) == (EXIT_PRECONDITION, "")
+            assert err == "btkit: error: non-finite value -inf cannot be serialized\n"
+        assert old.read_text() == "kept\n"
+
     @pytest.mark.parametrize("error, message", [
         (MemoryError(), "out of memory"),
         (MemoryError("no room for the mesh"), "no room for the mesh"),
@@ -571,7 +592,7 @@ class TestCsv:
         values = [0.1, -0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf]
         columns = [f"c{k}" for k in range(len(values))]
         monkeypatch.setitem(cli._RUNNERS, "classic", lambda args: (
-            {}, {}, {}, {}, (columns, lambda: np.array([values, values[::-1]]))))
+            {}, {}, {}, {}, (columns, lambda: iter([np.array([values, values[::-1]])]))))
         code, out, _ = run(capsys, "classic", "laplace", "--format", "csv")
         assert code == EXIT_OK
         cells = [format(v, ".17g") if np.isfinite(v) else "nan" for v in values]
@@ -710,7 +731,28 @@ class TestChiralPotential:
         payload = json.loads(out)
         pot = potential(ExpSeedField(json.loads(A3_RE), json.loads(B3_RE)), grid)
         assert payload["result"]["path_disagreement"] == pot.path_disagreement
-        assert payload["result"]["potential"] == pot.to_dict()
+        # to_dict hands over arrays; the payload is their JSON, a row per node
+        assert payload["result"]["potential"] == json.loads(cli._emit_json(pot.to_dict()))
+        rows = pot.values.reshape(grid.nx * grid.nt, -1)
+        assert payload["result"]["potential"]["values"] == {"re": rows.real.tolist(),
+                                                            "im": rows.imag.tolist()}
+
+    def test_a_large_table_is_written_without_a_whole_copy(self, capsys, tmp_path):
+        # 321 x 321 nodes of 2 x 2 matrices: the table as lists and as one
+        # string peaked at 70.6 MB here, against 30.3 MB written slab by slab
+        out_json = tmp_path / "potential.json"
+        argv = ["chiral", "potential", "--a-re", A_RE, "--b-re", B_RE, "--nx", "321",
+                "--nt", "321", "--output", str(out_json)]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (EXIT_OK, "", "")
+        values = json.loads(out_json.read_text())["result"]["potential"]["values"]
+        assert len(values["re"]) == len(values["im"]) == 321 ** 2
+        assert peak < 45 * 2 ** 20
 
 
 def _readme_examples():

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -466,3 +467,25 @@ class TestSerialization:
         d = pair.to_dict()
         assert list(d) == ["E0_re", "E0_im", "tau", "omega"]
         assert d["E0_re"] == [1.0, 0.0, 0.0]
+
+
+class TestScanMemory:
+    # 390,625 points: jets of the whole grid at once peaked at 140 MB (maxwell)
+    # and 146 MB (wave) here; one x-slab's jets and the per-point magnitudes,
+    # with the grid's mesh and the report, take about 27 MB
+    @pytest.mark.parametrize("scan", [
+        pytest.param(lambda pair, grid: maxwell_residual(pair, grid), id="maxwell"),
+        pytest.param(lambda pair, grid: wave_residual(pair.E, pair.medium, grid,
+                                                      pair.e_scale * pair.k ** 2), id="wave"),
+    ])
+    def test_a_scan_holds_one_slab_of_jets(self, scan):
+        pair = ConductorWavePair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1e9, LOSSY)
+        grid = pair.default_grid(25)
+        tracemalloc.start()
+        try:
+            report = scan(pair, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_points == 25 ** 4 and report.max_abs < 1e-5
+        assert peak < 40 * 2 ** 20

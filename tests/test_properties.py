@@ -11,6 +11,12 @@ give the same verdict, on seeds scaled to either side of the bound's limit.
 ``verify.magnitude``, the per-point reduction every scan ends in, is checked
 against the plain max along each point's entries: real and complex tables
 of 0 to 4 point axes with non-finite and zero-size entries.
+
+The command line's two table writers are checked against the plain forms
+they replace: the JSON of a float array against that of its ``tolist()``
+rows, and the CSV of a block against one ``%`` per row, on tables of 0, 1
+and many rows and 1 to 20 columns with subnormal, signed-zero and
+near-overflow entries.
 """
 
 import math
@@ -29,8 +35,10 @@ from btkit.chiral_recursion import (  # noqa: E402
     ExpSeedField,
     _check_invertible,
 )
+from btkit import cli  # noqa: E402
 from btkit.cli import TOLERANCES  # noqa: E402
 from btkit.errors import (  # noqa: E402
+    BtkitError,
     InvalidGridError,
     InvalidParameterError,
     SingularMatrixError,
@@ -203,3 +211,84 @@ def test_magnitude_is_the_max_along_each_points_entries(drawn):
     assert np.array_equal(np.isnan(got), nan)
     # bit for bit, but for a NaN's payload: which NaN a max keeps is numpy's choice
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+finite_cells = (st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+                | st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                   1.7976931348623157e308, -1.7976931348623157e308,
+                                   1e-308, -9.999999999999999e307, 0.1)))
+
+
+@st.composite
+def float_tables(draw):
+    """A finite float table: 2-D (0, 1 or many rows) or 3-D (slabs of rows), 1-20 columns.
+
+    Now and then a strided view, as a complex table's real part is.
+    """
+    columns = draw(st.integers(1, 20))
+    rows = draw(st.sampled_from((0, 1)) | st.integers(2, 30))
+    shape = (rows, columns)
+    if draw(st.booleans()):
+        shape = (draw(st.integers(0, 4)), draw(st.integers(1, 6)), columns)
+    table = draw(hnp.arrays(np.float64, shape, elements=finite_cells))
+    if draw(st.booleans()):
+        table = (table + 1j * np.ones(shape)).real
+        assert not table.flags.c_contiguous or table.size <= 1
+    return table
+
+
+def _rows_of(table):
+    return table.reshape(-1, table.shape[-1]).tolist()
+
+
+@draws
+@given(float_tables(), st.integers(0, 10 ** 6), st.sampled_from((math.nan, math.inf, -math.inf)))
+def test_a_float_array_is_written_as_the_json_of_its_rows(table, where, bad):
+    assert cli._emit_json(table) == cli._emit_json(_rows_of(table))
+    payload = {"before": 1.5, "table": table, "after": [2.5, None]}
+    pieces = list(cli._json_pieces(payload, "\n"))
+    assert "".join(pieces) == cli._emit_json({**payload, "table": _rows_of(table)}) + "\n"
+    # one piece per slab of the leading axis, and the text after the last
+    assert len(pieces) == len(table) + 1
+    if not table.size:
+        return
+    # a non-finite entry is refused as a non-finite float is, before any piece
+    spoiled = table.copy()
+    spoiled.flat[where % table.size] = bad
+    with pytest.raises(BtkitError) as refused:
+        next(cli._json_pieces({"before": 1.5, "table": spoiled}))
+    with pytest.raises(BtkitError) as listed:
+        cli._emit_json({"before": 1.5, "table": _rows_of(spoiled)})
+    assert str(refused.value) == str(listed.value)
+    first = spoiled.ravel()[~np.isfinite(spoiled.ravel())][0]
+    assert str(refused.value) == f"non-finite value {float(first)!r} cannot be serialized"
+
+
+def _csv_per_row(table) -> str:
+    """The CSV writer the block writer replaced: non-finite cells to NaN, one ``%`` per row."""
+    table = table.copy()
+    table[~np.isfinite(table)] = np.nan  # "%g" would write inf as inf
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(row % tuple(cells.tolist()) for cells in table)
+
+
+@draws
+@given(float_tables(), st.lists(st.integers(0, 10 ** 6), max_size=6),
+       st.sampled_from((math.nan, math.inf, -math.inf)), st.lists(st.integers(0, 30)))
+def test_csv_blocks_are_their_rows_one_by_one(table, spoil, bad, cuts):
+    table = np.array(table.reshape(-1, table.shape[-1]))
+    for where in spoil:
+        if table.size:
+            table.flat[where % table.size] = bad
+    want = _csv_per_row(table)
+    assert ("nan" in want) == (not np.isfinite(table).all())
+    columns = [f"c{k}" for k in range(table.shape[1])]
+    header = ",".join(columns) + "\n"
+    # the whole table as one block: the header, then the block in one piece
+    assert list(cli._csv_pieces(columns, [table.copy()])) == [header, want]
+    # cut into blocks anywhere, it is the same rows, a piece per block
+    edges = sorted({min(cut, len(table)) for cut in cuts} | {0, len(table)})
+    blocks = [table[lo:hi].copy() for lo, hi in zip(edges, edges[1:])] or [table.copy()]
+    pieces = list(cli._csv_pieces(columns, blocks))
+    assert pieces[0] == header and len(pieces) == len(blocks) + 1
+    assert "".join(pieces) == header + want
