@@ -13,9 +13,11 @@ identical argv: keys are emitted in fixed order and floats with 17
 significant digits.  CSV always carries a header row and a ``.`` decimal
 point.  A node table is written one node of the grid's leading axis at a
 time (an x-line of a 2-D grid, an x-slab of a spacetime one), each by one
-``%`` call, so no list or string of a whole table is built; a JSON payload
-is checked whole, and a CSV table's first block built, before anything is
-written, so an error writes nothing.
+``%`` call, so no list or string of a whole table is built.  A JSON payload
+is checked whole before anything is written, so a value that cannot be
+written writes nothing; a CSV table's first block is built before its
+header, so a grid too large to allocate writes nothing unless the first
+block fits and a later one does not, which leaves the table cut short.
 
 Exit codes: 0 success; 1 precondition rejected by the library (the message
 names the violated constraint) or a grid too large to allocate; 2 a
@@ -118,11 +120,6 @@ def _json_parts(obj, parts: list) -> None:
     a 2-D array exactly that of its ``tolist()``.
     """
     if isinstance(obj, (list, tuple)):
-        # a table row of plain finite floats is formatted in one call;
-        # anything else, a non-finite float included, goes value by value
-        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
-            parts.append(_row_format(len(obj)) % tuple(obj))
-            return
         parts.append("[")
         for i, value in enumerate(obj):
             if i:

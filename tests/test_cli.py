@@ -293,19 +293,15 @@ class TestExitCodes:
         assert proc.stderr.startswith("btkit: error: " + message)
         assert proc.stderr.count("\n") == 1
 
-    def test_grid_too_large_to_allocate_is_one_error_line(self):
+    @pytest.mark.parametrize("output", [["--verify"], ["--format", "csv"]],
+                             ids=["verify", "csv"])
+    def test_grid_too_large_to_allocate_is_one_error_line(self, output):
         # a 3000^4 mesh is 589 TiB: no 64-bit address space maps it, so the
-        # allocator refuses at once
-        proc = run_cli("em", "vacuum", "--omega", "1e9", "--samples", "3000", "--verify")
+        # allocator refuses at once; the first CSV block, and the mesh it
+        # needs, come before the header
+        proc = run_cli("em", "vacuum", "--omega", "1e9", "--samples", "3000", *output)
         assert proc.returncode == EXIT_PRECONDITION
         assert proc.stdout == ""
-        assert proc.stderr.startswith("btkit: error: Unable to allocate 589. TiB for an array")
-        assert proc.stderr.count("\n") == 1
-
-    def test_a_table_too_large_to_allocate_writes_no_header(self):
-        # the first CSV block, and the mesh it needs, come before the header
-        proc = run_cli("em", "vacuum", "--omega", "1e9", "--samples", "3000", "--format", "csv")
-        assert (proc.returncode, proc.stdout) == (EXIT_PRECONDITION, "")
         assert proc.stderr.startswith("btkit: error: Unable to allocate 589. TiB for an array")
         assert proc.stderr.count("\n") == 1
 

@@ -176,13 +176,15 @@ class TestVectorCalculus:
 
 
 class _Counted:
-    """Evaluator wrapper that counts the grid points it is called on (its last argument's)."""
+    """Evaluator wrapper that counts its calls and the grid points they cover."""
 
     def __init__(self, f):
         self.f = f
+        self.calls = 0
         self.points = 0
 
     def __call__(self, *args):
+        self.calls += 1
         self.points += np.size(np.asarray(args[-1]))
         return self.f(*args)
 
@@ -204,33 +206,38 @@ def _maxwell(wave, medium):
     return scan
 
 
+_SLABS = _WAVE.default_grid(5).nx  # the Maxwell scans' x-slabs
+
+
 class TestEvaluationCounts:
-    # field evaluations per grid point of a scan: one on jets per partial the
-    # scan reads, and one of the field itself where a term needs it; the
-    # Maxwell scans make them one x-slab at a time
-    @pytest.mark.parametrize("scan,fields,limit", [
+    # field evaluations per scan: one on jets per partial the scan reads, and
+    # one of the field itself where a term needs it; a Grid2D scan makes each
+    # on the whole grid, a Maxwell scan on each x-slab of its Grid4D in turn
+    @pytest.mark.parametrize("scan,fields,limit,slabs", [
         pytest.param(lambda u, v: classic_bts.bt_residual_cr(u, v, _GRID2),
-                     _HARMONIC, 4, id="cauchy_riemann"),
+                     _HARMONIC, 4, 1, id="cauchy_riemann"),
         pytest.param(lambda u: classic_bts.laplace_residual(u, _GRID2),
-                     _HARMONIC[:1], 2, id="laplace"),
+                     _HARMONIC[:1], 2, 1, id="laplace"),
         pytest.param(lambda u: classic_bts.liouville_residual(u, _GRID2),
-                     _LIOUVILLE[:1], 2, id="liouville"),
+                     _LIOUVILLE[:1], 2, 1, id="liouville"),
         pytest.param(lambda u, v: classic_bts.bt_residual_liouville(u, v, _GRID2),
-                     _LIOUVILLE, 6, id="bt_liouville"),
+                     _LIOUVILLE, 6, 1, id="bt_liouville"),
         pytest.param(lambda u, v: classic_bts.bt_residual_sine_gordon(u, v, 1.0, _GRID2),
-                     _KINK, 6, id="bt_sine_gordon"),
+                     _KINK, 6, 1, id="bt_sine_gordon"),
         pytest.param(lambda E: wave_residual(E, _MEDIUM, _CONDUCTOR.default_grid(5)),
-                     (_CONDUCTOR.E,), 4, id="wave"),
+                     (_CONDUCTOR.E,), 4, _SLABS, id="wave"),
         # E.center enters only through the conduction term mu sigma E
-        pytest.param(_maxwell(_WAVE, _WAVE.medium), (_WAVE.E, _WAVE.B), 8, id="maxwell"),
-        pytest.param(_maxwell(_CONDUCTOR, _MEDIUM), (_CONDUCTOR.E, _CONDUCTOR.B), 9,
+        pytest.param(_maxwell(_WAVE, _WAVE.medium), (_WAVE.E, _WAVE.B), 8, _SLABS,
+                     id="maxwell"),
+        pytest.param(_maxwell(_CONDUCTOR, _MEDIUM), (_CONDUCTOR.E, _CONDUCTOR.B), 9, _SLABS,
                      id="maxwell_conductor"),
     ])
     def test_scan_evaluates_fields_once_per_partial(
-            self, scan, fields, limit):
+            self, scan, fields, limit, slabs):
         counted = [_Counted(f) for f in fields]
         report = scan(*counted)
         points = report.n_points + report.n_singular
+        assert sum(c.calls for c in counted) <= limit * slabs
         assert sum(c.points for c in counted) <= limit * points
 
 
